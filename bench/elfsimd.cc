@@ -35,17 +35,10 @@ printDaemonUsage(const char *argv0, std::FILE *to)
         "bound port is printed)\n"
         "  --jobs N        sweep threads (default: $ELFSIM_JOBS, then "
         "hardware)\n"
-        "  --worker        enable the distributed-fleet endpoints "
-        "(POST /shard,\n"
-        "                  /artifact/trace, /artifact/ckpt) for an "
-        "elfsim-coord\n"
         "  --send-timeout S  response-write stall limit in seconds "
         "(default 30);\n"
         "                  a client that stops reading for S seconds "
         "cancels its sweep\n"
-        "  --heartbeat-ms N  shard-stream liveness tick period "
-        "(default 1000);\n"
-        "                  must stay under the coordinator's --lease\n"
         "  --trace-cache D persist compiled workload traces as "
         "content-keyed files in D\n"
         "  --no-trace      disable trace compilation (lazy "
@@ -85,14 +78,9 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--jobs"))
             cfg.jobs = unsigned(
                 parseCount(argv[0], "--jobs", value(i), UINT_MAX));
-        else if (!std::strcmp(argv[i], "--worker"))
-            cfg.worker = true;
         else if (!std::strcmp(argv[i], "--send-timeout"))
             cfg.sendTimeoutSec = long(parseCount(
                 argv[0], "--send-timeout", value(i), 86400));
-        else if (!std::strcmp(argv[i], "--heartbeat-ms"))
-            cfg.heartbeatMs = unsigned(parseCount(
-                argv[0], "--heartbeat-ms", value(i), 3600000));
         else if (!std::strcmp(argv[i], "--trace-cache"))
             traceCacheDir = value(i);
         else if (!std::strcmp(argv[i], "--no-trace"))

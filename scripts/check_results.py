@@ -31,20 +31,6 @@ Usage:
         prefix up to the last complete result object must be a valid
         document. A complete stream gets the full results check.
 
-    scripts/check_results.py --ledger FILE [FILE ...]
-        Validate an elfsim-ledger-v1 lease ledger (the distributed
-        coordinator's scheduling journal, --ledger on elfsim_coord):
-        every line must be a well-formed lease/expire event or an
-        elfsim-manifest-v1 completion line. A torn final line is
-        tolerated (a crash mid-append); torn interior lines are not.
-        The lease/expire replay must also cohere: no cell may be
-        leased twice without an intervening expire, an expire needs
-        an active lease to expire, and every expired lease must be
-        resolved — requeued under a later lease, or completed by a
-        manifest line. Hedge lines ("hedge": true) are redundant
-        racers and exempt from the overlap rules. Leases still
-        active at end of file are fine (a crash tolerates them).
-
 Exits non-zero on the first violation. Stdlib only.
 """
 
@@ -54,8 +40,6 @@ import sys
 
 SCHEMA = "elfsim-results-v2"
 THROUGHPUT_SCHEMA = "elfsim-throughput-v1"
-LEDGER_SCHEMA = "elfsim-ledger-v1"
-MANIFEST_SCHEMA = "elfsim-manifest-v1"
 # A >10% geomean-MIPS drop vs the committed baseline fails the gate;
 # smaller swings are host noise.
 REGRESSION_TOLERANCE = 0.10
@@ -231,6 +215,8 @@ SPEC_RUN_FIELDS = (
     "sample_period_insts", "sample_length_insts",
     "sample_warmup_insts",
 )
+# Every policy field is optional. "keep_going" is no longer written;
+# archived specs still carry it, and only as true (strict mode is gone).
 SPEC_POLICY_FIELDS = {
     "keep_going": bool, "deadline_seconds": (int, float),
     "stall_seconds": (int, float), "max_retries": int,
@@ -345,6 +331,9 @@ def check_spec_document(path, doc):
             if (not isinstance(v, want) or
                     (want is int and isinstance(v, bool))):
                 fail(path, f"policy.{k} has the wrong type")
+        if policy.get("keep_going", True) is not True:
+            fail(path, "policy.keep_going: false is no longer supported "
+                       "(strict sweep mode was removed)")
 
     groups = doc.get("groups")
     if groups is not None and ("workloads" in doc or
@@ -422,134 +411,6 @@ def check_stream_document(path, text):
                        quiet=True)
     print(f"{path}: OK (truncated stream, {len(results)} complete "
           f"results)")
-
-
-def check_ledger_line(path, no, obj):
-    """One ledger scheduling line ({"ledger": ...}); returns the
-    (event, index, hedge) triple for the replay bookkeeping."""
-    where = f"line {no}"
-    event = obj.get("event")
-    if event not in ("lease", "expire"):
-        fail(path, f"{where}: ledger event is {event!r}, expected "
-                   f"'lease' or 'expire'")
-    index = obj.get("index")
-    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-        fail(path, f"{where}: index is not a non-negative integer")
-    worker = obj.get("worker")
-    if not isinstance(worker, str) or not worker:
-        fail(path, f"{where}: worker missing or empty")
-    hedge = obj.get("hedge", False)
-    if not isinstance(hedge, bool):
-        fail(path, f"{where}: hedge is not a boolean")
-    allowed = {"ledger", "event", "index", "worker", "hedge"}
-    if event == "lease":
-        key = obj.get("key")
-        if not isinstance(key, str) or not key:
-            fail(path, f"{where}: lease without a job key")
-        secs = obj.get("lease_seconds")
-        if not isinstance(secs, int) or isinstance(secs, bool) or secs <= 0:
-            fail(path, f"{where}: lease_seconds is not a positive "
-                       f"integer")
-        allowed |= {"key", "lease_seconds"}
-    for k in obj:
-        if k not in allowed:
-            fail(path, f"{where}: unknown ledger field {k!r}")
-    return event, index, hedge
-
-
-def check_ledger_manifest_line(path, no, obj):
-    """One completion line — the exact elfsim-manifest-v1 schema, so
-    a ledger doubles as a resume manifest. Returns the cell index."""
-    where = f"line {no}"
-    index = obj.get("index")
-    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-        fail(path, f"{where}: index is not a non-negative integer")
-    if not isinstance(obj.get("key"), str) or not obj["key"]:
-        fail(path, f"{where}: key missing or empty")
-    if obj.get("status") not in RESULT_STATUSES:
-        fail(path, f"{where}: status is {obj.get('status')!r}, "
-                   f"expected one of {RESULT_STATUSES}")
-    if not isinstance(obj.get("result"), dict):
-        fail(path, f"{where}: missing 'result' object")
-    return index
-
-
-def check_ledger_file(path, text):
-    lines = text.split("\n")
-    completed = set()
-    outstanding = {}       # index -> line no of the active lease
-    unresolved = {}        # index -> line no of an unresolved expire
-    n_lease = n_expire = n_hedge = 0
-    torn_tail = False
-    for no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            if no == len(lines):
-                # A crash mid-append tears at most the final line.
-                torn_tail = True
-                continue
-            fail(path, f"line {no}: malformed JSON before the final "
-                       f"line (torn interior line)")
-        if not isinstance(obj, dict):
-            fail(path, f"line {no}: not an object")
-        if obj.get("ledger") is not None:
-            if obj["ledger"] != LEDGER_SCHEMA:
-                fail(path, f"line {no}: ledger schema is "
-                           f"{obj['ledger']!r}, expected "
-                           f"{LEDGER_SCHEMA!r}")
-            event, index, hedge = check_ledger_line(path, no, obj)
-            if hedge:
-                # A hedge duplicates a cell another worker already
-                # holds; it never owns the cell's scheduling state,
-                # so it is exempt from the overlap rules.
-                n_hedge += 1
-                continue
-            if event == "lease":
-                n_lease += 1
-                if index in outstanding:
-                    fail(path, f"line {no}: cell {index} leased "
-                               f"twice without an intervening expire "
-                               f"(active lease at line "
-                               f"{outstanding[index]})")
-                if index in completed:
-                    fail(path, f"line {no}: cell {index} leased "
-                               f"after completion")
-                # A re-lease is the requeue that resolves an expire.
-                unresolved.pop(index, None)
-                outstanding[index] = no
-            else:
-                n_expire += 1
-                if index not in outstanding:
-                    fail(path, f"line {no}: expire for cell {index} "
-                               f"without an active lease")
-                outstanding.pop(index)
-                unresolved[index] = no
-        elif obj.get("manifest") is not None:
-            if obj["manifest"] != MANIFEST_SCHEMA:
-                fail(path, f"line {no}: manifest schema is "
-                           f"{obj['manifest']!r}, expected "
-                           f"{MANIFEST_SCHEMA!r}")
-            index = check_ledger_manifest_line(path, no, obj)
-            completed.add(index)
-            outstanding.pop(index, None)
-            # A degraded (synth-failed) cell resolves its final
-            # expire with a manifest line instead of a requeue.
-            unresolved.pop(index, None)
-        else:
-            fail(path, f"line {no}: neither a ledger event nor a "
-                       f"manifest completion line")
-    if unresolved:
-        index, no = next(iter(unresolved.items()))
-        fail(path, f"{len(unresolved)} expired lease(s) neither "
-                   f"requeued nor completed (first: cell {index}, "
-                   f"expired at line {no})")
-    print(f"{path}: OK ({len(completed)} completed cells, "
-          f"{n_lease} leases, {n_expire} expiries, "
-          f"{n_hedge} hedge lines, {len(outstanding)} outstanding"
-          f"{', torn final line' if torn_tail else ''})")
 
 
 def check_throughput_document(path, doc):
@@ -642,9 +503,6 @@ def main():
     ap.add_argument("--stream", action="store_true",
                     help="validate possibly-truncated elfsim-results-"
                          "v2 streams (elfsimd /sweep captures)")
-    ap.add_argument("--ledger", action="store_true",
-                    help="validate elfsim-ledger-v1 lease ledgers "
-                         "(elfsim_coord scheduling journals)")
     ap.add_argument("--baseline", metavar="BASE",
                     help="with --throughput: fail on a >10%% geomean "
                          "MIPS regression versus this baseline")
@@ -655,9 +513,8 @@ def main():
 
     if args.baseline and not args.throughput:
         ap.error("--baseline requires --throughput")
-    if sum((args.throughput, args.spec, args.stream, args.ledger,
-            args.compare)) > 1:
-        ap.error("--throughput/--spec/--stream/--ledger/--compare "
+    if sum((args.throughput, args.spec, args.stream, args.compare)) > 1:
+        ap.error("--throughput/--spec/--stream/--compare "
                  "are mutually exclusive")
 
     if args.spec:
@@ -670,15 +527,6 @@ def main():
             try:
                 with open(path) as f:
                     check_stream_document(path, f.read())
-            except OSError as e:
-                fail(path, str(e))
-        return
-
-    if args.ledger:
-        for path in args.files:
-            try:
-                with open(path) as f:
-                    check_ledger_file(path, f.read())
             except OSError as e:
                 fail(path, str(e))
         return

@@ -1,6 +1,5 @@
 #include "common/fault.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -131,24 +130,10 @@ FaultInjector::parse(const std::string &spec)
             s.kind = FaultKind::CkptCache;
         else if (site == "warmtab")
             s.kind = FaultKind::WarmTables;
-        else if (site == "netrefuse")
-            s.kind = FaultKind::NetRefuse;
-        else if (site == "netdrop")
-            s.kind = FaultKind::NetDrop;
-        else if (site == "nettrunc")
-            s.kind = FaultKind::NetTrunc;
-        else if (site == "netcorrupt")
-            s.kind = FaultKind::NetCorrupt;
-        else if (site == "nethb")
-            s.kind = FaultKind::NetHeartbeat;
-        else if (site == "netslow")
-            s.kind = FaultKind::NetSlow;
         else
             throw ConfigError(errorf(
                 "unknown fault site '%s' (throw, panic, transient, "
-                "hang, slow, tracecache, ckptcache, warmtab, "
-                "netrefuse, netdrop, nettrunc, netcorrupt, nethb, "
-                "netslow)",
+                "hang, slow, tracecache, ckptcache, warmtab)",
                 site.c_str()));
 
         const auto parseNum = [&](const std::string &v,
@@ -176,28 +161,11 @@ FaultInjector::parse(const std::string &spec)
     return out;
 }
 
-bool
-isNetFault(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::NetRefuse:
-      case FaultKind::NetDrop:
-      case FaultKind::NetTrunc:
-      case FaultKind::NetCorrupt:
-      case FaultKind::NetHeartbeat:
-      case FaultKind::NetSlow:
-        return true;
-      default:
-        return false;
-    }
-}
-
 void
 FaultInjector::arm(std::vector<FaultSpec> specs)
 {
-    std::lock_guard<std::mutex> lk(netMtx);
+    std::lock_guard<std::mutex> lk(mtx);
     armedFaults = std::move(specs);
-    netState.assign(armedFaults.size(), NetState{});
 }
 
 void
@@ -208,11 +176,11 @@ FaultInjector::poll(const ExecContext &ctx, std::uint64_t tick)
     // arm()/read hooks on other threads need.
     std::vector<FaultSpec> matched;
     {
-        std::lock_guard<std::mutex> lk(netMtx);
+        std::lock_guard<std::mutex> lk(mtx);
         for (const FaultSpec &s : armedFaults) {
             if (s.kind == FaultKind::TraceCache ||
                 s.kind == FaultKind::CkptCache ||
-                s.kind == FaultKind::WarmTables || isNetFault(s.kind))
+                s.kind == FaultKind::WarmTables)
                 continue; // fires from its own hook, not here
             if (!s.anyJob && s.job != ctx.jobIndex)
                 continue;
@@ -265,22 +233,16 @@ FaultInjector::fire(const FaultSpec &s, const ExecContext &ctx)
       case FaultKind::TraceCache:
       case FaultKind::CkptCache:
       case FaultKind::WarmTables:
-      case FaultKind::NetRefuse:
-      case FaultKind::NetDrop:
-      case FaultKind::NetTrunc:
-      case FaultKind::NetCorrupt:
-      case FaultKind::NetHeartbeat:
-      case FaultKind::NetSlow:
-        return; // handled by the cache/network hooks, never here
+        return; // handled by the cache/warming hooks, never here
     }
 }
 
 bool
-FaultInjector::shouldCorruptTraceRead() const
+FaultInjector::matchesCurrentJob(FaultKind kind) const
 {
-    std::lock_guard<std::mutex> lk(netMtx);
+    std::lock_guard<std::mutex> lk(mtx);
     for (const FaultSpec &s : armedFaults) {
-        if (s.kind != FaultKind::TraceCache)
+        if (s.kind != kind)
             continue;
         if (s.anyJob)
             return true;
@@ -295,153 +257,21 @@ FaultInjector::shouldCorruptTraceRead() const
 }
 
 bool
-FaultInjector::netRefuseConnect(std::size_t worker)
+FaultInjector::shouldCorruptTraceRead() const
 {
-    std::lock_guard<std::mutex> lk(netMtx);
-    bool refuse = false;
-    for (std::size_t i = 0; i < armedFaults.size(); ++i) {
-        const FaultSpec &s = armedFaults[i];
-        if (s.kind != FaultKind::NetRefuse)
-            continue;
-        if (!s.anyJob && s.job != worker)
-            continue;
-        NetState &st = netState[i];
-        ++st.count;
-        // tick = how many attempts to refuse; 0 = every attempt.
-        if (s.tick == 0 || st.count <= s.tick)
-            refuse = true;
-    }
-    return refuse;
-}
-
-NetEventFault
-FaultInjector::netEventFault(std::size_t worker)
-{
-    std::lock_guard<std::mutex> lk(netMtx);
-    NetEventFault fault = NetEventFault::None;
-    for (std::size_t i = 0; i < armedFaults.size(); ++i) {
-        const FaultSpec &s = armedFaults[i];
-        if (s.kind != FaultKind::NetDrop &&
-            s.kind != FaultKind::NetHeartbeat)
-            continue;
-        if (!s.anyJob && s.job != worker)
-            continue;
-        NetState &st = netState[i];
-        if (st.spent)
-            continue;
-        ++st.count;
-        // tick = 1-based event ordinal (0 behaves as 1); one-shot.
-        if (st.count < std::max<std::uint64_t>(s.tick, 1))
-            continue;
-        st.spent = true;
-        // A drop outranks a timeout when both fire on one event: the
-        // harsher signal exercises the stricter recovery path.
-        if (s.kind == FaultKind::NetDrop)
-            fault = NetEventFault::Drop;
-        else if (fault == NetEventFault::None)
-            fault = NetEventFault::Timeout;
-    }
-    return fault;
-}
-
-std::size_t
-FaultInjector::netTruncAllow(std::size_t worker, std::uint64_t soFar,
-                             std::size_t incoming)
-{
-    std::lock_guard<std::mutex> lk(netMtx);
-    std::size_t allow = incoming;
-    for (std::size_t i = 0; i < armedFaults.size(); ++i) {
-        const FaultSpec &s = armedFaults[i];
-        if (s.kind != FaultKind::NetTrunc)
-            continue;
-        if (!s.anyJob && s.job != worker)
-            continue;
-        NetState &st = netState[i];
-        if (st.spent)
-            continue;
-        if (soFar + incoming <= s.tick)
-            continue; // the cut point is still ahead
-        st.spent = true;
-        const std::size_t keep =
-            s.tick > soFar ? std::size_t(s.tick - soFar) : 0;
-        allow = std::min(allow, keep);
-    }
-    return allow;
-}
-
-bool
-FaultInjector::netCorruptArtifact(std::size_t worker)
-{
-    std::lock_guard<std::mutex> lk(netMtx);
-    bool corrupt = false;
-    for (std::size_t i = 0; i < armedFaults.size(); ++i) {
-        const FaultSpec &s = armedFaults[i];
-        if (s.kind != FaultKind::NetCorrupt)
-            continue;
-        if (!s.anyJob && s.job != worker)
-            continue;
-        NetState &st = netState[i];
-        if (st.spent)
-            continue;
-        ++st.count;
-        if (st.count < std::max<std::uint64_t>(s.tick, 1))
-            continue;
-        st.spent = true;
-        corrupt = true;
-    }
-    return corrupt;
-}
-
-unsigned
-FaultInjector::netSendDelayMs(std::size_t worker)
-{
-    std::lock_guard<std::mutex> lk(netMtx);
-    unsigned delay = 0;
-    for (std::size_t i = 0; i < armedFaults.size(); ++i) {
-        const FaultSpec &s = armedFaults[i];
-        if (s.kind != FaultKind::NetSlow)
-            continue;
-        if (!s.anyJob && s.job != worker)
-            continue;
-        NetState &st = netState[i];
-        ++st.count;
-        // tick = how many sends to slow; 0 = every send.
-        if (s.tick == 0 || st.count <= s.tick)
-            delay = 20;
-    }
-    return delay;
+    return matchesCurrentJob(FaultKind::TraceCache);
 }
 
 bool
 FaultInjector::shouldCorruptCkptRead() const
 {
-    std::lock_guard<std::mutex> lk(netMtx);
-    for (const FaultSpec &s : armedFaults) {
-        if (s.kind != FaultKind::CkptCache)
-            continue;
-        if (s.anyJob)
-            return true;
-        const ExecContext *ctx = currentExecContext();
-        if (!ctx || ctx->jobIndex == s.job)
-            return true;
-    }
-    return false;
+    return matchesCurrentJob(FaultKind::CkptCache);
 }
 
 bool
 FaultInjector::shouldPoisonWarmTables() const
 {
-    std::lock_guard<std::mutex> lk(netMtx);
-    for (const FaultSpec &s : armedFaults) {
-        if (s.kind != FaultKind::WarmTables)
-            continue;
-        if (s.anyJob)
-            return true;
-        const ExecContext *ctx = currentExecContext();
-        if (!ctx || ctx->jobIndex == s.job)
-            return true;
-    }
-    return false;
+    return matchesCurrentJob(FaultKind::WarmTables);
 }
 
 } // namespace elfsim

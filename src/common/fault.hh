@@ -48,37 +48,8 @@
  *              proves the scalar fallback stays live). The <tick>
  *              field is ignored, like tracecache.
  *
- * Network sites reuse the same grammar with the middle field naming a
- * WORKER INDEX (position in the coordinator's --workers list, '*' for
- * every worker) instead of a job, and the last field an ordinal or
- * byte offset. They fire only inside the coordinator process — the
- * hooks live in its connect/stream/upload paths — so a fleet spawned
- * with the variable in its environment inherits the sim sites above
- * but never consults these:
- *
- *   netrefuse  refuse the first N connect attempts to the worker
- *              (N = 0 refuses every attempt; exercises reconnect
- *              backoff, and with '*':0 the whole-fleet-lost fallback)
- *   netdrop    tear the shard stream as "connection closed
- *              mid-stream" at the Nth delivered event (stream line or
- *              artifact upload, counted per worker in program order);
- *              fires once (cells -> requeued, merge unchanged)
- *   nettrunc   truncate the shard stream at raw byte offset B, then
- *              fail it as closed; fires once (a torn line can never
- *              reach the merge)
- *   netcorrupt flip a byte in the Nth artifact payload sent to the
- *              worker; fires once (worker rejects with 400, the
- *              retried upload is intact)
- *   nethb      report the Nth delivered event as a receive timeout —
- *              the observable signature of dropped worker heartbeats
- *              (lease expires, cells requeue); fires once
- *   netslow    sleep ~20 ms before each of the first N sends to the
- *              worker (N = 0: every send; builds stragglers for
- *              hedged dispatch)
- *
- * Injection is deterministic: sim sites key on simulated cycles and
- * the job's submission index; net sites key on (worker index, event
- * ordinal / byte offset), never on wall-clock or thread identity.
+ * Injection is deterministic: sites key on simulated cycles and the
+ * job's submission index, never on wall-clock or thread identity.
  */
 
 #ifndef ELFSIM_COMMON_FAULT_HH
@@ -188,37 +159,16 @@ enum class FaultKind
     Slow,
     TraceCache,
     CkptCache,
-    WarmTables,
-    NetRefuse,
-    NetDrop,
-    NetTrunc,
-    NetCorrupt,
-    NetHeartbeat,
-    NetSlow
+    WarmTables
 };
 
-/** True for the coordinator-side network sites (netrefuse &c.). */
-bool isNetFault(FaultKind k);
-
-/**
- * One armed fault: fire @a kind in job @a job at cycle @a tick. Net
- * sites reinterpret the fields: @a job is the worker index and
- * @a tick the event ordinal or byte offset (see the file comment).
- */
+/** One armed fault: fire @a kind in job @a job at cycle @a tick. */
 struct FaultSpec
 {
     FaultKind kind = FaultKind::Throw;
     std::size_t job = 0;
     bool anyJob = false; ///< spec used '*' for the job field
     std::uint64_t tick = 0;
-};
-
-/** What netEventFault() asks the caller to simulate. */
-enum class NetEventFault
-{
-    None,    ///< deliver the event normally
-    Drop,    ///< fail as "connection closed mid-stream"
-    Timeout, ///< fail as "receive timeout (lease expired)"
 };
 
 /** Deterministic fault-injection harness (see file comment). */
@@ -235,15 +185,15 @@ class FaultInjector
     /** Replace the armed faults (tests; not thread-safe vs poll). */
     void arm(std::vector<FaultSpec> specs);
 
-    /** Drop every armed fault and its fired state. */
+    /** Drop every armed fault. */
     void disarm() { arm({}); }
 
     /** True when any fault is armed (thread-safe: tests re-arm while
-     *  service/worker threads poll concurrently). */
+     *  service threads poll concurrently). */
     bool
     armed() const
     {
-        std::lock_guard<std::mutex> lk(netMtx);
+        std::lock_guard<std::mutex> lk(mtx);
         return !armedFaults.empty();
     }
 
@@ -268,41 +218,6 @@ class FaultInjector
      *  warming kernel and warm with the scalar loop instead. */
     bool shouldPoisonWarmTables() const;
 
-    // ---- network hooks (coordinator-side; see the file comment) ----
-    //
-    // Each armed net spec carries a private event counter, reset by
-    // arm(); counting is serialized under a mutex but the per-worker
-    // event order itself is deterministic because all traffic to one
-    // worker flows through that worker's coordinator thread (plus the
-    // sequential pre-dispatch staging pass).
-
-    /** True when a 'netrefuse' spec says to refuse this connect
-     *  attempt to @a worker (counts one attempt per call). */
-    bool netRefuseConnect(std::size_t worker);
-
-    /** Advance the droppable-event counters for @a worker; returns
-     *  the failure the caller must simulate for this event ('netdrop'
-     *  / 'nethb' sites, each firing once). */
-    NetEventFault netEventFault(std::size_t worker);
-
-    /**
-     * 'nettrunc' hook for the stream read path: @a soFar raw bytes
-     * have been delivered to @a worker's stream and @a incoming more
-     * just arrived. Returns how many of them to deliver; a short
-     * return consumes the fault, and the caller must then fail the
-     * stream as closed (after delivering the allowed prefix).
-     */
-    std::size_t netTruncAllow(std::size_t worker, std::uint64_t soFar,
-                              std::size_t incoming);
-
-    /** True when the next artifact payload sent to @a worker should
-     *  be corrupted ('netcorrupt'; counts one upload per call). */
-    bool netCorruptArtifact(std::size_t worker);
-
-    /** Milliseconds to stall before the next send to @a worker
-     *  ('netslow'; counts one send per call), 0 for none. */
-    unsigned netSendDelayMs(std::size_t worker);
-
   private:
     FaultInjector() = default;
 
@@ -315,19 +230,14 @@ class FaultInjector
      */
     void fire(const FaultSpec &s, const ExecContext &ctx);
 
-    /** Per-armed-spec firing state for the net sites. */
-    struct NetState
-    {
-        std::uint64_t count = 0; ///< events seen for this spec
-        bool spent = false;      ///< one-shot sites that already fired
-    };
+    /** True when a @a kind fault is armed for the job on this thread
+     *  (or for every job, or when no job context is installed). */
+    bool matchesCurrentJob(FaultKind kind) const;
 
     std::vector<FaultSpec> armedFaults;
-    std::vector<NetState> netState; ///< parallel to armedFaults
-    /** Guards armedFaults and the netState counters: arm() runs from
-     *  test threads while service/worker threads poll. (mutable: the
-     *  read-side hooks are const.) */
-    mutable std::mutex netMtx;
+    /** Guards armedFaults: arm() runs from test threads while service
+     *  threads poll. (mutable: the read-side hooks are const.) */
+    mutable std::mutex mtx;
 };
 
 } // namespace elfsim

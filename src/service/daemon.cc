@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -11,18 +10,12 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-
 #include "common/error.hh"
 #include "common/export.hh"
 #include "common/logging.hh"
-#include "dist/wire.hh"
 #include "service/http.hh"
 #include "sim/export.hh"
 #include "workload/checkpoint_store.hh"
-#include "workload/compiled_trace.hh"
 
 namespace elfsim {
 namespace service {
@@ -32,37 +25,6 @@ namespace {
 /** A handler blocked on a silent client must not wedge the daemon
  *  forever: requests that take longer than this to arrive fail. */
 constexpr long kRequestTimeoutSec = 10;
-
-/** Parse the x-elfsim-key artifact header (16 hex digits). */
-bool
-parseHexKey(const std::string &text, std::uint64_t &key)
-{
-    if (text.empty() || text.size() > 16)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    key = std::strtoull(text.c_str(), &end, 16);
-    return errno == 0 && end == text.c_str() + text.size();
-}
-
-/** Artifact file names come off the wire: flatten anything that could
- *  escape the target directory or upset a shell. */
-std::string
-safeArtifactName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' ||
-                        c == '_' || c == '.';
-        out.push_back(ok ? c : '_');
-    }
-    while (!out.empty() && out.front() == '.')
-        out.erase(out.begin()); // no dotfiles, no ".." prefixes
-    return out;
-}
 
 /** Has the peer torn the connection down? Only a hard error counts:
  *  an orderly FIN (recv == 0) is indistinguishable from the common
@@ -195,28 +157,10 @@ SweepService::handleConnection(int fd)
         ::close(fd);
         return;
     }
-    if (req.method == "POST" &&
-        (req.path == "/sweep" || req.path == "/shard")) {
-        if (req.path == "/shard" && !cfg.worker) {
-            badRequests.fetch_add(1, std::memory_order_relaxed);
-            writeHttpResponse(fd, 403, "Forbidden", "text/plain",
-                              "not a worker (start with --worker)\n");
-            ::close(fd);
-            return;
-        }
+    if (req.method == "POST" && req.path == "/sweep") {
         Pending p;
         try {
-            if (req.path == "/shard") {
-                dist::ShardRequest sr =
-                    dist::parseShardRequest(req.body);
-                p.spec = std::move(sr.spec);
-                p.cells = std::move(sr.cells);
-                p.shard = true;
-                if (p.cells.empty())
-                    throw ConfigError("shard request selects no cells");
-            } else {
-                p.spec = parseSweepSpec(std::string_view(req.body));
-            }
+            p.spec = parseSweepSpec(std::string_view(req.body));
             validateSweepSpec(p.spec);
         } catch (const SimError &e) {
             badRequests.fetch_add(1, std::memory_order_relaxed);
@@ -240,97 +184,9 @@ SweepService::handleConnection(int fd)
         queueCv.notify_one();
         return;
     }
-    if (req.method == "POST" &&
-        (req.path == "/artifact/trace" || req.path == "/artifact/ckpt")) {
-        if (!cfg.worker) {
-            badRequests.fetch_add(1, std::memory_order_relaxed);
-            writeHttpResponse(fd, 403, "Forbidden", "text/plain",
-                              "not a worker (start with --worker)\n");
-            ::close(fd);
-            return;
-        }
-        handleArtifact(fd, req);
-        return;
-    }
-
     badRequests.fetch_add(1, std::memory_order_relaxed);
     writeHttpResponse(fd, 404, "Not Found", "text/plain",
                       "unknown endpoint\n");
-    ::close(fd);
-}
-
-void
-SweepService::handleArtifact(int fd, const HttpRequest &req)
-{
-    // Artifact installs run inline on the handler thread: they only
-    // validate bytes and touch caches, never simulate, so they must
-    // not queue behind a long sweep — the coordinator ships artifacts
-    // *before* dispatching shards and wants the acknowledgment now.
-    const auto reject = [&](const std::string &why) {
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(fd, 400, "Bad Request", "text/plain",
-                          why + "\n");
-        ::close(fd);
-    };
-
-    if (req.path == "/artifact/trace") {
-        const auto keyIt = req.headers.find("x-elfsim-key");
-        std::uint64_t key = 0;
-        if (keyIt == req.headers.end() ||
-            !parseHexKey(keyIt->second, key))
-            return reject("missing or malformed x-elfsim-key header");
-        const auto nameIt = req.headers.find("x-elfsim-name");
-        const std::string what = errorf(
-            "shipped trace artifact '%s'",
-            nameIt != req.headers.end() ? nameIt->second.c_str()
-                                        : "?");
-        try {
-            std::vector<char> image(req.body.begin(), req.body.end());
-            TraceCache::instance().install(
-                CompiledTrace::loadBytes(std::move(image), key, what));
-        } catch (const SimError &e) {
-            // Unlike a corrupt on-disk cache entry (demoted to a
-            // recompile), a corrupt *upload* is the coordinator's
-            // problem: installing nothing silently would turn the
-            // one-compile-per-fleet guarantee into a quiet recompile.
-            return reject(e.what());
-        }
-        artifacts.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(fd, 200, "OK", "text/plain", "installed\n");
-        ::close(fd);
-        return;
-    }
-
-    // /artifact/ckpt: the body is dropped into the checkpoint
-    // directory verbatim; CheckpointStore's own load path validates
-    // magic/key/checksum on use (any defect demotes to fast-forward).
-    const std::string dir = CheckpointStore::instance().directory();
-    if (dir.empty())
-        return reject("no checkpoint directory configured "
-                      "(start the worker with --ckpt-cache)");
-    const auto nameIt = req.headers.find("x-elfsim-name");
-    if (nameIt == req.headers.end())
-        return reject("missing x-elfsim-name header");
-    const std::string name = safeArtifactName(nameIt->second);
-    if (name.empty())
-        return reject("empty artifact name");
-    const std::string path = dir + "/" + name;
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        os.write(req.body.data(),
-                 std::streamsize(req.body.size()));
-        if (!os) {
-            std::remove(tmp.c_str());
-            return reject(errorf("cannot write '%s'", tmp.c_str()));
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return reject(errorf("cannot rename '%s'", tmp.c_str()));
-    }
-    artifacts.fetch_add(1, std::memory_order_relaxed);
-    writeHttpResponse(fd, 200, "OK", "text/plain", "installed\n");
     ::close(fd);
 }
 
@@ -351,10 +207,7 @@ SweepService::executorLoop()
             queue.pop_front();
             currentCancel = p.cancel;
         }
-        if (p.shard)
-            executeShard(std::move(p));
-        else
-            executeSweep(std::move(p));
+        executeSweep(std::move(p));
         {
             std::lock_guard<std::mutex> lk(queueMtx);
             currentCancel.reset();
@@ -390,14 +243,10 @@ SweepService::executeSweep(Pending req)
 
     // The request's own policy applies, minus journaling: manifests
     // and resume are CLI-side concerns, and a remote spec must not be
-    // able to scribble files onto the server. keep_going is forced:
-    // strict mode lets a failing cell's exception escape run() and
-    // skips the watchdog monitor that observes cancelFlag, so one
-    // legal request could kill the daemon and defeat cancellation.
+    // able to scribble files onto the server.
     SweepPolicy pol = req.spec.policy;
     pol.manifestPath.clear();
     pol.resume = false;
-    pol.keepGoing = true;
     pol.cancelFlag = req.cancel;
     runner.setPolicy(std::move(pol));
     runner.setBaseSeed(req.spec.baseSeed);
@@ -452,7 +301,7 @@ SweepService::executeSweep(Pending req)
     try {
         runner.run(ex.jobs);
     } catch (const std::exception &e) {
-        // Keep-going mode degrades per-cell failures, but pre-run
+        // Per-cell failures degrade to failed results, but pre-run
         // machinery (trace compilation, pool setup) can still throw.
         // The stream is already open, so no clean error response is
         // possible — truncate it (the client sees a framing error)
@@ -486,155 +335,6 @@ SweepService::executeSweep(Pending req)
         std::memory_order_relaxed);
 }
 
-const ExpandedSweep &
-SweepService::expandShardSpec(const SweepSpec &spec)
-{
-    std::ostringstream os;
-    writeSweepSpec(os, spec);
-    std::string text = os.str();
-    if (text != cachedSpecText_) {
-        cachedEx_ = expandSweep(spec);
-        cachedSpecText_ = std::move(text);
-    }
-    return cachedEx_;
-}
-
-void
-SweepService::executeShard(Pending req)
-{
-    if (peerGone(req.fd)) {
-        ::close(req.fd);
-        return;
-    }
-
-    const ExpandedSweep *ex = nullptr;
-    try {
-        ex = &expandShardSpec(req.spec);
-        std::vector<char> seen(ex->jobs.size(), 0);
-        for (std::size_t i : req.cells) {
-            if (i >= ex->jobs.size())
-                throw ConfigError(errorf(
-                    "shard cell %zu out of range (grid has %zu)", i,
-                    ex->jobs.size()));
-            if (seen[i])
-                throw ConfigError(
-                    errorf("shard cell %zu selected twice", i));
-            seen[i] = 1;
-        }
-    } catch (const SimError &e) {
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(req.fd, 400, "Bad Request", "text/plain",
-                          std::string(e.what()) + "\n");
-        ::close(req.fd);
-        return;
-    }
-
-    // Same forced policy as /sweep: journaling is the coordinator's
-    // job (the shard stream IS the journal), keep_going protects the
-    // executor thread.
-    SweepPolicy pol = req.spec.policy;
-    pol.manifestPath.clear();
-    pol.resume = false;
-    pol.keepGoing = true;
-    pol.cancelFlag = req.cancel;
-    runner.setPolicy(std::move(pol));
-    runner.setBaseSeed(req.spec.baseSeed);
-
-    ChunkedResponse stream(req.fd);
-    std::mutex streamMtx;
-    stream.header(200, "OK", "application/x-ndjson");
-
-    // Unlike /sweep there is no in-order buffering: every line is
-    // self-describing (global index + key), the coordinator does the
-    // merge. Streaming in completion order is what lets it journal a
-    // cell the moment any worker finishes it.
-    const auto writeLine = [&](const std::string &line) {
-        if (!stream.write(line))
-            req.cancel->store(true, std::memory_order_release);
-    };
-
-    struct ObserverGuard
-    {
-        SweepService &svc;
-        ~ObserverGuard()
-        {
-            svc.runner.setCellObserver(nullptr);
-            svc.inflightCells.store(0, std::memory_order_release);
-        }
-    } observerGuard{*this};
-
-    inflightCells.store(req.cells.size(), std::memory_order_release);
-    runner.setCellObserver([&](std::size_t i, const RunResult &r) {
-        std::ostringstream line;
-        writeManifestLine(line,
-                          ManifestEntry{
-                              i, runner.jobKey(ex->jobs[i], i), r});
-        std::lock_guard<std::mutex> lk(streamMtx);
-        inflightCells.fetch_sub(1, std::memory_order_acq_rel);
-        writeLine(line.str());
-    });
-
-    // Heartbeats keep the coordinator's lease timer (its SO_RCVTIMEO)
-    // from firing between slow cells: silence now really does mean a
-    // dead worker.
-    std::mutex hbMtx;
-    std::condition_variable hbCv;
-    bool hbStop = false;
-    std::thread heartbeat([&] {
-        std::unique_lock<std::mutex> lk(hbMtx);
-        for (;;) {
-            if (hbCv.wait_for(
-                    lk, std::chrono::milliseconds(cfg.heartbeatMs),
-                    [&] { return hbStop; }))
-                return;
-            std::lock_guard<std::mutex> s(streamMtx);
-            writeLine(dist::heartbeatLine());
-        }
-    });
-    const auto stopHeartbeat = [&] {
-        {
-            std::lock_guard<std::mutex> lk(hbMtx);
-            hbStop = true;
-        }
-        hbCv.notify_all();
-        heartbeat.join();
-    };
-
-    try {
-        runner.run(ex->jobs, req.cells);
-    } catch (const std::exception &e) {
-        stopHeartbeat();
-        ELFSIM_WARN("shard aborted before completion: %s", e.what());
-        cellsFailed.fetch_add(1, std::memory_order_relaxed);
-        ::close(req.fd);
-        return;
-    }
-    stopHeartbeat();
-
-    {
-        std::lock_guard<std::mutex> lk(streamMtx);
-        writeLine(dist::doneLine(req.cells.size()));
-    }
-    stream.finish();
-    ::close(req.fd);
-
-    const std::vector<RunResult> &rs = runner.results();
-    for (std::size_t i : req.cells) {
-        const RunResult &r = rs[i];
-        if (r.ok())
-            cellsOk.fetch_add(1, std::memory_order_relaxed);
-        else if (r.status == JobStatus::Cancelled)
-            cellsCancelled.fetch_add(1, std::memory_order_relaxed);
-        else
-            cellsFailed.fetch_add(1, std::memory_order_relaxed);
-    }
-    shards.fetch_add(1, std::memory_order_relaxed);
-    const SweepTiming &t = runner.timing();
-    lastCellsPerSec.store(
-        t.wallSeconds > 0 ? double(t.jobs) / t.wallSeconds : 0,
-        std::memory_order_relaxed);
-}
-
 SweepService::Counters
 SweepService::counters() const
 {
@@ -642,8 +342,6 @@ SweepService::counters() const
     c.requests = requests.load(std::memory_order_relaxed);
     c.badRequests = badRequests.load(std::memory_order_relaxed);
     c.sweeps = sweeps.load(std::memory_order_relaxed);
-    c.shards = shards.load(std::memory_order_relaxed);
-    c.artifacts = artifacts.load(std::memory_order_relaxed);
     c.cellsOk = cellsOk.load(std::memory_order_relaxed);
     c.cellsFailed = cellsFailed.load(std::memory_order_relaxed);
     c.cellsCancelled = cellsCancelled.load(std::memory_order_relaxed);
@@ -671,9 +369,6 @@ SweepService::statsJson() const
     service.addCounter("bad_requests", "4xx responses") +=
         c.badRequests;
     service.addCounter("sweeps", "sweep runs completed") += c.sweeps;
-    service.addCounter("shards", "shard runs completed") += c.shards;
-    service.addCounter("artifacts", "artifacts installed") +=
-        c.artifacts;
     service.addCounter("cells_ok", "cells completed ok") += c.cellsOk;
     service.addCounter("cells_failed", "cells failed") +=
         c.cellsFailed;

@@ -23,20 +23,7 @@
  *                   byte. A malformed or semantically invalid spec
  *                   gets 400 with a one-line error body.
  *
- * Worker mode (`--worker` / ServiceConfig::worker) adds the
- * distributed-fleet endpoints (schemas in dist/wire.hh):
- *
- *   POST /shard           run a subset of a fleet-wide grid; chunked
- *                         JSONL response (manifest lines, heartbeats,
- *                         terminal done event)
- *   POST /artifact/trace  install a coordinator-compiled
- *                         elfsim-trace-v2 image into the TraceCache
- *                         (validated against the x-elfsim-key hash)
- *   POST /artifact/ckpt   drop an elfsim-ckpt-v1 file into the
- *                         checkpoint directory (x-elfsim-name)
- *
- * Without worker mode these answer 403 — a plain sweep service never
- * accepts binary uploads.
+ * Any other method/path answers 404.
  *
  * Execution model: request handlers only parse and enqueue; a single
  * executor thread drains the queue through one SweepRunner, so
@@ -47,9 +34,8 @@
  *
  * Fault handling per request: the spec's own SweepPolicy applies
  * (deadline/stall/retries), except journaling — manifest_path/resume
- * are CLI-side concerns and are ignored here — and keep_going, which
- * is forced on: strict mode would let one failing cell's exception
- * escape the executor thread and kill the daemon. A client disconnect
+ * are CLI-side concerns and are ignored here. A failing cell degrades
+ * to a failed result in the stream. A client disconnect
  * (detected before the run, or by a failed chunk write during it)
  * raises the request's private SweepPolicy::cancelFlag: in-flight
  * cells cancel cooperatively, queued cells degrade to cancelled, and
@@ -82,20 +68,10 @@ struct ServiceConfig
     std::uint16_t port = 0; ///< 0 = ephemeral (port() reports it)
     unsigned jobs = 0;      ///< sweep threads; 0 = auto
 
-    /** Enable the distributed-worker endpoints (POST /shard,
-     *  POST /artifact/trace, POST /artifact/ckpt). Off by default: a
-     *  plain sweep service refuses artifact uploads with 403. */
-    bool worker = false;
-
     /** SO_SNDTIMEO on response sockets (`--send-timeout`): how long a
      *  chunk write may stall on a non-reading client before the sweep
      *  degrades to cancelled. */
     long sendTimeoutSec = 30;
-
-    /** Liveness-tick period of a /shard response stream. The
-     *  coordinator's lease timeout (its SO_RCVTIMEO) must exceed
-     *  this, or healthy workers look dead between cells. */
-    unsigned heartbeatMs = 1000;
 };
 
 /** The sweep service (see file comment). */
@@ -127,8 +103,6 @@ class SweepService
         std::uint64_t requests = 0;      ///< HTTP requests accepted
         std::uint64_t badRequests = 0;   ///< 4xx responses
         std::uint64_t sweeps = 0;        ///< sweep runs completed
-        std::uint64_t shards = 0;        ///< shard runs completed
-        std::uint64_t artifacts = 0;     ///< artifacts installed
         std::uint64_t cellsOk = 0;
         std::uint64_t cellsFailed = 0;
         std::uint64_t cellsCancelled = 0;
@@ -150,22 +124,12 @@ class SweepService
         int fd = -1;
         SweepSpec spec;
         std::shared_ptr<std::atomic<bool>> cancel;
-        bool shard = false;             ///< POST /shard (worker mode)
-        std::vector<std::size_t> cells; ///< shard only: global indices
     };
 
     void acceptLoop();
     void handleConnection(int fd);
-    void handleArtifact(int fd, const HttpRequest &req);
     void executorLoop();
     void executeSweep(Pending req);
-    void executeShard(Pending req);
-
-    /** Expand a shard's spec, memoizing on the canonical spec text:
-     *  every chunk of one fleet-wide sweep re-sends the same spec, and
-     *  expansion (program generation) dominates small shards.
-     *  Executor-thread only. */
-    const ExpandedSweep &expandShardSpec(const SweepSpec &spec);
 
     ServiceConfig cfg;
     /** Atomic: stop() retires the fd while acceptLoop still reads
@@ -188,16 +152,10 @@ class SweepService
 
     SweepRunner runner; ///< shared across every request (executor only)
 
-    // Shard spec-expansion memo (executor thread only).
-    std::string cachedSpecText_;
-    ExpandedSweep cachedEx_;
-
     // Stats (atomics: written by handlers + executor, read by /stats).
     std::atomic<std::uint64_t> requests{0};
     std::atomic<std::uint64_t> badRequests{0};
     std::atomic<std::uint64_t> sweeps{0};
-    std::atomic<std::uint64_t> shards{0};
-    std::atomic<std::uint64_t> artifacts{0};
     std::atomic<std::uint64_t> cellsOk{0};
     std::atomic<std::uint64_t> cellsFailed{0};
     std::atomic<std::uint64_t> cellsCancelled{0};

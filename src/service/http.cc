@@ -391,44 +391,15 @@ readHttpResponse(int fd)
     return resp;
 }
 
-bool
-readHttpResponseHead(int fd, int &status,
-                     std::map<std::string, std::string> &headers,
-                     std::string &rest, std::string &err)
-{
-    std::string head;
-    if (!readHead(fd, head, rest)) {
-        err = "connection closed before a full response head";
-        return false;
-    }
-    std::size_t eol = head.find("\r\n");
-    if (eol == std::string::npos)
-        eol = head.size();
-    const std::string statusLine = head.substr(0, eol);
-    if (std::sscanf(statusLine.c_str(), "HTTP/%*d.%*d %d",
-                    &status) != 1) {
-        err = "malformed status line '" + statusLine + "'";
-        return false;
-    }
-    if (!parseHeaderLines(head, eol + 2, headers)) {
-        err = "malformed response header";
-        return false;
-    }
-    return true;
-}
-
 HttpResponse
 httpFetch(const std::string &host, std::uint16_t port,
           const std::string &method, const std::string &path,
-          std::string_view body,
-          const std::map<std::string, std::string> &headers)
+          std::string_view body)
 {
     const int fd = connectTcp(host, port);
     std::string head;
     head.append(method).append(" ").append(path);
     head.append(" HTTP/1.1\r\nHost: ").append(host);
-    for (const auto &[k, v] : headers)
-        head.append("\r\n").append(k).append(": ").append(v);
     head.append("\r\nContent-Length: ")
         .append(std::to_string(body.size()));
     head.append("\r\nConnection: close\r\n\r\n");

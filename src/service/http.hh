@@ -97,31 +97,16 @@ class ChunkedResponse
 /**
  * Client convenience: one connect + request + response + close round
  * trip. Throws IoError when the server is unreachable or the
- * response is unparseable. @a headers adds extra request headers
- * (artifact uploads carry their metadata this way).
+ * response is unparseable.
  */
 HttpResponse httpFetch(const std::string &host, std::uint16_t port,
                        const std::string &method,
                        const std::string &path,
-                       std::string_view body = {},
-                       const std::map<std::string, std::string>
-                           &headers = {});
+                       std::string_view body = {});
 
 /** Read + parse one response from an already-connected socket (the
  *  multi-request client path). Throws IoError on malformed data. */
 HttpResponse readHttpResponse(int fd);
-
-/**
- * Read + parse only the status line and headers of a response,
- * leaving the body on the socket — the streaming-consumer path (the
- * distributed coordinator reads a shard's chunked JSONL body line by
- * line as cells complete). @a rest receives any body bytes already
- * buffered past the header block. Returns false with @a err filled
- * on a closed connection or malformed head.
- */
-bool readHttpResponseHead(int fd, int &status,
-                          std::map<std::string, std::string> &headers,
-                          std::string &rest, std::string &err);
 
 } // namespace service
 } // namespace elfsim

@@ -299,16 +299,4 @@ JsonReporter::fullReport(std::ostream &os, const Core &core) const
     jsonReport(os, core, true);
 }
 
-void
-printSummary(std::ostream &os, const Core &core)
-{
-    TextReporter().summary(os, core);
-}
-
-void
-printFullReport(std::ostream &os, const Core &core)
-{
-    TextReporter().fullReport(os, core);
-}
-
 } // namespace elfsim

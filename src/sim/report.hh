@@ -4,9 +4,7 @@
  * headline metric and component counter of a core exactly once
  * (walkSummary / walkFullReport); pluggable Reporter backends render
  * that walk as aligned human-readable text (TextReporter) or as a
- * machine-readable JSON document (JsonReporter). The legacy
- * printSummary/printFullReport free functions remain as thin
- * deprecated wrappers over TextReporter.
+ * machine-readable JSON document (JsonReporter).
  */
 
 #ifndef ELFSIM_SIM_REPORT_HH
@@ -59,8 +57,7 @@ class Reporter
                             const Core &core) const = 0;
 };
 
-/** The classic aligned-text report (byte-compatible with the old
- *  printSummary/printFullReport output). */
+/** The classic aligned-text report. */
 class TextReporter : public Reporter
 {
   public:
@@ -79,12 +76,6 @@ class JsonReporter : public Reporter
     void summary(std::ostream &os, const Core &core) const override;
     void fullReport(std::ostream &os, const Core &core) const override;
 };
-
-/** @deprecated Use TextReporter::summary. */
-void printSummary(std::ostream &os, const Core &core);
-
-/** @deprecated Use TextReporter::fullReport. */
-void printFullReport(std::ostream &os, const Core &core);
 
 } // namespace elfsim
 

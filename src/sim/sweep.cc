@@ -134,14 +134,8 @@ SweepRunner::clearInterrupt()
 std::string
 SweepRunner::jobKey(const SweepJob &job, std::size_t i) const
 {
-    return sweepJobKey(job, i, baseSeed);
-}
-
-std::string
-sweepJobKey(const SweepJob &job, std::size_t i, std::uint64_t base_seed)
-{
     const std::uint64_t seed =
-        base_seed ? mix64(base_seed, i + 1) : job.cfg.rngSeed;
+        baseSeed ? mix64(baseSeed, i + 1) : job.cfg.rngSeed;
     std::string k = job.program->name();
     k += '|';
     k += variantName(job.cfg.variant);
@@ -172,20 +166,6 @@ SweepRunner::failedCells() const
 std::vector<RunResult>
 SweepRunner::run(const std::vector<SweepJob> &grid)
 {
-    return runSubset(grid, nullptr);
-}
-
-std::vector<RunResult>
-SweepRunner::run(const std::vector<SweepJob> &grid,
-                 const std::vector<std::size_t> &only)
-{
-    return runSubset(grid, &only);
-}
-
-std::vector<RunResult>
-SweepRunner::runSubset(const std::vector<SweepJob> &grid,
-                       const std::vector<std::size_t> *only)
-{
     std::vector<RunResult> results(grid.size());
     jobSeconds.assign(grid.size(), 0.0);
 
@@ -203,20 +183,7 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
     // Identity check is index + jobKey, so a manifest from a
     // different grid or seed silently re-runs everything it cannot
     // vouch for.
-    // Subset runs (a distributed shard) mark every unselected cell
-    // done up front: global indices — and therefore seeds and
-    // jobKeys — are preserved, but only the selected cells run.
-    std::vector<char> done(grid.size(), only ? 1 : 0);
-    std::size_t selected = grid.size();
-    if (only) {
-        selected = 0;
-        for (std::size_t i : *only) {
-            if (i < grid.size() && done[i]) {
-                done[i] = 0;
-                ++selected;
-            }
-        }
-    }
+    std::vector<char> done(grid.size(), 0);
     if (pol.resume && !pol.manifestPath.empty()) {
         std::ifstream in(pol.manifestPath);
         if (!in) {
@@ -228,8 +195,6 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
             for (ManifestEntry &e : readManifest(in)) {
                 if (e.index >= grid.size())
                     continue;
-                if (only && done[e.index])
-                    continue; // not this shard's cell
                 if (e.key != jobKey(grid[e.index], e.index)) {
                     ELFSIM_WARN(
                         "resume: manifest cell %zu key mismatch "
@@ -309,26 +274,6 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
     auto runOne = [&](std::size_t i) {
         JobWatch &watch = watches[i];
 
-        if (!pol.keepGoing) {
-            // Legacy strict mode: errors escape, panics abort. The
-            // exec context still goes up (control-less) so injected
-            // faults fire here too.
-            SweepJob job = grid[i];
-            job.opts.trace = traces[i];
-            if (baseSeed)
-                job.cfg.rngSeed = mix64(baseSeed, i + 1);
-            ExecContext ctx;
-            ctx.jobIndex = i;
-            ScopedExecContext scope(ctx);
-            const auto jobStart = std::chrono::steady_clock::now();
-            results[i] = runSimulation(*job.program, job.cfg, job.opts);
-            jobSeconds[i] += secondsSince(jobStart);
-            watch.phase.store(2, std::memory_order_release);
-            journal(i);
-            notify(i);
-            return;
-        }
-
         if (interruptRequested() || pol.cancelRequested()) {
             results[i] = degradedResult(
                 grid[i], JobStatus::Cancelled,
@@ -392,10 +337,9 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
     // atomic flag; all clock arithmetic lives here.
     std::atomic<bool> stopMonitor{false};
     std::thread monitor;
-    const bool needMonitor =
-        pol.keepGoing && (pol.watchdogEnabled() ||
-                          handlersInstalled.load() ||
-                          pol.cancelFlag != nullptr);
+    const bool needMonitor = pol.watchdogEnabled() ||
+                             handlersInstalled.load() ||
+                             pol.cancelFlag != nullptr;
     if (needMonitor) {
         monitor = std::thread([&] {
             while (!stopMonitor.load(std::memory_order_acquire)) {
@@ -462,7 +406,7 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
     lastWarmStats = processWarmStats().delta(warmStart);
 
     lastTiming = SweepTiming{};
-    lastTiming.jobs = static_cast<unsigned>(only ? selected : grid.size());
+    lastTiming.jobs = static_cast<unsigned>(grid.size());
     lastTiming.threads = threads;
     lastTiming.wallSeconds = secondsSince(sweepStart);
     for (std::size_t i = 0; i < grid.size(); ++i) {

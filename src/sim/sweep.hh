@@ -17,10 +17,9 @@
  * submission index — never from thread identity — so the results of a
  * grid do not depend on the number of worker threads.
  *
- * Fault tolerance: under the default SweepPolicy a job that panics,
- * throws, hangs or overruns its deadline degrades to a failed cell
- * (RunResult::status != Ok, metrics zeroed, error recorded) and the
- * rest of the grid completes. Transient errors retry up to
+ * Fault tolerance: a job that panics, throws, hangs or overruns its
+ * deadline degrades to a failed cell (RunResult::status != Ok,
+ * metrics zeroed, error recorded) and the rest of the grid completes. Transient errors retry up to
  * SweepPolicy::maxRetries extra attempts. A JSONL manifest journals
  * each finished cell as it completes, so a killed sweep resumes with
  * `resume = true` re-running only the unfinished cells — merged
@@ -58,16 +57,6 @@ struct SweepJob
 SweepJob makeVariantJob(const Program &prog, FrontendVariant variant,
                         const RunOptions &opts = {});
 
-/**
- * Stable identity of grid cell @a i under @a base_seed — workload,
- * variant, window sizes, sampling schedule and the effective RNG
- * seed. This is the free-function form of SweepRunner::jobKey, shared
- * with the distributed coordinator (dist/coordinator.hh), which must
- * compute the exact same keys without constructing a runner.
- */
-std::string sweepJobKey(const SweepJob &job, std::size_t i,
-                        std::uint64_t base_seed);
-
 /** Wall-clock accounting of the last sweep (speedup reporting). */
 struct SweepTiming
 {
@@ -92,17 +81,11 @@ struct SweepTiming
     }
 };
 
-/** Fault-tolerance policy of a sweep. */
+/** Fault-tolerance policy of a sweep. Per-job errors (including
+ *  recoverable panics) always degrade to failed cells; the rest of the
+ *  grid completes. */
 struct SweepPolicy
 {
-    /**
-     * Catch per-job errors (including recoverable panics) and mark
-     * the cell failed instead of aborting the sweep. When false, the
-     * legacy strict behavior: the first error escapes run() — or
-     * aborts the process for a panic.
-     */
-    bool keepGoing = true;
-
     /** Per-job wall-clock limit in seconds; 0 disables. An overrun
      *  job is cancelled cooperatively and its cell marked timeout. */
     double deadlineSeconds = 0;
@@ -165,8 +148,8 @@ class SweepRunner
      */
     void setBaseSeed(std::uint64_t seed) { baseSeed = seed; }
 
-    /** Replace the fault-tolerance policy (defaults: keep going, no
-     *  watchdog, no retries, no manifest). */
+    /** Replace the fault-tolerance policy (defaults: no watchdog, no
+     *  retries, no manifest). */
     void setPolicy(SweepPolicy p) { pol = std::move(p); }
 
     const SweepPolicy &policy() const { return pol; }
@@ -200,20 +183,6 @@ class SweepRunner
      * TraceCache makes this a no-op (fully lazy cells).
      */
     std::vector<RunResult> run(const std::vector<SweepJob> &grid);
-
-    /**
-     * Run only the cells of @a grid whose submission indices appear
-     * in @a only, preserving every cell's *global* index: seeds,
-     * jobKeys and per-cell results are exactly those the full-grid
-     * run would produce, so results from disjoint subsets merge
-     * byte-identically into a full-grid result set. Unselected cells
-     * keep default-constructed results and never run, journal, or
-     * notify the observer. This is the distributed worker's
-     * execution path (a shard is a subset of a fleet-wide grid).
-     * Out-of-range indices in @a only are ignored.
-     */
-    std::vector<RunResult> run(const std::vector<SweepJob> &grid,
-                               const std::vector<std::size_t> &only);
 
     unsigned threadCount() const { return threads; }
 
@@ -298,9 +267,6 @@ class SweepRunner
     static unsigned resolveJobs(unsigned requested = 0);
 
   private:
-    std::vector<RunResult> runSubset(const std::vector<SweepJob> &grid,
-                                     const std::vector<std::size_t> *only);
-
     unsigned threads;
     std::uint64_t baseSeed = 0;
     SweepPolicy pol;

@@ -526,9 +526,14 @@ parsePolicy(const json::Value &v)
     SweepPolicy p;
     forEachMember(v, "policy", [&](const std::string &k,
                                    const json::Value &val) {
-        if (k == "keep_going")
-            p.keepGoing = val.asBool();
-        else if (k == "deadline_seconds")
+        if (k == "keep_going") {
+            // Archived specs all carry "keep_going": true; keep reading
+            // them. Strict mode itself is gone.
+            if (!val.asBool())
+                throw ConfigError("policy.keep_going: false is no longer "
+                                  "supported (strict sweep mode was "
+                                  "removed; failed cells always degrade)");
+        } else if (k == "deadline_seconds")
             p.deadlineSeconds = val.asDouble();
         else if (k == "stall_seconds")
             p.stallSeconds = val.asDouble();
@@ -818,7 +823,6 @@ void
 writePolicy(JsonWriter &w, const SweepPolicy &p)
 {
     w.beginObject();
-    w.field("keep_going", p.keepGoing);
     w.field("deadline_seconds", p.deadlineSeconds);
     w.field("stall_seconds", p.stallSeconds);
     w.field("max_retries", std::uint64_t(p.maxRetries));

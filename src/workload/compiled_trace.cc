@@ -310,9 +310,9 @@ CompiledTrace::serialized() const
     h.nRun = nRun_;
     h.nMem = nMem_;
 
-    // Assemble the whole image once so the checksum and every
-    // consumer (the file write, the wire payload) see the exact same
-    // bytes: header first, then the contiguous section region.
+    // Assemble the whole image once so the checksum and the file
+    // write see the exact same bytes: header first, then the
+    // contiguous section region.
     std::vector<char> image;
     image.reserve(std::size_t(expectedFileSize(h)));
     image.resize(headerBytes);
@@ -400,20 +400,6 @@ CompiledTrace::load(const std::string &path, std::uint64_t expect_key)
     return parseImage(data, size, expect_key,
                       errorf("trace file '%s'", path.c_str()),
                       std::move(backing), mapped);
-}
-
-std::shared_ptr<const CompiledTrace>
-CompiledTrace::loadBytes(std::vector<char> image,
-                         std::uint64_t expect_key,
-                         const std::string &what)
-{
-    // vector<char> (not string): the heap allocation is suitably
-    // aligned for the u64 section views.
-    auto holder = std::make_shared<std::vector<char>>(std::move(image));
-    const char *data = holder->data();
-    const std::size_t size = holder->size();
-    return parseImage(data, size, expect_key, what, std::move(holder),
-                      0);
 }
 
 std::shared_ptr<const CompiledTrace>

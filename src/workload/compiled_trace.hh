@@ -183,11 +183,7 @@ class CompiledTrace
 
     /**
      * The complete elfsim-trace-v2 image (header + sections) as a
-     * byte buffer — exactly the bytes save() writes. This is how the
-     * distributed coordinator ships a compiled trace to its workers:
-     * the wire payload carries the same magic / key / size / checksum
-     * envelope as the on-disk cache, so the receiver validates it
-     * with the same gate.
+     * byte buffer — exactly the bytes save() writes.
      */
     std::vector<char> serialized() const;
 
@@ -200,25 +196,15 @@ class CompiledTrace
     static std::shared_ptr<const CompiledTrace>
     load(const std::string &path, std::uint64_t expect_key);
 
-    /**
-     * Rebuild a trace from an in-memory elfsim-trace-v2 image (the
-     * receive side of serialized()), with the same magic / key / size
-     * / checksum validation as load(). @a what names the image in
-     * error messages. Throws ParseError on any defect.
-     */
-    static std::shared_ptr<const CompiledTrace>
-    loadBytes(std::vector<char> image, std::uint64_t expect_key,
-              const std::string &what);
-
     CompiledTrace(const CompiledTrace &) = delete;
     CompiledTrace &operator=(const CompiledTrace &) = delete;
 
   private:
     CompiledTrace() = default;
 
-    /** Validate + adopt one complete elfsim-trace-v2 image (shared by
-     *  the file and in-memory load paths); @a backing keeps @a data
-     *  alive for the views, @a what names the image in errors. */
+    /** Validate + adopt one complete elfsim-trace-v2 image;
+     *  @a backing keeps @a data alive for the views, @a what names the
+     *  image in errors. */
     static std::shared_ptr<const CompiledTrace>
     parseImage(const char *data, std::size_t size,
                std::uint64_t expect_key, const std::string &what,

@@ -143,15 +143,6 @@ TraceCache::acquire(const Program &prog, InstCount count)
 }
 
 void
-TraceCache::install(std::shared_ptr<const CompiledTrace> trace)
-{
-    if (!trace)
-        return;
-    std::lock_guard<std::mutex> lock(mtx);
-    memo.emplace(trace->cacheKey(), std::move(trace));
-}
-
-void
 TraceCache::setDirectory(std::string d)
 {
     std::lock_guard<std::mutex> lock(mtx);

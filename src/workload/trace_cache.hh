@@ -79,17 +79,6 @@ class TraceCache
     std::shared_ptr<const CompiledTrace>
     acquire(const Program &prog, InstCount count);
 
-    /**
-     * Memoize an externally supplied trace under its own content key
-     * (the distributed worker's install path: the coordinator ships a
-     * validated elfsim-trace-v2 image, and every later acquire() of
-     * the same content becomes a memo hit instead of a compile). An
-     * existing memo entry for the key is kept — the contents are
-     * identical by construction. No counters change: installs are
-     * neither hits nor compiles.
-     */
-    void install(std::shared_ptr<const CompiledTrace> trace);
-
     /** Set (or clear, with "") the on-disk cache directory. */
     void setDirectory(std::string dir);
     std::string directory() const;

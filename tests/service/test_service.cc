@@ -3,8 +3,8 @@
  * elfsimd sweep-service tests: request/stream framing, byte identity
  * of streamed results against an in-process SweepRunner, concurrent
  * clients sharing the warm trace cache, thread-count independence,
- * malformed-request rejection, client-disconnect survival, and fault
- * injection flowing through the daemon's keep-going policy.
+ * malformed-request rejection, client-disconnect survival, and an
+ * injected fault degrading to one failed cell in the stream.
  *
  * Every test binds an ephemeral loopback port (ServiceConfig.port=0),
  * so tests never collide with each other or a real daemon.
@@ -103,6 +103,11 @@ TEST(Service, HealthzAndUnknownPath)
     const HttpResponse nf = service::httpFetch(
         "127.0.0.1", svc.port(), "GET", "/nope", {});
     EXPECT_EQ(nf.status, 404);
+    for (const char *path : {"/shard", "/artifact/trace"}) {
+        const HttpResponse gone = service::httpFetch(
+            "127.0.0.1", svc.port(), "POST", path, "x");
+        EXPECT_EQ(gone.status, 404) << path;
+    }
     svc.stop();
 }
 
@@ -253,7 +258,7 @@ TEST(Service, ClientDisconnectDoesNotKillTheDaemon)
     svc.stop();
 }
 
-TEST(Service, StatsExposeQueueDepthThroughputAndFleetCounters)
+TEST(Service, StatsExposeQueueDepthAndThroughput)
 {
     SweepService svc;
     svc.start();
@@ -284,22 +289,17 @@ TEST(Service, StatsExposeQueueDepthThroughputAndFleetCounters)
     EXPECT_EQ(service.at("service.queue_depth").asU64(), 0u);
     EXPECT_EQ(service.at("service.inflight_cells").asU64(), 0u);
     EXPECT_GT(service.at("service.cells_per_sec").asDouble(), 0.0);
-
-    // The distributed-fleet counters exist (and stay zero) on a
-    // plain, non-worker daemon.
-    EXPECT_EQ(service.at("service.shards").asU64(), 0u);
-    EXPECT_EQ(service.at("service.artifacts").asU64(), 0u);
     svc.stop();
 }
 
-TEST(Service, InjectedFaultFlowsThroughKeepGoingPolicy)
+TEST(Service, InjectedFaultDegradesToAFailedCell)
 {
-    // Job 0 of every sweep throws; the spec's keep-going policy turns
-    // that into one failed cell in an otherwise complete stream.
+    // Job 0 of every sweep throws; the sweep turns that into one
+    // failed cell in an otherwise complete stream, and the daemon
+    // stays up for the next request.
     ArmedFaults armed("throw:0:0");
 
-    SweepSpec spec = tinySpec();
-    spec.policy.keepGoing = true;
+    const SweepSpec spec = tinySpec();
 
     SweepService svc;
     svc.start();
@@ -314,30 +314,6 @@ TEST(Service, InjectedFaultFlowsThroughKeepGoingPolicy)
     for (std::size_t i = 1; i < 4; ++i)
         EXPECT_EQ(doc.at("results")[i].at("status").asString(),
                   jobStatusName(JobStatus::Ok));
-    svc.stop();
-}
-
-TEST(Service, StrictPolicyCannotKillTheDaemon)
-{
-    // A request is free to ask for keep_going=false, but the daemon
-    // must force keep-going: in strict mode the failing cell's
-    // exception would escape the executor thread and terminate the
-    // process (and cancellation would never be observed).
-    ArmedFaults armed("throw:0:0");
-
-    SweepSpec spec = tinySpec();
-    spec.policy.keepGoing = false;
-
-    SweepService svc;
-    svc.start();
-    const HttpResponse r = service::httpFetch(
-        "127.0.0.1", svc.port(), "POST", "/sweep", specBody(spec));
-    EXPECT_EQ(r.status, 200);
-
-    const json::Value doc = json::parse(r.body);
-    ASSERT_EQ(doc.at("results").size(), 4u);
-    EXPECT_EQ(doc.at("results")[0].at("status").asString(),
-              jobStatusName(JobStatus::Failed));
 
     const HttpResponse hz = service::httpFetch(
         "127.0.0.1", svc.port(), "GET", "/healthz", {});

@@ -271,20 +271,6 @@ TEST(Fault, DeadlineCancelsHungJob)
               std::string::npos);
 }
 
-TEST(Fault, StrictModePropagatesTheError)
-{
-    Program a = microRandomBranchLoop(8, 0.4);
-    const std::vector<SweepJob> grid = {
-        makeVariantJob(a, FrontendVariant::Dcf, smallWindow())};
-
-    ArmedFaults armed("throw:0:2000");
-    SweepRunner runner(1);
-    SweepPolicy pol;
-    pol.keepGoing = false;
-    runner.setPolicy(pol);
-    EXPECT_THROW(runner.run(grid), InjectedError);
-}
-
 TEST(Manifest, RoundTripSkipsGarbageAndKeepsLastIndex)
 {
     Program a = microRandomBranchLoop(8, 0.4);

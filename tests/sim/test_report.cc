@@ -13,7 +13,7 @@ TEST(Report, SummaryContainsHeadlineMetrics)
     Core core(makeConfig(FrontendVariant::UElf), p);
     core.run(30000);
     std::ostringstream os;
-    printSummary(os, core);
+    TextReporter().summary(os, core);
     const std::string s = os.str();
     EXPECT_NE(s.find("IPC"), std::string::npos);
     EXPECT_NE(s.find("branch MPKI"), std::string::npos);
@@ -27,7 +27,7 @@ TEST(Report, FullReportCoversComponents)
     Core core(makeConfig(FrontendVariant::LElf), p);
     core.run(30000);
     std::ostringstream os;
-    printFullReport(os, core);
+    TextReporter().fullReport(os, core);
     const std::string s = os.str();
     EXPECT_NE(s.find("dcf blocks generated"), std::string::npos);
     EXPECT_NE(s.find("fetched (coupled)"), std::string::npos);
@@ -42,23 +42,8 @@ TEST(Report, NoDcfReportSkipsDcfSections)
     Core core(makeConfig(FrontendVariant::NoDcf), p);
     core.run(20000);
     std::ostringstream os;
-    printFullReport(os, core);
+    TextReporter().fullReport(os, core);
     EXPECT_EQ(os.str().find("dcf blocks"), std::string::npos);
-}
-
-TEST(Report, DeprecatedWrappersMatchTextReporter)
-{
-    Program p = microRandomBranchLoop(8, 0.4);
-    Core core(makeConfig(FrontendVariant::UElf), p);
-    core.run(30000);
-
-    std::ostringstream oldSum, newSum, oldFull, newFull;
-    printSummary(oldSum, core);
-    TextReporter().summary(newSum, core);
-    printFullReport(oldFull, core);
-    TextReporter().fullReport(newFull, core);
-    EXPECT_EQ(oldSum.str(), newSum.str());
-    EXPECT_EQ(oldFull.str(), newFull.str());
 }
 
 TEST(Report, ReporterPolymorphism)

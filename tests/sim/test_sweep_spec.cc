@@ -130,6 +130,15 @@ TEST(SweepSpecJson, UnknownFieldIsAParseError)
                      "{\"schema\":\"elfsim-sweepspec-v1\","
                      "\"run\":{\"warmup\":1}}"),
                  ParseError);
+    // keep_going is no longer written, but archived specs carry it:
+    // true still parses, false (the removed strict mode) is refused.
+    EXPECT_NO_THROW(parseSweepSpec(
+        "{\"schema\":\"elfsim-sweepspec-v1\","
+        "\"policy\":{\"keep_going\":true}}"));
+    EXPECT_THROW(parseSweepSpec(
+                     "{\"schema\":\"elfsim-sweepspec-v1\","
+                     "\"policy\":{\"keep_going\":false}}"),
+                 ConfigError);
 }
 
 TEST(SweepSpecJson, MissingOrWrongSchemaRejected)

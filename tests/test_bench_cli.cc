@@ -58,24 +58,8 @@ TEST(BenchCli, HelpExitsZeroAndUnknownFlagExitsTwo)
           "bench_fig6_nodcf", "bench_fig7_elf_variants",
           "bench_fig8_lelf_uelf", "bench_fig9_geomean",
           "bench_ablation_elf", "bench_ablation_dcf",
-          "bench_throughput", "elfsimd", "elfsim_coord"})
+          "bench_throughput", "elfsimd"})
         expectUniformCli(benchDir, name);
-}
-
-TEST(BenchCli, CoordRejectsLeaseShorterThanTheHeartbeat)
-{
-    const std::string benchDir = requiredEnv("ELFSIM_BENCH_DIR");
-    ASSERT_FALSE(benchDir.empty());
-    const std::string coord = benchDir + "/elfsim_coord";
-    // A 1 s lease can never outlive a 1000 ms heartbeat period: the
-    // config is rejected up front with the uniform usage-error exit.
-    EXPECT_EQ(runTool(coord,
-                      "--spec /dev/null --spawn 2 --lease 1"),
-              2);
-    EXPECT_EQ(runTool(coord,
-                      "--spec /dev/null --spawn 2 --lease 2 "
-                      "--worker-heartbeat-ms 2000"),
-              2);
 }
 
 TEST(BenchCli, ExamplesSharingTheParserFollowTheSameContract)
