@@ -106,6 +106,7 @@ Cache::access(Addr addr, bool write, Cycle now, bool is_prefetch)
 
     ++missCount;
     const Cycle below = nextLevel->access(addr, write, now, is_prefetch);
+    ++residency;
     Line &v = victim(line);
     v.valid = true;
     v.tag = line;
@@ -125,6 +126,7 @@ Cache::prefetch(Addr addr, Cycle now)
     ++prefetchCount;
     const Cycle below = nextLevel->access(addr, false, now, true);
     ++useTick;
+    ++residency;
     Line &v = victim(line);
     v.valid = true;
     v.tag = line;
@@ -150,6 +152,7 @@ Cache::invalidateAll()
 {
     for (Line &l : lines)
         l = Line{};
+    ++residency;
 }
 
 namespace {
@@ -211,6 +214,7 @@ Cache::loadState(Deserializer &d)
         l.lastUse = d.u64();
     }
     useTick = d.u64();
+    ++residency;
     loadCounter(d, hitCount);
     loadCounter(d, missCount);
     loadCounter(d, inflightHitCount);

@@ -126,6 +126,14 @@ class Cache : public MemoryLevel
     /** Invalidate the whole cache (used between benchmark runs). */
     void invalidateAll();
 
+    /**
+     * Bumped whenever the set of resident lines may change: on every
+     * line allocation (demand miss or prefetch fill), invalidateAll
+     * and loadState. While it holds still, present() answers exactly
+     * as before for every address.
+     */
+    std::uint64_t residencyVersion() const { return residency; }
+
     const std::string &name() const override { return params.name; }
     const CacheParams &config() const { return params; }
 
@@ -187,6 +195,7 @@ class Cache : public MemoryLevel
     bool setMaskValid = false;
     std::vector<Line> lines; // numSets * assoc, set-major
     std::uint64_t useTick = 0;
+    std::uint64_t residency = 0; ///< see residencyVersion()
 
     stats::StatGroup statsGroup;
     stats::Counter &hitCount;

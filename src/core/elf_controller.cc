@@ -108,7 +108,7 @@ void
 ElfController::switchToDecoupled(Cycle now)
 {
     ELFSIM_ASSERT(!faq.empty(), "switch without a FAQ block");
-    FaqEntry &head = faq.front();
+    const FaqEntry &head = faq.front();
 
     ELFSIM_ASSERT(fetchCoupledCount >= decoupledCount,
                   "count inversion at switch");
@@ -142,7 +142,7 @@ ElfController::switchToDecoupled(Cycle now)
     }
 
     decoupledCount += consumed;
-    head.advance(consumed);
+    faq.advanceFront(consumed);
     if (head.numInsts == 0)
         faq.pop();
 
@@ -363,7 +363,14 @@ ElfController::prefetchTick(Cycle now, bool fetch_was_idle)
         return;
 
     // Oldest-to-youngest scan of the FAQ for the first block whose
-    // line is not already in the L0I.
+    // line is not already in the L0I. A scan that found every line
+    // present holds until the queued blocks or the L0I's resident
+    // lines change, so an idle fetcher behind a stalled back end does
+    // not repeat it every cycle.
+    const std::uint64_t faqVersion = faq.version();
+    const std::uint64_t l0iVersion = mem.l0i().residencyVersion();
+    if (faqVersion == coveredFaqVersion && l0iVersion == coveredL0iVersion)
+        return;
     for (std::size_t i = 0; i < faq.size(); ++i) {
         const FaqEntry &e = faq.at(i);
         if (!mem.l0i().present(e.startPC)) {
@@ -373,6 +380,8 @@ ElfController::prefetchTick(Cycle now, bool fetch_was_idle)
             return;
         }
     }
+    coveredFaqVersion = faqVersion;
+    coveredL0iVersion = l0iVersion;
 }
 
 } // namespace elfsim

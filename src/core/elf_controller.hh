@@ -213,6 +213,10 @@ class ElfController : public DecodeObserver
 
     /** In-flight FAQ-directed prefetch completion times. */
     BoundedQueue<Cycle> prefetchInflight;
+    /** Faq::version() and L0I Cache::residencyVersion() at the last
+     *  prefetch scan that found every queued block's line present. */
+    std::uint64_t coveredFaqVersion = ~std::uint64_t(0);
+    std::uint64_t coveredL0iVersion = ~std::uint64_t(0);
 
     ElfStats st;
 };

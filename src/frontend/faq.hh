@@ -111,16 +111,46 @@ class Faq
     std::size_t size() const { return q.size(); }
     std::size_t capacity() const { return q.capacity(); }
 
-    void push(FaqEntry e) { q.push(std::move(e)); }
-    FaqEntry pop() { return q.pop(); }
-    FaqEntry &front() { return q.front(); }
+    void
+    push(FaqEntry e)
+    {
+        q.push(std::move(e));
+        ++ver;
+    }
+    FaqEntry
+    pop()
+    {
+        ++ver;
+        return q.pop();
+    }
+    void
+    clear()
+    {
+        q.clear();
+        ++ver;
+    }
+
+    /** Drop the head block's first @a n instructions (see
+     *  FaqEntry::advance). */
+    void
+    advanceFront(unsigned n)
+    {
+        q.front().advance(n);
+        ++ver;
+    }
+
+    /** Queued blocks are read-only: every change goes through the
+     *  calls above, so version() sees it. */
     const FaqEntry &front() const { return q.front(); }
     const FaqEntry &at(std::size_t i) const { return q.at(i); }
-    FaqEntry &at(std::size_t i) { return q.at(i); }
-    void clear() { q.clear(); }
+
+    /** Bumped by push, pop, clear and advanceFront: while it holds
+     *  still, the queue holds the same blocks at the same start PCs. */
+    std::uint64_t version() const { return ver; }
 
   private:
     BoundedQueue<FaqEntry> q;
+    std::uint64_t ver = 0;
 };
 
 } // namespace elfsim

@@ -86,7 +86,7 @@ DecoupledFetchEngine::tick(Cycle now, Cycle faq_ready_cycle,
             break;
         }
 
-        FaqEntry &entry = faq.front();
+        const FaqEntry &entry = faq.front();
         const Addr pc = entry.startPC + instsToBytes(offsetInEntry);
         const Addr line = pc / lineBytes;
 

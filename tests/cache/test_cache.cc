@@ -136,3 +136,32 @@ TEST(Cache, ChainedLevelsAccumulateLatency)
     l1.invalidateAll();
     EXPECT_EQ(l1.access(0x9000, false, 400), 16u); // 13 + 3
 }
+
+TEST(Cache, ResidencyVersionMovesOnlyWhenLinesMayChange)
+{
+    FixedLatencyMemory mem("mem", 10);
+    Cache c(smallCache("c"), &mem);
+    std::uint64_t v = c.residencyVersion();
+
+    c.access(0x1000, false, 0); // demand miss allocates
+    EXPECT_GT(c.residencyVersion(), v);
+    v = c.residencyVersion();
+    c.access(0x1000, false, 5);  // in-flight hit
+    c.access(0x1000, false, 50); // ready hit
+    c.prefetch(0x1000, 60);      // already present: dropped
+    EXPECT_EQ(c.residencyVersion(), v);
+
+    c.prefetch(0x2000, 70); // prefetch fill allocates
+    EXPECT_GT(c.residencyVersion(), v);
+    v = c.residencyVersion();
+
+    Serializer s;
+    c.saveState(s);
+    c.invalidateAll();
+    EXPECT_GT(c.residencyVersion(), v);
+    v = c.residencyVersion();
+    Deserializer d(s.data());
+    c.loadState(d);
+    EXPECT_GT(c.residencyVersion(), v);
+    EXPECT_TRUE(c.present(0x1000));
+}

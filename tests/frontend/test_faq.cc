@@ -85,3 +85,30 @@ TEST(Faq, AdvanceZeroIsNoop)
     EXPECT_EQ(e.startPC, 0x1000u);
     EXPECT_EQ(e.numInsts, 12);
 }
+
+TEST(Faq, VersionMovesOnEveryChangeToTheQueuedBlocks)
+{
+    Faq q(4);
+    std::uint64_t v = q.version();
+    const auto moved = [&] {
+        const bool m = q.version() != v;
+        v = q.version();
+        return m;
+    };
+    q.push(makeEntry(0x1000, 8));
+    EXPECT_TRUE(moved());
+    q.push(makeEntry(0x2000, 4));
+    EXPECT_TRUE(moved());
+    EXPECT_EQ(q.front().startPC, 0x1000u);
+    EXPECT_EQ(q.at(1).startPC, 0x2000u);
+    EXPECT_FALSE(moved()); // reads leave it alone
+
+    q.advanceFront(3);
+    EXPECT_TRUE(moved());
+    EXPECT_EQ(q.front().startPC, 0x1000u + instsToBytes(3));
+    EXPECT_EQ(q.front().numInsts, 5);
+    q.pop();
+    EXPECT_TRUE(moved());
+    q.clear();
+    EXPECT_TRUE(moved());
+}

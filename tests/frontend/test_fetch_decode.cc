@@ -35,13 +35,15 @@ struct Rig
 
     /** Push a sequential FAQ block visible immediately. */
     void
-    pushBlock(Addr start, unsigned n, Cycle gen = 0)
+    pushBlock(Addr start, unsigned n, Cycle gen = 0,
+              bool from_btb_miss = false)
     {
         FaqEntry e;
         e.genCycle = gen;
         e.startPC = start;
         e.numInsts = static_cast<std::uint8_t>(n);
         e.nextPC = start + instsToBytes(n);
+        e.fromBtbMiss = from_btb_miss;
         faq.push(e);
     }
 };
@@ -149,8 +151,7 @@ TEST(DecodeStage, ResteersOnUncoveredUncond)
 
     // Fetch through a BTB-miss sequential block: the jump at offset 4
     // is uncovered.
-    r.pushBlock(r.prog.entryPC(), 16);
-    r.faq.front().fromBtbMiss = true;
+    r.pushBlock(r.prog.entryPC(), 16, 0, true);
     r.mem.prefetchInst(r.prog.entryPC(), 0);
     r.mem.prefetchInst(r.prog.entryPC() + 64, 0);
     FetchBundle fetched;
