@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "core/coupled_predictors.hh"
+#include "core/elf_controller.hh"
 #include "sim/core.hh"
 #include "workload/builders.hh"
+#include "workload/oracle_stream.hh"
+#include "workload/wrong_path.hh"
 
 using namespace elfsim;
 
@@ -149,4 +152,63 @@ TEST(ElfController, CheckpointPayloadsEventuallyFill)
     // Flushes held for pending payloads must be bounded (they fill at
     // resync or the branch reaches the ROB head).
     EXPECT_LT(core.stats().pendingFlushWaits, core.cycles() / 10);
+}
+
+TEST(ElfController, PrefetchRescansWhenAQueuedLineLeavesTheL0i)
+{
+    // Every queued block's line present: the scan finds nothing and
+    // is not repeated while the queue and the L0I stay unchanged.
+    // Evicting one of those lines (demand fills into its set) must
+    // make the next idle cycle prefetch it again, with the FAQ
+    // untouched; a newly queued block is prefetched too.
+    const Program prog = microSequentialLoop(40, 16);
+    OracleStream oracle(prog);
+    WrongPathWalker walker(prog);
+    InstSupply supply(oracle, walker);
+    MemHierarchy mem;
+    CheckpointQueue ckpts(512);
+    Faq faq(32);
+    PredictorBank bank;
+    MultiBtb btb;
+    ElfController ctl(ElfControllerParams{}, mem, supply, faq, ckpts,
+                      bank, btb);
+
+    const Addr a = 0x100000, b = 0x100040;
+    const auto block = [](Addr pc) {
+        FaqEntry e;
+        e.startPC = pc;
+        e.numInsts = 16;
+        e.nextPC = pc + instsToBytes(16);
+        return e;
+    };
+    faq.push(block(a));
+    faq.push(block(b));
+    mem.prefetchInst(a, 0);
+    mem.prefetchInst(b, 0);
+
+    Cycle now = 100;
+    for (int i = 0; i < 3; ++i)
+        ctl.prefetchTick(++now, true);
+    EXPECT_EQ(ctl.stats().instPrefetches, 0u);
+
+    // Same L0I set as a (sets x line bytes apart), filled by demand
+    // fetches until a, the least recently used way, is evicted.
+    const CacheParams &l0i = mem.l0i().config();
+    const Addr setStride = l0i.sizeBytes / l0i.assoc;
+    for (unsigned w = 1; w <= l0i.assoc; ++w)
+        mem.instFetch(a + w * setStride, now);
+    ASSERT_FALSE(mem.l0i().present(a));
+    ASSERT_TRUE(mem.l0i().present(b));
+
+    ctl.prefetchTick(now + 20, true);
+    EXPECT_EQ(ctl.stats().instPrefetches, 1u);
+    EXPECT_TRUE(mem.l0i().present(a));
+    ctl.prefetchTick(now + 30, true); // covered again
+    EXPECT_EQ(ctl.stats().instPrefetches, 1u);
+
+    const Addr c = 0x180000;
+    faq.push(block(c));
+    ctl.prefetchTick(now + 40, true);
+    EXPECT_EQ(ctl.stats().instPrefetches, 2u);
+    EXPECT_TRUE(mem.l0i().present(c));
 }
