@@ -551,3 +551,215 @@ TEST(Backend, SelectKeepsAgeOrderAcrossA100EntryRingWrap)
                   doneAt(firstIssue + 3 * k, 1))
             << "seq " << k + 1;
 }
+
+// Memory-ordering pins: which store a filtered load waits for, which
+// younger loads a completing store flushes, and the LSQ capacity stall.
+
+namespace {
+
+/** Static instructions of memProgram(), by role. */
+enum MemOp : unsigned {
+    Div5,      ///< r5 <- r6, slow
+    Mul8,      ///< r8 <- r6
+    StoreS,    ///< the filter's recorded store; data r5
+    StoreO,    ///< another store PC; data r8
+    LoadL,     ///< r10 <- [..]
+    LoadM,     ///< r11 <- [..], a second load PC
+    Filler,
+};
+
+Program
+memProgram()
+{
+    ProgramBuilder pb;
+    pb.beginBlock();
+    pb.addOp(InstClass::IntDiv, 5, 6);
+    pb.addOp(InstClass::IntMul, 8, 6);
+    MemSpec ms;
+    ms.regionBase = 0x20000;
+    ms.regionSize = 64;
+    pb.addStore(ms, 5);
+    pb.addStore(ms, 8);
+    pb.addLoad(ms, 10);
+    pb.addLoad(ms, 11);
+    pb.addFiller(1);
+    pb.endJump(0);
+    return pb.finalize("memops");
+}
+
+} // namespace
+
+TEST(Backend, FilteredLoadWaitsForYoungestOlderIncompleteStoreWithItsPC)
+{
+    // In flight when the load dispatches, oldest first: a completed
+    // store S1 with the recorded PC, an incomplete one S2 with that PC
+    // (its data comes from a div), and a younger incomplete store S3
+    // with another PC (data from a mul). The load must wait for S2:
+    // not for S1 (complete), not for S3 (other PC).
+    const BackendParams bp;
+    Rig r(memProgram());
+    const auto &si = r.prog.instructions();
+    r.mdp.train(si[LoadL].pc, si[StoreS].pc);
+    r.mem.dataAccess(0, 0x20000, false, 0);
+    const Cycle hit = r.mem.l1d().config().hitLatency;
+
+    // A flush-pending head keeps everything in flight.
+    const Cycle t0 = 400;
+    Cycle cycle = t0;
+    DynInst blocker = r.makeInst(&si[Filler]);
+    blocker.flushPending = true;
+    const SeqNum blockerSeq = blocker.seq;
+    r.be.accept(std::move(blocker), t0);
+    DynInst s1 = r.makeInst(&si[StoreS], 0x20000);
+    const SeqNum s1Seq = s1.seq;
+    r.be.accept(std::move(s1), t0);
+    r.run(cycle, 8);
+    ASSERT_TRUE(r.be.findInFlightMutable(s1Seq)->completed);
+
+    const Cycle t1 = cycle;
+    r.be.accept(r.makeInst(&si[Div5]), t1);
+    r.be.accept(r.makeInst(&si[StoreS], 0x20000), t1);
+    r.be.accept(r.makeInst(&si[Mul8]), t1);
+    r.be.accept(r.makeInst(&si[StoreO], 0x30000), t1);
+    DynInst load = r.makeInst(&si[LoadL], 0x20000);
+    const SeqNum loadSeq = load.seq;
+    r.be.accept(std::move(load), t1);
+    r.run(cycle, 40);
+
+    const DynInst *ld = r.be.findInFlightMutable(loadSeq);
+    ASSERT_NE(ld, nullptr);
+    ASSERT_TRUE(ld->completed);
+    const Cycle divDone = doneAt(t1 + firstIssue, bp.divLatency);
+    const Cycle s2Done = doneAt(divDone, 1);
+    EXPECT_EQ(ld->completeCycle, doneAt(s2Done, hit));
+    EXPECT_EQ(r.be.stats().memOrderFlushes, 0u);
+
+    r.be.findInFlightMutable(blockerSeq)->flushPending = false;
+    r.run(cycle, 10);
+    EXPECT_EQ(r.committed.size(), 7u);
+    EXPECT_TRUE(r.be.empty());
+}
+
+TEST(Backend, StoreCompletionSparesOtherGranulesWrongPathAndOlderLoads)
+{
+    // A store waiting on a div completes after three loads to the same
+    // line have executed: an older load on its granule, a younger one
+    // in the next 8-byte granule and a younger wrong-path one on its
+    // granule. None of them is a violation.
+    Rig r(memProgram());
+    const auto &si = r.prog.instructions();
+    r.mem.dataAccess(0, 0x20000, false, 0);
+
+    const Cycle t0 = 400;
+    Cycle cycle = t0;
+    DynInst blocker = r.makeInst(&si[Filler]);
+    blocker.flushPending = true;
+    const SeqNum blockerSeq = blocker.seq;
+    r.be.accept(std::move(blocker), t0);
+    r.be.accept(r.makeInst(&si[Div5]), t0);
+    DynInst older = r.makeInst(&si[LoadL], 0x20004);
+    const SeqNum olderSeq = older.seq;
+    r.be.accept(std::move(older), t0);
+    DynInst store = r.makeInst(&si[StoreS], 0x20000);
+    const SeqNum storeSeq = store.seq;
+    r.be.accept(std::move(store), t0);
+    DynInst other = r.makeInst(&si[LoadL], 0x20008);
+    const SeqNum otherSeq = other.seq;
+    r.be.accept(std::move(other), t0);
+    DynInst wrong = r.makeInst(&si[LoadM], 0x20000);
+    wrong.wrongPath = true;
+    const SeqNum wrongSeq = wrong.seq;
+    r.be.accept(std::move(wrong), t0);
+
+    // Run until just before the store completes: every load is done.
+    const Cycle storeDone =
+        doneAt(doneAt(t0 + firstIssue, BackendParams{}.divLatency), 1);
+    Redirect red = r.run(cycle, unsigned(storeDone - 1 - t0));
+    for (SeqNum s : {olderSeq, otherSeq, wrongSeq})
+        EXPECT_TRUE(r.be.findInFlightMutable(s)->completed) << s;
+    EXPECT_FALSE(r.be.findInFlightMutable(storeSeq)->completed);
+
+    Redirect after = r.run(cycle, 5);
+    EXPECT_TRUE(r.be.findInFlightMutable(storeSeq)->completed);
+    EXPECT_FALSE(red.pending());
+    EXPECT_FALSE(after.pending());
+    EXPECT_EQ(r.be.stats().memOrderFlushes, 0u);
+    EXPECT_EQ(r.mdp.storeFor(si[LoadL].pc), invalidAddr);
+    EXPECT_EQ(r.mdp.storeFor(si[LoadM].pc), invalidAddr);
+
+    // The wrong-path load never reaches commit.
+    r.be.squashYoungerThan(wrongSeq - 1);
+    r.be.findInFlightMutable(blockerSeq)->flushPending = false;
+    r.run(cycle, 10);
+    EXPECT_EQ(r.committed.size(), 5u);
+    EXPECT_TRUE(r.be.empty());
+}
+
+TEST(Backend, StoreFlushesFromTheOldestViolatingLoad)
+{
+    // Two younger loads on the store's granule both execute before it:
+    // the flush keeps everything older than the first of them, and only
+    // that load's PC is trained.
+    Rig r(memProgram());
+    const auto &si = r.prog.instructions();
+    r.mem.dataAccess(0, 0x20000, false, 0);
+
+    const Cycle t0 = 400;
+    Cycle cycle = t0;
+    r.be.accept(r.makeInst(&si[Div5]), t0);
+    r.be.accept(r.makeInst(&si[StoreS], 0x20000), t0);
+    r.be.accept(r.makeInst(&si[Filler]), t0);
+    DynInst first = r.makeInst(&si[LoadL], 0x20000);
+    const SeqNum firstSeq = first.seq;
+    r.be.accept(std::move(first), t0);
+    r.be.accept(r.makeInst(&si[LoadM], 0x20006), t0);
+
+    Redirect red;
+    for (unsigned i = 0; i < 40 && !red.pending(); ++i)
+        r.be.tick(++cycle, red);
+    ASSERT_TRUE(red.pending());
+    EXPECT_EQ(red.kind, RedirectKind::MemOrder);
+    EXPECT_EQ(red.survivorSeq, firstSeq - 1);
+    EXPECT_EQ(red.targetPC, si[LoadL].pc);
+    EXPECT_EQ(r.be.stats().memOrderFlushes, 1u);
+    EXPECT_EQ(r.mdp.storeFor(si[LoadL].pc), si[StoreS].pc);
+    EXPECT_EQ(r.mdp.storeFor(si[LoadM].pc), invalidAddr);
+}
+
+TEST(Backend, FullLsqStallsDispatchUntilMemoryOpsCommit)
+{
+    // Three LSQ entries, five independent loads and a trailing ALU op.
+    // The fourth load and everything behind it wait in rename until
+    // the first two loads commit and free their entries.
+    BackendParams bp;
+    bp.lsqEntries = 3;
+    Rig r(memProgram(), bp);
+    const auto &si = r.prog.instructions();
+    r.mem.dataAccess(0, 0x20000, false, 0);
+    const Cycle hit = r.mem.l1d().config().hitLatency;
+
+    const Cycle t0 = 400;
+    Cycle cycle = t0;
+    for (unsigned i = 0; i < 5; ++i)
+        r.be.accept(r.makeInst(&si[LoadL], 0x20000 + 8 * i), t0);
+    r.be.accept(r.makeInst(&si[Filler]), t0);
+
+    r.run(cycle, 4); // dispatch at t0 + 3, first issue at t0 + 4
+    EXPECT_EQ(r.be.lsqSize(), 3u);
+    EXPECT_EQ(r.be.iqSize(), 1u); // the third load lost the port race
+    r.run(cycle, 40);
+    ASSERT_EQ(r.committed.size(), 6u);
+    EXPECT_EQ(r.be.lsqSize(), 0u);
+
+    // Ports: two loads per cycle. Loads 1-2 commit the cycle after they
+    // complete, which frees room for loads 4-5 and the ALU op to
+    // dispatch in that same cycle and issue in the next.
+    const Cycle early = doneAt(t0 + firstIssue, hit);
+    EXPECT_EQ(r.committed[0].completeCycle, early);
+    EXPECT_EQ(r.committed[1].completeCycle, early);
+    EXPECT_EQ(r.committed[2].completeCycle, doneAt(t0 + firstIssue + 1, hit));
+    const Cycle resumed = early + 2;
+    EXPECT_EQ(r.committed[3].completeCycle, doneAt(resumed, hit));
+    EXPECT_EQ(r.committed[4].completeCycle, doneAt(resumed, hit));
+    EXPECT_EQ(r.committed[5].completeCycle, doneAt(resumed, 1));
+}
