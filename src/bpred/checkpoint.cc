@@ -5,7 +5,7 @@
 namespace elfsim {
 
 CheckpointQueue::CheckpointQueue(std::size_t capacity)
-    : cap(capacity), entries(capacity)
+    : cap(capacity), entries(capacity), payloads(capacity)
 {
     ELFSIM_ASSERT(capacity > 0, "checkpoint queue needs capacity");
 }
@@ -18,6 +18,8 @@ CheckpointQueue::allocate(SeqNum seq, bool payload_valid)
                   "checkpoints must be allocated in fetch order");
     const std::uint64_t id = nextId++;
     entries.push(Entry{id, seq, payload_valid});
+    // Squashed ids are reused: clear what their last owner left.
+    payloads[id % cap] = CheckpointPayload{};
     return id;
 }
 

@@ -13,13 +13,23 @@
  * fetched in coupled mode, whose payload is only populated once the
  * corresponding FAQ block arrives. An instruction whose checkpoint
  * payload is pending cannot trigger a pipeline flush yet.
+ *
+ * The payload's content is modeled too, as far as commit needs it:
+ * the TAGE/ITTAGE lookups a branch was predicted with, which train
+ * the predictors when it commits. Every fetched branch owns a
+ * checkpoint for exactly its fetch-to-commit lifetime, so the payload
+ * lives here rather than in the instruction.
  */
 
 #ifndef ELFSIM_BPRED_CHECKPOINT_HH
 #define ELFSIM_BPRED_CHECKPOINT_HH
 
 #include <cstdint>
+#include <vector>
 
+#include "bpred/ittage.hh"
+#include "bpred/tage.hh"
+#include "common/logging.hh"
 #include "common/queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -28,6 +38,17 @@ namespace elfsim {
 
 /** Sentinel id for "no checkpoint". */
 constexpr std::uint64_t noCheckpoint = 0;
+
+/**
+ * Training state of one branch: the predictor lookups it was predicted
+ * with. An invalid lookup makes commit re-predict on the architectural
+ * history before training (see PredictorBank::commitBranch).
+ */
+struct CheckpointPayload
+{
+    TagePrediction tage;     ///< valid iff predicted by TAGE
+    IttagePrediction ittage; ///< valid iff predicted by ITTAGE
+};
 
 /** Bounded queue of branch-prediction checkpoints. */
 class CheckpointQueue
@@ -58,6 +79,19 @@ class CheckpointQueue
     /** @return true iff @a id is live and its payload is populated. */
     bool payloadReady(std::uint64_t id) const;
 
+    /**
+     * Training payload of the live checkpoint @a id, empty from
+     * allocate() on. Live ids form a contiguous range no longer than
+     * the capacity, so id % capacity names a slot no other live
+     * checkpoint uses.
+     */
+    CheckpointPayload &
+    payload(std::uint64_t id)
+    {
+        ELFSIM_ASSERT(has(id), "payload of a dead checkpoint");
+        return payloads[id % cap];
+    }
+
     /** Populate the payload of a pending checkpoint. */
     void fillPayload(std::uint64_t id);
 
@@ -87,6 +121,7 @@ class CheckpointQueue
 
     std::size_t cap;
     BoundedQueue<Entry> entries;
+    std::vector<CheckpointPayload> payloads; ///< by id % cap
     std::uint64_t nextId = 1;
 };
 

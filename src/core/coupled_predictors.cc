@@ -131,7 +131,7 @@ bool
 NoDcfPolicy::predictCond(DynInst &di)
 {
     const TagePrediction tp = bank.predictCond(di.pc());
-    di.tagePred = tp;
+    ckpts.payload(di.checkpointId).tage = tp;
     di.hasPrediction = true;
     di.predTaken = tp.taken;
     di.predTarget =
@@ -146,7 +146,7 @@ NoDcfPolicy::predictIndirect(DynInst &di)
 {
     const Addr l0 = bank.predictIndirectL0(di.pc());
     const IttagePrediction ip = bank.predictIndirect(di.pc());
-    di.ittagePred = ip;
+    ckpts.payload(di.checkpointId).ittage = ip;
     Addr t = l0;
     lastExtra = 0;
     if (t == invalidAddr) {

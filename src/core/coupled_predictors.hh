@@ -11,6 +11,7 @@
 
 #include "bpred/bimodal.hh"
 #include "bpred/btc.hh"
+#include "bpred/checkpoint.hh"
 #include "bpred/gshare.hh"
 #include "bpred/predictor_bank.hh"
 #include "bpred/ras.hh"
@@ -119,12 +120,15 @@ class ElfCoupledPolicy : public CoupledPolicy
 /**
  * Coupled policy for the NoDCF baseline: the full decoupled predictor
  * bank accessed at fetch, with the speculative history advanced here
- * (there is no DCF to do it).
+ * (there is no DCF to do it). Its TAGE/ITTAGE lookups go to the
+ * branch's checkpoint payload for commit to train with.
  */
 class NoDcfPolicy : public CoupledPolicy
 {
   public:
-    explicit NoDcfPolicy(PredictorBank &bank) : bank(bank) {}
+    NoDcfPolicy(PredictorBank &bank, CheckpointQueue &ckpts)
+        : bank(bank), ckpts(ckpts)
+    {}
 
     bool predictCond(DynInst &di) override;
     bool predictIndirect(DynInst &di) override;
@@ -136,6 +140,7 @@ class NoDcfPolicy : public CoupledPolicy
 
   private:
     PredictorBank &bank;
+    CheckpointQueue &ckpts;
     unsigned lastExtra = 0;
 };
 

@@ -17,7 +17,7 @@ ElfController::ElfController(const ElfControllerParams &params,
                                               : 1)
 {
     if (params.variant == FrontendVariant::NoDcf) {
-        policy = std::make_unique<NoDcfPolicy>(bank);
+        policy = std::make_unique<NoDcfPolicy>(bank, ckpts);
     } else {
         policy = std::make_unique<ElfCoupledPolicy>(
             params.variant, coupledPreds,
@@ -187,7 +187,7 @@ ElfController::processFaqWhileCoupled(Cycle now)
 }
 
 unsigned
-ElfController::fetchTick(Cycle now, FetchBundle &out,
+ElfController::fetchTick(Cycle now, BoundedQueue<DynInst> &out,
                          Redirect &redirect, bool can_fetch)
 {
     const std::size_t before = out.size();
@@ -211,11 +211,12 @@ ElfController::fetchTick(Cycle now, FetchBundle &out,
             n = cplEng->tick(now, out);
         }
         for (std::size_t i = before; i < out.size(); ++i) {
-            const DynInst &di = out[i];
+            const DynInst &di = out.at(i);
             if (di.fetchStalled) {
                 stalledSeq = di.seq;
                 stalledPC = di.pc();
-                stalledPos = coupledFetched + (di.seq - out[before].seq);
+                stalledPos =
+                    coupledFetched + (di.seq - out.at(before).seq);
             }
         }
         fetchCoupledCount += n;
@@ -229,7 +230,7 @@ ElfController::fetchTick(Cycle now, FetchBundle &out,
         // The coupled RAS is updated even in decoupled mode (IV-D2).
         if (hasCoupledRas(params.variant)) {
             for (std::size_t i = before; i < out.size(); ++i) {
-                const DynInst &di = out[i];
+                const DynInst &di = out.at(i);
                 if (isCall(di.si->branch))
                     coupledPreds.ras().push(di.pc() + instBytes);
                 else if (isReturn(di.si->branch))

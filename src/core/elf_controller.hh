@@ -101,12 +101,13 @@ class ElfController : public DecodeObserver
     void dcfTick(Cycle now);
 
     /**
-     * Fetch cycle: produce instructions, run the resynchronization
-     * count rules, and run divergence detection. A divergence flush
-     * request is merged into @a redirect.
+     * Fetch cycle: produce instructions, appending them to @a out
+     * (room for a fetch width is needed when @a can_fetch), run the
+     * resynchronization count rules, and run divergence detection. A
+     * divergence flush request is merged into @a redirect.
      * @return instructions fetched.
      */
-    unsigned fetchTick(Cycle now, FetchBundle &out,
+    unsigned fetchTick(Cycle now, BoundedQueue<DynInst> &out,
                        Redirect &redirect, bool can_fetch = true);
 
     /** DecodeObserver: decode-side counts/records. */

@@ -56,7 +56,7 @@ CoupledFetchEngine::resumeAt(Addr pc, Cycle now)
 }
 
 unsigned
-CoupledFetchEngine::tick(Cycle now, FetchBundle &out)
+CoupledFetchEngine::tick(Cycle now, BoundedQueue<DynInst> &out)
 {
     if (!active() || stalledControl)
         return 0;
@@ -95,7 +95,8 @@ CoupledFetchEngine::tick(Cycle now, FetchBundle &out)
         if (ckpts.full())
             break;
 
-        DynInst di = supply.make(pc, now, FetchMode::Coupled);
+        DynInst &di = out.pushSlot();
+        supply.make(di, pc, now, FetchMode::Coupled);
 
         if (!di.si->isBranchInst()) {
             di.hasPrediction = false;
@@ -103,7 +104,6 @@ CoupledFetchEngine::tick(Cycle now, FetchBundle &out)
             fetchPC = pc + instBytes;
             if (di.wrongPath)
                 ++st.wrongPathInsts;
-            out.push_back(std::move(di));
             ++produced;
             ++st.insts;
             continue;
@@ -183,7 +183,6 @@ CoupledFetchEngine::tick(Cycle now, FetchBundle &out)
                              (unsigned long long)di.seq,
                              (unsigned long long)di.pc());
 #endif
-            out.push_back(std::move(di));
             ++produced;
             ++st.insts;
             break;
@@ -194,7 +193,6 @@ CoupledFetchEngine::tick(Cycle now, FetchBundle &out)
             di.historyPushed = policy.pushesHistory();
         resolveBranch(di);
         fetchPC = di.predTaken ? di.predTarget : pc + instBytes;
-        out.push_back(std::move(di));
         ++produced;
         ++st.insts;
         if (di.wrongPath)

@@ -20,10 +20,9 @@
 #ifndef ELFSIM_FRONTEND_COUPLED_HH
 #define ELFSIM_FRONTEND_COUPLED_HH
 
-#include <vector>
-
 #include "bpred/checkpoint.hh"
 #include "cache/hierarchy.hh"
+#include "common/queue.hh"
 #include "frontend/fetch.hh"
 #include "frontend/pipeline_types.hh"
 #include "frontend/supply.hh"
@@ -38,7 +37,8 @@ class CoupledPolicy
 
     /**
      * Predict the conditional branch @a di (fill hasPrediction,
-     * predTaken, predTarget and optionally tagePred).
+     * predTaken, predTarget and optionally the TAGE lookup in its
+     * checkpoint's payload).
      * @return false if the policy cannot speculate past it (stall).
      */
     virtual bool predictCond(DynInst &di) = 0;
@@ -108,10 +108,11 @@ class CoupledFetchEngine
     void resumeAt(Addr pc, Cycle now);
 
     /**
-     * Fetch up to width instructions into @a out.
+     * Fetch up to width instructions, appending them to @a out, which
+     * must have room for width more.
      * @return instructions fetched (0 when stalled/inactive).
      */
-    unsigned tick(Cycle now, FetchBundle &out);
+    unsigned tick(Cycle now, BoundedQueue<DynInst> &out);
 
     const CoupledStats &stats() const { return st; }
 

@@ -113,13 +113,12 @@ DecodeStage::recoverMisfetch(Cycle now, DynInst &di, Redirect &resteer)
 }
 
 unsigned
-DecodeStage::tick(Cycle now, BoundedQueue<DynInst> &in,
-                  FetchBundle &out, Redirect &resteer)
+DecodeStage::tick(Cycle now, BoundedQueue<DynInst> &in, Redirect &resteer)
 {
     unsigned decoded = 0;
-    while (decoded < width && !in.empty() &&
-           in.front().readyAt <= now) {
-        DynInst di = in.pop();
+    while (decoded < width && decoded < in.size() &&
+           in.at(decoded).readyAt <= now) {
+        DynInst &di = in.at(decoded);
         ++decoded;
         ++st.insts;
 
@@ -131,7 +130,6 @@ DecodeStage::tick(Cycle now, BoundedQueue<DynInst> &in,
 
         if (observer)
             observer->onDecoded(di);
-        out.push_back(std::move(di));
 
         if (resteered)
             break; // younger instructions are being squashed

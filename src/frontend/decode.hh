@@ -11,8 +11,6 @@
 #ifndef ELFSIM_FRONTEND_DECODE_HH
 #define ELFSIM_FRONTEND_DECODE_HH
 
-#include <vector>
-
 #include "bpred/predictor_bank.hh"
 #include "common/queue.hh"
 #include "frontend/pipeline_types.hh"
@@ -47,17 +45,18 @@ class DecodeStage
     DecodeStage(unsigned width, PredictorBank &bank);
 
     /**
-     * Decode up to width instructions whose readyAt has passed from
-     * @a in into @a out.
+     * Decode, in place, up to width instructions at the front of
+     * @a in whose readyAt has passed. They stay in @a in: the caller
+     * takes the decoded prefix from its front.
      *
      * If a misfetch recovery is needed, @a resteer is filled (kind
      * DecodeResteer) and decoding stops at the resteering branch;
      * younger instructions are left for the core to squash.
      *
-     * @return instructions decoded.
+     * @return instructions decoded, i.e. the length of that prefix.
      */
     unsigned tick(Cycle now, BoundedQueue<DynInst> &in,
-                  FetchBundle &out, Redirect &resteer);
+                  Redirect &resteer);
 
     /** Attach the ELF observer (may be nullptr). */
     void setObserver(DecodeObserver *obs) { observer = obs; }

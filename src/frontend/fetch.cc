@@ -32,8 +32,6 @@ bindPrediction(DynInst &di, const FaqBranch *fb, bool btb_covered)
         di.predTaken = fb->predTaken;
         di.predTarget =
             fb->predTaken ? fb->target : di.si->nextPC();
-        di.tagePred = fb->tagePred;
-        di.ittagePred = fb->ittagePred;
     } else {
         // No explicit prediction: the front-end implicitly continued
         // sequentially.
@@ -62,7 +60,7 @@ bindPrediction(DynInst &di, const FaqBranch *fb, bool btb_covered)
 
 unsigned
 DecoupledFetchEngine::tick(Cycle now, Cycle faq_ready_cycle,
-                           FetchBundle &out)
+                           BoundedQueue<DynInst> &out)
 {
     if (now < busyUntil) {
         ++st.icacheStallCycles;
@@ -116,13 +114,20 @@ DecoupledFetchEngine::tick(Cycle now, Cycle faq_ready_cycle,
         if (ckpts.full())
             break;
 
-        DynInst di = supply.make(pc, now, FetchMode::Decoupled);
+        DynInst &di = out.pushSlot();
+        supply.make(di, pc, now, FetchMode::Decoupled);
         di.fetchBlockPC = entry.startPC;
         const FaqBranch *fb = entry.branchAt(offsetInEntry);
         bindPrediction(di, fb, !entry.fromBtbMiss);
 
-        if (di.isBranch())
+        if (di.isBranch()) {
             di.checkpointId = ckpts.allocate(di.seq, true);
+            if (fb) {
+                CheckpointPayload &p = ckpts.payload(di.checkpointId);
+                p.tage = fb->tagePred;
+                p.ittage = fb->ittagePred;
+            }
+        }
 
         ++produced;
         ++st.insts;
@@ -132,7 +137,6 @@ DecoupledFetchEngine::tick(Cycle now, Cycle faq_ready_cycle,
         const bool endsBlock = offsetInEntry + 1 == entry.numInsts;
         const bool takenEnd =
             endsBlock && entry.endCause == FaqBlockEnd::TakenBranch;
-        out.push_back(std::move(di));
 
         if (endsBlock) {
             faq.pop();

@@ -14,10 +14,9 @@
 #ifndef ELFSIM_FRONTEND_FETCH_HH
 #define ELFSIM_FRONTEND_FETCH_HH
 
-#include <vector>
-
 #include "bpred/checkpoint.hh"
 #include "cache/hierarchy.hh"
+#include "common/queue.hh"
 #include "frontend/faq.hh"
 #include "frontend/pipeline_types.hh"
 #include "frontend/supply.hh"
@@ -51,14 +50,15 @@ class DecoupledFetchEngine
                          CheckpointQueue &ckpts);
 
     /**
-     * Fetch up to width instructions from the FAQ into @a out.
+     * Fetch up to width instructions from the FAQ, appending them to
+     * @a out, which must have room for width more.
      * @param now Current cycle.
      * @param faq_ready_cycle BP1->FE latency: a block generated at
      *        cycle c is visible to FE from c + faq_ready_cycle.
      * @return instructions fetched this cycle.
      */
     unsigned tick(Cycle now, Cycle faq_ready_cycle,
-                  FetchBundle &out);
+                  BoundedQueue<DynInst> &out);
 
     /** Reset in-entry progress after a redirect/FAQ flush. */
     void redirect(Cycle now);
@@ -84,9 +84,9 @@ class DecoupledFetchEngine
 };
 
 /**
- * Attach the FAQ branch info (prediction, training payloads) to a
- * just-materialized instruction and derive its misprediction status.
- * Shared with the coupled engine's post-processing.
+ * Attach the FAQ branch info (the prediction) to a just-materialized
+ * instruction and derive its misprediction status. The training
+ * payload goes to the branch's checkpoint (DecoupledFetchEngine::tick).
  */
 void bindPrediction(DynInst &di, const FaqBranch *fb, bool btb_covered);
 

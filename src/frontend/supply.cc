@@ -6,10 +6,10 @@
 
 namespace elfsim {
 
-DynInst
-InstSupply::make(Addr pc, Cycle now, FetchMode mode)
+void
+InstSupply::make(DynInst &di, Addr pc, Cycle now, FetchMode mode)
 {
-    DynInst di;
+    di = DynInst{};
     di.seq = ++seqCounter;
     di.mode = mode;
     di.fetchCycle = now;
@@ -22,7 +22,7 @@ InstSupply::make(Addr pc, Cycle now, FetchMode mode)
         di.actualNext = oi.nextPC;
         di.memAddr = oi.memAddr;
         ++oracleCursor;
-        return di;
+        return;
     }
 
 #ifdef ELFSIM_TRACE_REDIRECTS
@@ -49,7 +49,6 @@ InstSupply::make(Addr pc, Cycle now, FetchMode mode)
     di.actualNext = di.si->nextPC();
     if (di.si->isMemInst())
         di.memAddr = walker.wrongPathMemAddr(*di.si, di.seq);
-    return di;
 }
 
 } // namespace elfsim

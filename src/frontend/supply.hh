@@ -32,16 +32,16 @@ class InstSupply
     {}
 
     /**
-     * Materialize the instruction at @a pc.
+     * Materialize the instruction at @a pc into @a di, overwriting all
+     * of it (fetch builds it in place, in its fetch-buffer slot).
      *
      * Correct-path instructions get their resolved outcome
      * (taken/target/memory address) from the oracle; wrong-path
      * instructions resolve branches to "whatever was predicted" (set
-     * by the caller) and sample wrong-path memory addresses.
-     *
-     * @return the instruction, or std::nullopt for a misaligned pc.
+     * by the caller) and sample wrong-path memory addresses. A
+     * misaligned wrong-path pc panics.
      */
-    DynInst make(Addr pc, Cycle now, FetchMode mode);
+    void make(DynInst &di, Addr pc, Cycle now, FetchMode mode);
 
     /** @return true iff the supply is latched on the wrong path. */
     bool onWrongPath() const { return wrongPath; }

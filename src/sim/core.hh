@@ -228,12 +228,9 @@ class Core
     std::unique_ptr<MemDepPredictor> memDep;
     std::unique_ptr<Backend> backendUnit;
 
+    /** Fetch appends here and decode works in place; the back end
+     *  takes each decoded instruction from the front. */
     std::unique_ptr<BoundedQueue<DynInst>> fetchToDecode;
-
-    /** Per-cycle scratch bundles, reused across ticks so the tick
-     *  loop performs no steady-state heap allocation. */
-    FetchBundle decodedScratch;
-    FetchBundle freshScratch;
 
     /** A flush waiting for its checkpoint payload (ELF). */
     Redirect heldRedirect;

@@ -90,3 +90,72 @@ TEST(CheckpointQueue, MixedRetireSquashStress)
         EXPECT_TRUE(q.has(id));
     }
 }
+
+namespace {
+
+/** A TAGE lookup distinguishable by its base index. */
+TagePrediction
+tageLookup(std::uint32_t base_index)
+{
+    TagePrediction tp;
+    tp.valid = true;
+    tp.taken = true;
+    tp.baseIndex = base_index;
+    return tp;
+}
+
+} // namespace
+
+TEST(CheckpointQueue, ReallocatedSquashedIdStartsWithAnEmptyPayload)
+{
+    CheckpointQueue q(4);
+    const auto a = q.allocate(10);
+    const auto b = q.allocate(20);
+    q.payload(b).tage = tageLookup(7);
+    q.payload(b).ittage.valid = true;
+    q.payload(b).ittage.target = 0x4000;
+    q.squashYoungerThan(15);
+
+    // The squashed id comes back, owned by a different branch.
+    const auto c = q.allocate(16);
+    ASSERT_EQ(c, b);
+    EXPECT_FALSE(q.payload(c).tage.valid);
+    EXPECT_EQ(q.payload(c).tage.baseIndex, 0u);
+    EXPECT_FALSE(q.payload(c).ittage.valid);
+    EXPECT_EQ(q.payload(c).ittage.target, invalidAddr);
+    EXPECT_FALSE(q.payload(a).tage.valid);
+}
+
+TEST(CheckpointQueue, LivePayloadSurvivesYoungerSquashesAndOlderRetires)
+{
+    // Capacity 4: once the older branch retires, the ids of later
+    // rounds wrap onto every other slot. The live branch must keep its
+    // own payload while its neighbours' slots are cleared and reused.
+    CheckpointQueue q(4);
+    SeqNum seq = 1;
+    q.allocate(seq++);
+    const auto live = q.allocate(seq++);
+    const SeqNum liveSeq = seq - 1;
+    q.payload(live).tage = tageLookup(42);
+    q.payload(live).ittage.valid = true;
+    q.payload(live).ittage.target = 0x8000;
+
+    for (int round = 0; round < 6; ++round) {
+        if (round == 2)
+            q.retireUpTo(liveSeq - 1);
+        while (!q.full()) {
+            const auto id = q.allocate(seq++);
+            EXPECT_FALSE(q.payload(id).tage.valid);
+            q.payload(id).tage = tageLookup(1000 + round);
+        }
+        q.squashYoungerThan(liveSeq);
+        ASSERT_TRUE(q.has(live));
+        EXPECT_EQ(q.payload(live).tage.baseIndex, 42u) << round;
+        EXPECT_EQ(q.payload(live).ittage.target, 0x8000u) << round;
+    }
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_TRUE(q.payload(live).tage.valid);
+    EXPECT_TRUE(q.payload(live).ittage.valid);
+    q.retireUpTo(liveSeq);
+    EXPECT_FALSE(q.has(live));
+}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/queue.hh"
 #include "core/coupled_predictors.hh"
 #include "frontend/coupled.hh"
 #include "frontend/supply.hh"
@@ -36,6 +37,13 @@ struct Rig
     }
 };
 
+/** A fetch buffer with room for every cycle a test runs. */
+BoundedQueue<DynInst>
+fetchBuffer()
+{
+    return BoundedQueue<DynInst>(256);
+}
+
 } // namespace
 
 TEST(CoupledEngine, FetchesSequentialUntilDecision)
@@ -43,7 +51,7 @@ TEST(CoupledEngine, FetchesSequentialUntilDecision)
     // L-ELF: pure sequential run ending at the loop conditional.
     Rig r(microSequentialLoop(20, 8), FrontendVariant::LElf);
     r.eng.start(r.prog.entryPC(), 399);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     for (Cycle c = 400; c < 410 && !r.eng.stalledOnControl(); ++c)
         r.eng.tick(c, out);
     ASSERT_TRUE(r.eng.stalledOnControl());
@@ -62,15 +70,15 @@ TEST(CoupledEngine, FollowsUnconditionalsWithBubble)
     for (unsigned i = 0; i < 4; ++i)
         r.mem.prefetchInst(r.prog.entryPC() + 64 * i, 0);
     r.eng.start(r.prog.entryPC(), 399);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     for (Cycle c = 400; c < 420; ++c)
         r.eng.tick(c, out);
     EXPECT_FALSE(r.eng.stalledOnControl());
     EXPECT_GT(out.size(), 20u);
     // Every 7th instruction is the followed jump.
-    EXPECT_TRUE(out[6].isBranch());
-    EXPECT_TRUE(out[6].hasPrediction);
-    EXPECT_TRUE(out[6].predTaken);
+    EXPECT_TRUE(out.at(6).isBranch());
+    EXPECT_TRUE(out.at(6).hasPrediction);
+    EXPECT_TRUE(out.at(6).predTaken);
     EXPECT_GT(r.eng.stats().takenBubbleCycles, 0u);
 }
 
@@ -88,7 +96,7 @@ TEST(CoupledEngine, UElfSpeculatesPastSaturatedCond)
         r.preds.bimodal().update(cond->pc, true);
 
     r.eng.start(r.prog.entryPC(), 399);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     for (Cycle c = 400; c < 412; ++c)
         r.eng.tick(c, out);
     EXPECT_FALSE(r.eng.stalledOnControl());
@@ -99,7 +107,7 @@ TEST(CoupledEngine, ChecksStallOnReturnWithoutRas)
 {
     Rig r(microRecursion(6, 4), FrontendVariant::CondElf);
     r.eng.start(r.prog.entryPC(), 399);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     for (Cycle c = 400; c < 430 && !r.eng.stalledOnControl(); ++c)
         r.eng.tick(c, out);
     // COND-ELF has no RAS: the first return (or the recursion guard
@@ -111,7 +119,7 @@ TEST(CoupledEngine, StopDeactivates)
 {
     Rig r(microSequentialLoop(20, 8), FrontendVariant::LElf);
     r.eng.start(r.prog.entryPC(), 399);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     r.eng.tick(400, out);
     r.eng.stop();
     EXPECT_FALSE(r.eng.active());
@@ -124,7 +132,7 @@ TEST(CoupledEngine, ResumeAtClearsStall)
 {
     Rig r(microSequentialLoop(20, 8), FrontendVariant::LElf);
     r.eng.start(r.prog.entryPC(), 399);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     for (Cycle c = 400; c < 410 && !r.eng.stalledOnControl(); ++c)
         r.eng.tick(c, out);
     ASSERT_TRUE(r.eng.stalledOnControl());
@@ -139,16 +147,16 @@ TEST(CoupledEngine, BranchesClaimPendingCheckpoints)
 {
     Rig r(microTakenChain(4, 6), FrontendVariant::LElf);
     r.eng.start(r.prog.entryPC(), 399);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     r.eng.tick(400, out);
     bool sawBranch = false;
-    for (const DynInst &di : out) {
+    out.forEach([&](const DynInst &di) {
         if (di.isBranch()) {
             sawBranch = true;
             EXPECT_NE(di.checkpointId, noCheckpoint);
             EXPECT_FALSE(r.ckpts.payloadReady(di.checkpointId))
                 << "coupled checkpoints start payload-pending";
         }
-    }
+    });
     EXPECT_TRUE(sawBranch);
 }

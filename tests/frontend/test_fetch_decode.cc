@@ -2,6 +2,7 @@
 
 #include "bpred/predictor_bank.hh"
 #include "cache/hierarchy.hh"
+#include "common/queue.hh"
 #include "frontend/decode.hh"
 #include "frontend/fetch.hh"
 #include "frontend/supply.hh"
@@ -48,6 +49,13 @@ struct Rig
     }
 };
 
+/** A fetch buffer with room for many fetch cycles. */
+BoundedQueue<DynInst>
+fetchBuffer()
+{
+    return BoundedQueue<DynInst>(64);
+}
+
 } // namespace
 
 TEST(FetchEngine, FetchesWidthFromOneBlock)
@@ -58,13 +66,13 @@ TEST(FetchEngine, FetchesWidthFromOneBlock)
     r.mem.prefetchInst(r.prog.entryPC(), 0);
     r.mem.prefetchInst(r.prog.entryPC() + 64, 0);
 
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     const unsigned n = r.fetch.tick(400, 0, out);
     EXPECT_EQ(n, 8u);
     for (unsigned i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i].pc(), r.prog.entryPC() + instsToBytes(i));
-        EXPECT_FALSE(out[i].wrongPath);
-        EXPECT_EQ(out[i].mode, FetchMode::Decoupled);
+        EXPECT_EQ(out.at(i).pc(), r.prog.entryPC() + instsToBytes(i));
+        EXPECT_FALSE(out.at(i).wrongPath);
+        EXPECT_EQ(out.at(i).mode, FetchMode::Decoupled);
     }
 }
 
@@ -72,7 +80,7 @@ TEST(FetchEngine, ColdMissStallsFetch)
 {
     Rig r(microSequentialLoop(40, 16));
     r.pushBlock(r.prog.entryPC(), 16);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     EXPECT_EQ(r.fetch.tick(1, 0, out), 0u);
     EXPECT_TRUE(r.fetch.stalled(2));
 }
@@ -82,7 +90,7 @@ TEST(FetchEngine, RespectsFaqVisibilityLatency)
     Rig r(microSequentialLoop(40, 16));
     r.pushBlock(r.prog.entryPC(), 16, /*gen=*/400);
     r.mem.prefetchInst(r.prog.entryPC(), 0); // fill completes ~301
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     // At cycle 401 the block (gen 400, BP1->FE 3) is not yet visible.
     EXPECT_EQ(r.fetch.tick(401, 3, out), 0u);
     EXPECT_GT(r.fetch.tick(403, 3, out), 0u);
@@ -97,13 +105,13 @@ TEST(FetchEngine, WrongPathLatchesOnDivergentBlock)
     r.pushBlock(r.prog.entryPC(), 16);
     r.mem.prefetchInst(r.prog.entryPC(), 0);
     r.mem.prefetchInst(r.prog.entryPC() + 64, 0);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     r.fetch.tick(400, 0, out);
     r.fetch.tick(401, 0, out);
     ASSERT_GE(out.size(), 15u);
-    EXPECT_FALSE(out[13].wrongPath);
-    EXPECT_TRUE(out[13].taken);
-    EXPECT_TRUE(out[14].wrongPath);
+    EXPECT_FALSE(out.at(13).wrongPath);
+    EXPECT_TRUE(out.at(13).taken);
+    EXPECT_TRUE(out.at(14).wrongPath);
     EXPECT_TRUE(r.supply.onWrongPath());
 }
 
@@ -123,12 +131,12 @@ TEST(FetchEngine, MispredictFlaggedAgainstOracle)
     r.faq.push(e);
     r.mem.prefetchInst(r.prog.entryPC(), 0);
 
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     r.fetch.tick(400, 0, out);
     ASSERT_GE(out.size(), 3u);
-    EXPECT_TRUE(out[2].isBranch());
-    EXPECT_TRUE(out[2].hasPrediction);
-    EXPECT_TRUE(out[2].mispredict);
+    EXPECT_TRUE(out.at(2).isBranch());
+    EXPECT_TRUE(out.at(2).hasPrediction);
+    EXPECT_TRUE(out.at(2).mispredict);
 }
 
 TEST(FetchEngine, ChecksCheckpointCapacity)
@@ -139,7 +147,7 @@ TEST(FetchEngine, ChecksCheckpointCapacity)
         small.ckpts.allocate(1);
     small.pushBlock(small.prog.entryPC(), 8);
     small.mem.prefetchInst(small.prog.entryPC(), 0);
-    FetchBundle out;
+    BoundedQueue<DynInst> out = fetchBuffer();
     EXPECT_EQ(small.fetch.tick(300, 0, out), 0u);
 }
 
@@ -154,28 +162,26 @@ TEST(DecodeStage, ResteersOnUncoveredUncond)
     r.pushBlock(r.prog.entryPC(), 16, 0, true);
     r.mem.prefetchInst(r.prog.entryPC(), 0);
     r.mem.prefetchInst(r.prog.entryPC() + 64, 0);
-    FetchBundle fetched;
-    r.fetch.tick(400, 0, fetched);
-    r.fetch.tick(401, 0, fetched);
-
     BoundedQueue<DynInst> buf(24);
-    for (DynInst &di : fetched) {
-        di.readyAt = 402;
-        buf.push(std::move(di));
-    }
+    r.fetch.tick(400, 0, buf);
+    r.fetch.tick(401, 0, buf);
+    buf.forEach([](DynInst &di) { di.readyAt = 402; });
 
-    FetchBundle decoded;
     Redirect resteer;
-    dec.tick(402, buf, decoded, resteer);
+    const unsigned decoded = dec.tick(402, buf, resteer);
     ASSERT_TRUE(resteer.pending());
     EXPECT_EQ(resteer.kind, RedirectKind::DecodeResteer);
     // The jump sits at offset 4; its decoded target is block 1.
     EXPECT_EQ(resteer.targetPC,
               r.prog.entryPC() + instsToBytes(5));
-    // Decode stopped at the resteering branch.
-    EXPECT_TRUE(decoded.back().isBranch());
-    EXPECT_TRUE(decoded.back().hasPrediction);
-    EXPECT_FALSE(decoded.back().mispredict);
+    // Decode stopped at the resteering branch, which it decoded in
+    // place; the younger instructions are still queued behind it.
+    ASSERT_EQ(decoded, 5u);
+    EXPECT_GT(buf.size(), decoded);
+    const DynInst &jump = buf.at(decoded - 1);
+    EXPECT_TRUE(jump.isBranch());
+    EXPECT_TRUE(jump.hasPrediction);
+    EXPECT_FALSE(jump.mispredict);
 }
 
 TEST(DecodeStage, NoResteerForCoveredBranches)
@@ -197,15 +203,10 @@ TEST(DecodeStage, NoResteerForCoveredBranches)
     r.faq.push(e);
     r.mem.prefetchInst(r.prog.entryPC(), 0);
 
-    FetchBundle fetched;
-    r.fetch.tick(400, 0, fetched);
     BoundedQueue<DynInst> buf(24);
-    for (DynInst &di : fetched) {
-        di.readyAt = 401;
-        buf.push(std::move(di));
-    }
-    FetchBundle decoded;
+    r.fetch.tick(400, 0, buf);
+    buf.forEach([](DynInst &di) { di.readyAt = 401; });
     Redirect resteer;
-    dec.tick(401, buf, decoded, resteer);
+    EXPECT_EQ(dec.tick(401, buf, resteer), buf.size());
     EXPECT_FALSE(resteer.pending());
 }
