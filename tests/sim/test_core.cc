@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "sim/core.hh"
 #include "sim/runner.hh"
 #include "workload/builders.hh"
+#include "workload/program_builder.hh"
 
 using namespace elfsim;
 
@@ -145,4 +147,22 @@ TEST(CoreBehavior, ElfCoupledPeriodsTrackFlushes)
     core.run(50000);
     EXPECT_GT(core.elf().stats().coupledPeriods, 10u);
     EXPECT_GT(core.elf().stats().switches, 10u);
+}
+
+TEST(CoreBehavior, SlowProducerChainHoldsDecodeAsRobFull)
+{
+    // A loop of dependent divides: commit retires one per divide
+    // latency while fetch delivers a full group every cycle, so the
+    // ROB fills and decode is held until commit frees a group's room.
+    ProgramBuilder b;
+    b.beginBlock();
+    for (int i = 0; i < 8; ++i)
+        b.addOp(InstClass::IntDiv, 5, 5);
+    b.endJump(0);
+    const Program p = b.finalize("div_chain");
+    Core core(makeConfig(FrontendVariant::Dcf), p);
+    core.run(2000);
+    const BackendStats &be = core.backend().stats();
+    EXPECT_GT(be.robFullCycles, core.cycles() / 2);
+    EXPECT_LT(be.robFullCycles, core.cycles());
 }
