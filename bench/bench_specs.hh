@@ -7,8 +7,7 @@
  *
  * Keeping the grids here, as data, is what makes `--dump-spec` exact:
  * the JSON a bench archives next to its results re-runs the identical
- * grid through any SweepSpec consumer (the bench itself via `--spec`,
- * or the elfsimd daemon).
+ * grid through `--spec` on any bench.
  */
 
 #ifndef ELFSIM_BENCH_BENCH_SPECS_HH

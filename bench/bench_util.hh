@@ -82,7 +82,7 @@ struct Options
 /**
  * A bench-specific flag handled inside the common option loop, so it
  * shares the uniform `--help` text and unknown-flag exit-2 semantics
- * (bench_throughput's --stride/--sampled, server_capacity's --hammer).
+ * (bench_throughput's --stride/--sampled).
  */
 struct LocalFlag
 {
@@ -160,8 +160,8 @@ printUsage(const char *argv0, std::FILE *to,
         "generic table)\n"
         "  --dump-spec PATH  write the resolved grid as an elfsim-"
         "sweepspec-v1 JSON\n"
-        "                  document (re-runnable via --spec or "
-        "elfsimd), then run\n",
+        "                  document (re-runnable via --spec), then "
+        "run\n",
         argv0, (unsigned long long)Options().warmupInsts,
         (unsigned long long)Options().measureInsts);
     for (const LocalFlag &f : locals)

@@ -23,13 +23,7 @@ Usage:
 
     scripts/check_results.py --spec FILE [FILE ...]
         Schema-check elfsim-sweepspec-v1 documents (a bench's
-        --dump-spec archive, or a request body for elfsimd).
-
-    scripts/check_results.py --stream FILE [FILE ...]
-        Validate a possibly-truncated elfsim-results-v2 stream, as
-        captured from an interrupted `POST /sweep` response: the
-        prefix up to the last complete result object must be a valid
-        document. A complete stream gets the full results check.
+        --dump-spec archive).
 
 Exits non-zero on the first violation. Stdlib only.
 """
@@ -89,7 +83,7 @@ def fail(path, msg):
     sys.exit(1)
 
 
-def check_document(path, doc, allow_failed=0, quiet=False):
+def check_document(path, doc, allow_failed=0):
     if not isinstance(doc, dict):
         fail(path, "top level is not an object")
     if doc.get("schema") != SCHEMA:
@@ -201,8 +195,6 @@ def check_document(path, doc, allow_failed=0, quiet=False):
                       f"{r['status']}: {r['error']}", file=sys.stderr)
         fail(path, f"{n_not_ok} cells not ok (allowed {allow_failed})")
 
-    if quiet:
-        return
     n_timelines = sum(1 for r in results if r["timeline"])
     note = f", {n_not_ok} not ok" if n_not_ok else ""
     print(f"{path}: OK ({len(results)} results, "
@@ -373,46 +365,6 @@ def check_spec_document(path, doc):
           f"{n_configs} config rows)")
 
 
-def check_stream_document(path, text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if doc is not None:
-        check_document(path, doc)
-        return
-    # Truncated mid-stream: repair by closing the results array after
-    # the last complete result object and re-validating the prefix.
-    # A stream cut before the first cell completed ends right after
-    # the opening of the array — closing it directly handles that.
-    try:
-        doc = json.loads(text.rstrip().rstrip(",") + "]}")
-    except json.JSONDecodeError:
-        for i in range(len(text) - 1, -1, -1):
-            if text[i] != "}":
-                continue
-            try:
-                doc = json.loads(text[:i + 1] + "]}")
-                break
-            except json.JSONDecodeError:
-                continue
-    if doc is None or not isinstance(doc, dict):
-        fail(path, "no valid elfsim-results-v2 prefix found")
-    if doc.get("schema") != SCHEMA:
-        fail(path, f"stream prefix schema is {doc.get('schema')!r}, "
-                   f"expected {SCHEMA!r}")
-    results = doc.get("results")
-    if not isinstance(results, list):
-        fail(path, "stream prefix carries no 'results' array")
-    if results:
-        # The complete prefix must satisfy every per-result invariant
-        # (truncated cells may legitimately be failed/cancelled).
-        check_document(path, doc, allow_failed=len(results),
-                       quiet=True)
-    print(f"{path}: OK (truncated stream, {len(results)} complete "
-          f"results)")
-
-
 def check_throughput_document(path, doc):
     if not isinstance(doc, dict):
         fail(path, "top level is not an object")
@@ -500,9 +452,6 @@ def main():
     ap.add_argument("--spec", action="store_true",
                     help="validate elfsim-sweepspec-v1 documents "
                          "instead of results documents")
-    ap.add_argument("--stream", action="store_true",
-                    help="validate possibly-truncated elfsim-results-"
-                         "v2 streams (elfsimd /sweep captures)")
     ap.add_argument("--baseline", metavar="BASE",
                     help="with --throughput: fail on a >10%% geomean "
                          "MIPS regression versus this baseline")
@@ -513,22 +462,12 @@ def main():
 
     if args.baseline and not args.throughput:
         ap.error("--baseline requires --throughput")
-    if sum((args.throughput, args.spec, args.stream, args.compare)) > 1:
-        ap.error("--throughput/--spec/--stream/--compare "
-                 "are mutually exclusive")
+    if sum((args.throughput, args.spec, args.compare)) > 1:
+        ap.error("--throughput/--spec/--compare are mutually exclusive")
 
     if args.spec:
         for path in args.files:
             check_spec_document(path, load(path))
-        return
-
-    if args.stream:
-        for path in args.files:
-            try:
-                with open(path) as f:
-                    check_stream_document(path, f.read())
-            except OSError as e:
-                fail(path, str(e))
         return
 
     if args.throughput:

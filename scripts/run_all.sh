@@ -64,15 +64,6 @@ for b in build/bench/*; do
     echo "######## $b"
     status=0
     case "$name" in
-        bench_micro_components)
-            # google-benchmark binary: rejects unknown flags.
-            "$b" || status=$?
-            ;;
-        elfsimd)
-            # Long-running daemon, not a batch experiment — it would
-            # block the campaign. test_service covers it in-process.
-            echo "skipping daemon binary (see test_service)"
-            ;;
         bench_fig2_timing|bench_table1_workloads|bench_table2_config)
             # Characterization tables: no RunResults to export.
             "$b" --jobs "$JOBS" --trace-cache "$TRACE_CACHE" \
@@ -104,7 +95,7 @@ for b in build/bench/*; do
         *)
             # --dump-spec archives the exact declarative grid next to
             # the results: the pair re-runs bit-identically later via
-            # `--spec FILE` or a `POST /sweep` to elfsimd.
+            # `--spec FILE`.
             CURRENT_ARTIFACT="$RESULTS/$name.json"
             "$b" --jobs "$JOBS" --json "$RESULTS/$name.json" \
                  --dump-spec "$RESULTS/$name.spec.json" \

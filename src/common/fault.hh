@@ -189,7 +189,7 @@ class FaultInjector
     void disarm() { arm({}); }
 
     /** True when any fault is armed (thread-safe: tests re-arm while
-     *  service threads poll concurrently). */
+     *  sweep worker threads poll concurrently). */
     bool
     armed() const
     {
@@ -235,8 +235,8 @@ class FaultInjector
     bool matchesCurrentJob(FaultKind kind) const;
 
     std::vector<FaultSpec> armedFaults;
-    /** Guards armedFaults: arm() runs from test threads while service
-     *  threads poll. (mutable: the read-side hooks are const.) */
+    /** Guards armedFaults: arm() runs from test threads while sweep
+     *  worker threads poll. (mutable: the read-side hooks are const.) */
     mutable std::mutex mtx;
 };
 

@@ -197,38 +197,10 @@ writeSweepJson(std::ostream &os, const std::vector<RunResult> &results,
     w.endObject();
 }
 
-ResultsStreamWriter::ResultsStreamWriter(std::ostream &os) : w(os)
-{
-    w.beginObject();
-    w.field("schema", "elfsim-results-v2");
-    w.key("results");
-    w.beginArray();
-}
-
-void
-ResultsStreamWriter::add(const RunResult &r)
-{
-    ELFSIM_ASSERT(!done, "add() on a finished results stream");
-    writeRunResult(w, r);
-}
-
-void
-ResultsStreamWriter::finish()
-{
-    if (done)
-        return;
-    done = true;
-    w.endArray();
-    w.endObject();
-}
-
 void
 writeResultsJson(std::ostream &os, const std::vector<RunResult> &results)
 {
-    ResultsStreamWriter s(os);
-    for (const RunResult &r : results)
-        s.add(r);
-    s.finish();
+    writeSweepJson(os, results);
 }
 
 void

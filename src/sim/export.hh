@@ -84,35 +84,6 @@ void writeSweepJson(std::ostream &os,
 void writeResultsJson(std::ostream &os,
                       const std::vector<RunResult> &results);
 
-/**
- * Incremental writer for the results-only elfsim-results-v2 document:
- * the constructor opens the document ("schema" + the "results" array),
- * add() appends one result object, finish() closes the document. The
- * bytes accumulated after finish() are byte-identical to
- * writeResultsJson() of the same results in the same order — the
- * invariant the sweep service's streamed responses rely on
- * (writeResultsJson is implemented on top of this class). Results must
- * be added in submission order; the caller buffers out-of-order
- * completions.
- */
-class ResultsStreamWriter
-{
-  public:
-    explicit ResultsStreamWriter(std::ostream &os);
-
-    /** Append the next result object (must not be finished). */
-    void add(const RunResult &r);
-
-    /** Close the document; idempotent. */
-    void finish();
-
-    bool finished() const { return done; }
-
-  private:
-    JsonWriter w;
-    bool done = false;
-};
-
 /** Flat CSV: header from forEachField, one row per result. */
 void writeResultsCsv(std::ostream &os,
                      const std::vector<RunResult> &results);

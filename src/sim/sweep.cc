@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <deque>
@@ -99,9 +102,18 @@ SweepRunner::resolveJobs(unsigned requested)
     if (requested)
         return requested;
     if (const char *env = std::getenv("ELFSIM_JOBS")) {
-        const unsigned long n = std::strtoul(env, nullptr, 10);
-        if (n >= 1)
+        // The --jobs rules: the whole string is a decimal from 1 to
+        // UINT_MAX. A sign, trailing junk or overflow must never turn
+        // into a silently wrapped or truncated thread count.
+        errno = 0;
+        char *end = nullptr;
+        const unsigned long long n = std::strtoull(env, &end, 10);
+        if (std::isdigit(static_cast<unsigned char>(*env)) &&
+            *end == '\0' && errno != ERANGE && n >= 1 && n <= UINT_MAX)
             return static_cast<unsigned>(n);
+        ELFSIM_WARN("ELFSIM_JOBS='%s' is not a thread count from 1 to "
+                    "%u; using hardware concurrency",
+                    env, UINT_MAX);
     }
     return ThreadPool::hardwareThreads();
 }
@@ -169,16 +181,6 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
     std::vector<RunResult> results(grid.size());
     jobSeconds.assign(grid.size(), 0.0);
 
-    // Completion observer: serialized, fired once per finished cell
-    // (including resume-adopted cells) in completion order.
-    std::mutex observerMtx;
-    auto notify = [&](std::size_t i) {
-        if (!cellObserver)
-            return;
-        std::lock_guard<std::mutex> lk(observerMtx);
-        cellObserver(i, results[i]);
-    };
-
     // Resume: adopt ok cells journaled by a previous (killed) run.
     // Identity check is index + jobKey, so a manifest from a
     // different grid or seed silently re-runs everything it cannot
@@ -206,7 +208,6 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
                     continue;
                 results[e.index] = std::move(e.result);
                 done[e.index] = 1;
-                notify(e.index);
                 ++reused;
             }
             ELFSIM_INFORM("resume: reusing %zu of %zu cells from '%s'",
@@ -274,13 +275,12 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
     auto runOne = [&](std::size_t i) {
         JobWatch &watch = watches[i];
 
-        if (interruptRequested() || pol.cancelRequested()) {
+        if (interruptRequested()) {
             results[i] = degradedResult(
                 grid[i], JobStatus::Cancelled,
                 "sweep interrupted before job started", 0);
             watch.phase.store(2, std::memory_order_release);
             journal(i);
-            notify(i);
             return;
         }
 
@@ -329,7 +329,6 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
         }
         watch.phase.store(2, std::memory_order_release);
         journal(i);
-        notify(i);
     };
 
     // Watchdog monitor: one background thread scanning every running
@@ -337,16 +336,12 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
     // atomic flag; all clock arithmetic lives here.
     std::atomic<bool> stopMonitor{false};
     std::thread monitor;
-    const bool needMonitor = pol.watchdogEnabled() ||
-                             handlersInstalled.load() ||
-                             pol.cancelFlag != nullptr;
-    if (needMonitor) {
+    if (pol.watchdogEnabled() || handlersInstalled.load()) {
         monitor = std::thread([&] {
             while (!stopMonitor.load(std::memory_order_acquire)) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(10));
-                const bool interrupted =
-                    interruptRequested() || pol.cancelRequested();
+                const bool interrupted = interruptRequested();
                 const std::int64_t now = nowMs();
                 for (std::size_t i = 0; i < watches.size(); ++i) {
                     JobWatch &w = watches[i];

@@ -29,11 +29,8 @@
 #ifndef ELFSIM_SIM_SWEEP_HH
 #define ELFSIM_SIM_SWEEP_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -107,28 +104,10 @@ struct SweepPolicy
      *  to the manifest. */
     bool resume = false;
 
-    /**
-     * Per-sweep cooperative cancellation (the sweep service's client-
-     * disconnect path): when set and raised, the watchdog monitor
-     * cancels every in-flight job and queued jobs degrade to
-     * cancelled cells — exactly the process-wide interrupt behavior,
-     * but scoped to this one sweep instead of the whole process.
-     * Null (the default) disables the check.
-     */
-    std::shared_ptr<std::atomic<bool>> cancelFlag;
-
     bool
     watchdogEnabled() const
     {
         return deadlineSeconds > 0 || stallSeconds > 0;
-    }
-
-    /** Has this sweep's private cancel flag been raised? */
-    bool
-    cancelRequested() const
-    {
-        return cancelFlag &&
-               cancelFlag->load(std::memory_order_acquire);
     }
 };
 
@@ -153,22 +132,6 @@ class SweepRunner
     void setPolicy(SweepPolicy p) { pol = std::move(p); }
 
     const SweepPolicy &policy() const { return pol; }
-
-    /**
-     * Observer invoked once per finished cell — (submission index,
-     * merged result) — as cells complete, including cells adopted
-     * from a resume manifest. Calls are serialized (one at a time,
-     * under an internal mutex) but arrive in completion order, not
-     * submission order; the sweep service reorders them into its
-     * incremental result stream. An empty function (default)
-     * disables the hook.
-     */
-    void
-    setCellObserver(
-        std::function<void(std::size_t, const RunResult &)> fn)
-    {
-        cellObserver = std::move(fn);
-    }
 
     /**
      * Run every job and return results indexed by submission order.
@@ -263,7 +226,8 @@ class SweepRunner
     void printTimingSummary(std::ostream &os) const;
 
     /** Resolve a thread count: @a requested, else $ELFSIM_JOBS, else
-     *  hardware concurrency; never less than 1. */
+     *  hardware concurrency; never less than 1. An $ELFSIM_JOBS that
+     *  is not a decimal from 1 to UINT_MAX warns and is ignored. */
     static unsigned resolveJobs(unsigned requested = 0);
 
   private:
@@ -276,7 +240,6 @@ class SweepRunner
     WarmStats lastWarmStats;    ///< warming kernel activity, last run
     std::vector<RunResult> lastResults; ///< merged results, last run
     std::vector<double> jobSeconds; ///< per-job wall-clocks, last run
-    std::function<void(std::size_t, const RunResult &)> cellObserver;
 };
 
 } // namespace elfsim

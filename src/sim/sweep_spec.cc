@@ -1,5 +1,6 @@
 #include "sim/sweep_spec.hh"
 
+#include <climits>
 #include <fstream>
 #include <sstream>
 #include <type_traits>
@@ -520,6 +521,20 @@ parseRunOptions(const json::Value &v)
     return o;
 }
 
+/** A policy duration, held to the CLI's --deadline/--stall bounds:
+ *  finite seconds from 0 to 1e12. A negative value would otherwise
+ *  turn the watchdog off without a word. */
+double
+policySeconds(const json::Value &v, const std::string &key)
+{
+    const double s = v.asDouble();
+    if (!(s >= 0) || s > 1e12)
+        throw ConfigError(errorf(
+            "policy.%s must be seconds from 0 to 1e12 (got %g)",
+            key.c_str(), s));
+    return s;
+}
+
 SweepPolicy
 parsePolicy(const json::Value &v)
 {
@@ -534,13 +549,17 @@ parsePolicy(const json::Value &v)
                                   "supported (strict sweep mode was "
                                   "removed; failed cells always degrade)");
         } else if (k == "deadline_seconds")
-            p.deadlineSeconds = val.asDouble();
+            p.deadlineSeconds = policySeconds(val, k);
         else if (k == "stall_seconds")
-            p.stallSeconds = val.asDouble();
-        else if (k == "max_retries")
-            p.maxRetries =
-                static_cast<unsigned>(numberU64(val, k));
-        else if (k == "manifest_path")
+            p.stallSeconds = policySeconds(val, k);
+        else if (k == "max_retries") {
+            const std::uint64_t n = numberU64(val, k);
+            if (n > UINT_MAX)
+                throw ConfigError(errorf(
+                    "policy.max_retries must be at most %u (got %llu)",
+                    UINT_MAX, static_cast<unsigned long long>(n)));
+            p.maxRetries = static_cast<unsigned>(n);
+        } else if (k == "manifest_path")
             p.manifestPath = val.asString();
         else if (k == "resume")
             p.resume = val.asBool();

@@ -17,8 +17,8 @@
  *
  * The spec is pure data: parseSweepSpec/writeSweepSpec round-trip a
  * spec byte-exactly (canonical serialization always emits every
- * field), so a grid can be archived beside its results, shipped to
- * the elfsimd daemon, or re-run bit-identically later.
+ * field), so a grid can be archived beside its results and re-run
+ * bit-identically later.
  *
  * JSON schema (validated by scripts/check_results.py --spec):
  *

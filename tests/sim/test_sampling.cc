@@ -164,13 +164,27 @@ TEST(Sampling, SampledIpcWithinReportedBoundAcrossCatalog)
     full.measureInsts = 150000;
     const RunOptions so = sampledOpts(150000, 5000, 2000, 500);
 
-    unsigned wi = 0;
-    for (const WorkloadSpec &w : workloadCatalog()) {
-        if (wi++ % kCatalogStride != 0)
-            continue;
-        Program p = buildWorkload(w);
-        const RunResult f = runVariant(p, FrontendVariant::UElf, full);
-        const RunResult s = runVariant(p, FrontendVariant::UElf, so);
+    // Every (full, sampled) pair runs as one parallel grid. The
+    // programs must outlive the sweep, so reserve: no reallocation
+    // may move one out from under a job.
+    const std::vector<WorkloadSpec> &catalog = workloadCatalog();
+    std::vector<Program> programs;
+    programs.reserve(catalog.size());
+    std::vector<SweepJob> grid;
+    for (std::size_t wi = 0; wi < catalog.size(); wi += kCatalogStride) {
+        programs.push_back(buildWorkload(catalog[wi]));
+        grid.push_back(
+            makeVariantJob(programs.back(), FrontendVariant::UElf, full));
+        grid.push_back(
+            makeVariantJob(programs.back(), FrontendVariant::UElf, so));
+    }
+    SweepRunner runner;
+    const std::vector<RunResult> res = runner.run(grid);
+
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        const WorkloadSpec &w = catalog[i * kCatalogStride];
+        const RunResult &f = res[2 * i];
+        const RunResult &s = res[2 * i + 1];
 
         ASSERT_GT(f.ipc, 0.0) << w.name;
         ASSERT_TRUE(s.sampled) << w.name;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "sim/export.hh"
 #include "sim/sweep.hh"
 #include "workload/builders.hh"
@@ -152,6 +154,21 @@ TEST(Sweep, ResolveJobsPrecedence)
     // Garbage / unset falls back to hardware concurrency (>= 1).
     ::setenv("ELFSIM_JOBS", "zero", 1);
     EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
+
+    // The --jobs rules: a whole-string decimal from 1 to UINT_MAX.
+    // A sign, trailing junk or overflow falls back to the hardware
+    // count instead of wrapping or truncating.
+    ::setenv("ELFSIM_JOBS", "4294967295", 1);
+    EXPECT_EQ(SweepRunner::resolveJobs(0), UINT_MAX);
+    const unsigned hw = ThreadPool::hardwareThreads();
+    for (const char *bad : {"zero", "0", "-1", "+3", " 3", "3abc", "",
+                            "4294967296", "4294967297",
+                            "99999999999999999999999"}) {
+        ::setenv("ELFSIM_JOBS", bad, 1);
+        EXPECT_EQ(SweepRunner::resolveJobs(0), hw)
+            << "ELFSIM_JOBS='" << bad << "'";
+    }
+
     ::unsetenv("ELFSIM_JOBS");
     EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
 }

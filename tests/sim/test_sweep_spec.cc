@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -139,6 +140,40 @@ TEST(SweepSpecJson, UnknownFieldIsAParseError)
                      "{\"schema\":\"elfsim-sweepspec-v1\","
                      "\"policy\":{\"keep_going\":false}}"),
                  ConfigError);
+}
+
+TEST(SweepSpecJson, PolicyOutsideTheCliBoundsRejected)
+{
+    const auto spec = [](const std::string &policy) {
+        return "{\"schema\":\"elfsim-sweepspec-v1\",\"policy\":{" +
+               policy + "}}";
+    };
+    // The --deadline/--stall/--retries bounds apply to specs too: a
+    // negative duration would switch the watchdog off, and a retry
+    // count past UINT_MAX would wrap to a small one.
+    for (const char *bad :
+         {"\"deadline_seconds\":-5", "\"stall_seconds\":-1",
+          "\"deadline_seconds\":1e13", "\"stall_seconds\":1e400",
+          "\"max_retries\":4294967296", "\"max_retries\":4294967297"})
+        EXPECT_THROW(parseSweepSpec(spec(bad)), ConfigError) << bad;
+
+    // The error names the field.
+    try {
+        parseSweepSpec(spec("\"stall_seconds\":-1"));
+        ADD_FAILURE() << "negative stall_seconds parsed";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("policy.stall_seconds"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The bounds themselves still parse.
+    const SweepSpec edge = parseSweepSpec(
+        spec("\"deadline_seconds\":1e12,\"stall_seconds\":0,"
+             "\"max_retries\":4294967295"));
+    EXPECT_EQ(edge.policy.deadlineSeconds, 1e12);
+    EXPECT_EQ(edge.policy.stallSeconds, 0.0);
+    EXPECT_EQ(edge.policy.maxRetries, UINT_MAX);
 }
 
 TEST(SweepSpecJson, MissingOrWrongSchemaRejected)

@@ -1,8 +1,8 @@
 /**
  * @file
- * CLI-contract test: every experiment harness (and the daemon, and
- * the examples) exits 0 on `--help` and 2 on an unknown flag — the
- * uniform usage-error semantics scripts and run_all.sh rely on.
+ * CLI-contract test: every experiment harness (and the examples that
+ * share its parser) exits 0 on `--help` and 2 on an unknown flag —
+ * the uniform usage-error semantics scripts and run_all.sh rely on.
  *
  * The binary locations come from the ELFSIM_BENCH_DIR /
  * ELFSIM_EXAMPLES_DIR environment variables, which the ctest
@@ -58,7 +58,7 @@ TEST(BenchCli, HelpExitsZeroAndUnknownFlagExitsTwo)
           "bench_fig6_nodcf", "bench_fig7_elf_variants",
           "bench_fig8_lelf_uelf", "bench_fig9_geomean",
           "bench_ablation_elf", "bench_ablation_dcf",
-          "bench_throughput", "elfsimd"})
+          "bench_throughput"})
         expectUniformCli(benchDir, name);
 }
 
