@@ -5,8 +5,9 @@
  * workload catalog, checkpointed re-runs are byte-identical to cold
  * runs (and actually hit), corrupt or injected-fault checkpoint
  * artifacts fall back to fast-forward transparently, bad schedules
- * are rejected up front, and a sampled sweep exports identically at
- * any thread count.
+ * are rejected up front, a sampled sweep exports identically at any
+ * thread count, and the warm-state checkpoint payload is pinned byte
+ * for byte.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +15,14 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/fault.hh"
+#include "common/hash.hh"
+#include "common/serialize.hh"
 #include "sim/config.hh"
 #include "sim/export.hh"
 #include "sim/runner.hh"
@@ -375,4 +379,78 @@ TEST(Sampling, SampledSweepReportsCkptStats)
     again.run(grid);
     EXPECT_GT(again.ckptStats().hits, 0u);
     EXPECT_EQ(again.ckptStats().saves, 0u);
+}
+
+namespace {
+
+/** One pinned warm-state payload: workload x variant -> digest. */
+struct WarmStatePin
+{
+    const char *workload;
+    FrontendVariant variant;
+    std::size_t bytes;
+    std::uint64_t digest;
+};
+
+/** A core after a detailed run, a quiesce and a fast-forward: every
+ *  counter and warm structure the payload carries has moved by then. */
+std::unique_ptr<Core>
+warmedCore(const Program &p, FrontendVariant v)
+{
+    auto core = std::make_unique<Core>(makeConfig(v), p);
+    core->run(20000);
+    core->squashToCommitted();
+    core->fastForward(30000);
+    return core;
+}
+
+std::vector<std::uint8_t>
+warmStateBytes(const Core &core)
+{
+    Serializer s;
+    core.saveWarmState(s);
+    return s.data();
+}
+
+} // namespace
+
+// Checkpoint payloads are compared byte for byte across refactors of
+// the counter plumbing: a moved, dropped or added field changes the
+// digest. A mismatch prints the table line to paste — re-pin only
+// for an intentional layout change (which also bumps the checkpoint
+// format version).
+TEST(Sampling, WarmStatePayloadBytesArePinned)
+{
+    constexpr FrontendVariant Dcf = FrontendVariant::Dcf;
+    constexpr FrontendVariant UElf = FrontendVariant::UElf;
+    const WarmStatePin pins[] = {
+        {"641.leela", Dcf, 3752639, 0x732fde8348414e07ull},
+        {"641.leela", UElf, 3752639, 0xcb2cc20b01da17a3ull},
+        {"605.mcf", Dcf, 3752615, 0x9a0117dc1fd6c722ull},
+        {"605.mcf", UElf, 3752615, 0xc1024d3ba612907aull},
+        {"srv1.subtest_1", Dcf, 3756079, 0x71eefe1e27862022ull},
+        {"srv1.subtest_1", UElf, 3756079, 0x41a3a2526ff78d24ull},
+    };
+    for (const WarmStatePin &pin : pins) {
+        const Program p = buildWorkload(*findWorkload(pin.workload));
+        const std::unique_ptr<Core> core = warmedCore(p, pin.variant);
+        const std::vector<std::uint8_t> bytes = warmStateBytes(*core);
+        const std::uint64_t digest = fnv1a(bytes.data(), bytes.size());
+        EXPECT_EQ(bytes.size(), pin.bytes) << pin.workload;
+        EXPECT_EQ(digest, pin.digest)
+            << "pin line: {\"" << pin.workload << "\", "
+            << (pin.variant == Dcf ? "Dcf" : "UElf")
+            << ", " << bytes.size() << ", 0x" << std::hex << digest
+            << "ull},";
+
+        // A fresh core restored from the payload saves the same bytes,
+        // so the load order matches the save order field for field.
+        Core fresh(makeConfig(pin.variant), p);
+        Deserializer d(bytes);
+        fresh.loadWarmState(d, core->consumedInsts(),
+                            core->ffResumeStateValid()
+                                ? &core->ffResumeState()
+                                : nullptr);
+        EXPECT_EQ(warmStateBytes(fresh), bytes) << pin.workload;
+    }
 }
