@@ -319,33 +319,11 @@ parseOptions(int argc, char **argv, Options defaults = {},
     }
     // A contradictory sampling schedule is a usage error, caught here
     // with a precise message rather than deep in the runner.
-    const auto usageError = [&](const char *msg) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], msg);
+    try {
+        validateRunOptions(o.runOptions());
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         std::exit(2);
-    };
-    if (o.samplePeriodInsts == 0) {
-        if (o.sampleLengthInsts > 0 || o.sampleWarmupInsts > 0)
-            usageError("--sample-length/--sample-warmup need "
-                       "--sample-period");
-    } else {
-        if (o.sampleLengthInsts == 0)
-            usageError("--sample-period needs --sample-length > 0 "
-                       "(the measured window)");
-        if (o.sampleLengthInsts > o.samplePeriodInsts)
-            usageError("--sample-length exceeds --sample-period: the "
-                       "measured window must fit in the period");
-        if (o.sampleWarmupInsts >= o.samplePeriodInsts)
-            usageError("--sample-warmup must be smaller than "
-                       "--sample-period");
-        if (o.sampleWarmupInsts + o.sampleLengthInsts >
-            o.samplePeriodInsts)
-            usageError("--sample-warmup + --sample-length exceed "
-                       "--sample-period: the detailed window must fit "
-                       "in the period");
-        if (o.intervalInsts > 0)
-            usageError("--interval and --sample-period are mutually "
-                       "exclusive (a sampled run's timeline is its "
-                       "measured windows)");
     }
     // Configure the process-wide trace cache here so every bench gets
     // the behaviour without per-harness plumbing.
@@ -358,26 +336,6 @@ parseOptions(int argc, char **argv, Options defaults = {},
     if (!o.ckptCacheDir.empty())
         CheckpointStore::instance().setDirectory(o.ckptCacheDir);
     return o;
-}
-
-/**
- * Arm a runner with the fault-tolerance policy the flags asked for
- * and install the SIGINT/SIGTERM handlers, so a Ctrl-C mid-sweep
- * degrades to cancelled cells and a partial export instead of losing
- * everything.
- */
-inline void
-applyFaultPolicy(SweepRunner &runner, const Options &o)
-{
-    SweepPolicy p;
-    p.deadlineSeconds = o.deadlineSeconds;
-    p.stallSeconds = o.stallSeconds;
-    p.maxRetries = o.maxRetries;
-    p.manifestPath = o.manifestPath;
-    p.resume = o.resume;
-    runner.setPolicy(p);
-    SweepRunner::clearInterrupt();
-    SweepRunner::installSignalHandlers();
 }
 
 /** The SweepPolicy the fault-tolerance flags describe. */

@@ -84,7 +84,7 @@ main(int argc, char **argv)
         SimConfig cfg = makeConfig(FrontendVariant::UElf);
         Core core(cfg, program);
         core.run(opts.warmupInsts + opts.measureInsts);
-        TextReporter().fullReport(std::cout, core);
+        printReport(std::cout, core);
     }
     return 0;
 }

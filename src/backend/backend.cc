@@ -1,7 +1,5 @@
 #include "backend/backend.hh"
 
-#include <cstdio>
-
 #include <algorithm>
 #include <bit>
 
@@ -385,20 +383,6 @@ Backend::commit(Cycle now)
             }
         }
 
-#ifdef ELFSIM_TRACE_REDIRECTS
-        if (head.seq >= 218840 && head.seq <= 218875) {
-            std::fprintf(stderr,
-                         "  commit seq=%llu pc=0x%llx mode=%d wp=%d "
-                         "hasPred=%d predTaken=%d taken=%d mispred=%d "
-                         "stalled=%d ckpt=%llu\n",
-                         (unsigned long long)head.seq,
-                         (unsigned long long)head.pc(), int(head.mode),
-                         int(head.wrongPath), int(head.hasPrediction),
-                         int(head.predTaken), int(head.taken),
-                         int(head.mispredict), int(head.fetchStalled),
-                         (unsigned long long)head.checkpointId);
-        }
-#endif
         if (commitHook)
             commitHook(head);
 

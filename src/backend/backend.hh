@@ -56,6 +56,20 @@ struct BackendStats
                                         ///< for want of ROB room
     std::uint64_t coupledCommitted = 0; ///< committed insts fetched in
                                         ///< coupled mode
+
+    /** Field visitor; the order is the checkpoint's. */
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("committed", self.committed);
+        v("committed_branches", self.committedBranches);
+        v("cond_mispredicts", self.condMispredicts);
+        v("target_mispredicts", self.targetMispredicts);
+        v("mem_order_flushes", self.memOrderFlushes);
+        v("rob_full_cycles", self.robFullCycles);
+        v("coupled_committed", self.coupledCommitted);
+    }
 };
 
 /**

@@ -27,7 +27,7 @@ MemDepPredictor::train(Addr load_pc, Addr store_pc)
     e.loadPC = load_pc;
     e.storePC = store_pc;
     e.uses = 0;
-    ++trainCount;
+    ++st.trainings;
 }
 
 void

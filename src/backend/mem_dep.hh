@@ -13,9 +13,23 @@
 #include <vector>
 
 #include "common/serialize.hh"
+#include "common/stat_fields.hh"
 #include "common/types.hh"
 
 namespace elfsim {
+
+/** Memory-dependence filter counters. */
+struct MemDepStats
+{
+    std::uint64_t trainings = 0; ///< violations recorded
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("trainings", self.trainings);
+    }
+};
 
 /** The violating-pair filter. */
 class MemDepPredictor
@@ -42,7 +56,7 @@ class MemDepPredictor
     /** Forget everything. */
     void reset();
 
-    std::uint64_t trainings() const { return trainCount; }
+    const MemDepStats &stats() const { return st; }
 
     /** Serialize the violation table (warm-state checkpoints). */
     void
@@ -54,7 +68,7 @@ class MemDepPredictor
             s.u64(e.storePC);
             s.u32(e.uses);
         }
-        s.u64(trainCount);
+        stats::save(s, st);
     }
 
     void
@@ -67,7 +81,7 @@ class MemDepPredictor
             e.storePC = d.u64();
             e.uses = d.u32();
         }
-        trainCount = d.u64();
+        stats::load(d, st);
     }
 
   private:
@@ -86,7 +100,7 @@ class MemDepPredictor
 
     std::vector<Entry> table;
     unsigned maxUses;
-    std::uint64_t trainCount = 0;
+    MemDepStats st;
 };
 
 } // namespace elfsim

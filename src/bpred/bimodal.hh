@@ -12,7 +12,6 @@
 
 #include "common/error.hh"
 #include "common/sat_counter.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace elfsim {

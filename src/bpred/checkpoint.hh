@@ -31,7 +31,6 @@
 #include "bpred/tage.hh"
 #include "common/logging.hh"
 #include "common/queue.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace elfsim {

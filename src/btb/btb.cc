@@ -1,6 +1,7 @@
 #include "btb/btb.hh"
 
 #include "common/logging.hh"
+#include "common/stat_fields.hh"
 
 namespace elfsim {
 
@@ -23,11 +24,11 @@ BtbLevel::lookup(Addr pc)
         Way &way = ways[set * assoc_ + w];
         if (way.entry.valid && way.entry.startPC == pc) {
             way.lastUse = useTick;
-            ++hitCount;
+            ++st.hits;
             return &way.entry;
         }
     }
-    ++missCount;
+    ++st.misses;
     return nullptr;
 }
 
@@ -98,7 +99,7 @@ BtbLevel::reset()
 {
     for (Way &w : ways)
         w = Way{};
-    hitCount = missCount = 0;
+    st = BtbLevelStats{};
 }
 
 namespace {
@@ -150,8 +151,7 @@ BtbLevel::saveState(Serializer &s) const
         s.u64(w.lastUse);
     }
     s.u64(useTick);
-    s.u64(hitCount);
-    s.u64(missCount);
+    stats::save(s, st);
 }
 
 void
@@ -164,8 +164,7 @@ BtbLevel::loadState(Deserializer &d)
         w.lastUse = d.u64();
     }
     useTick = d.u64();
-    hitCount = d.u64();
-    missCount = d.u64();
+    stats::load(d, st);
 }
 
 void
@@ -173,9 +172,7 @@ MultiBtb::saveState(Serializer &s) const
 {
     for (const BtbLevel &l : levels)
         l.saveState(s);
-    s.u64(lookupCount);
-    for (std::uint64_t h : levelHitCount)
-        s.u64(h);
+    stats::save(s, st);
 }
 
 void
@@ -183,9 +180,7 @@ MultiBtb::loadState(Deserializer &d)
 {
     for (BtbLevel &l : levels)
         l.loadState(d);
-    lookupCount = d.u64();
-    for (std::uint64_t &h : levelHitCount)
-        h = d.u64();
+    stats::load(d, st);
 }
 
 MultiBtb::MultiBtb(const MultiBtbParams &params) : params(params)
@@ -198,7 +193,7 @@ MultiBtb::MultiBtb(const MultiBtbParams &params) : params(params)
 BtbLookupResult
 MultiBtb::lookup(Addr pc)
 {
-    ++lookupCount;
+    ++st.lookups;
     BtbLookupResult res;
     for (unsigned l = 0; l < levels.size(); ++l) {
         if (const BtbEntry *e = levels[l].lookup(pc)) {
@@ -206,7 +201,7 @@ MultiBtb::lookup(Addr pc)
             res.level = static_cast<int>(l);
             res.latency = levels[l].config().latency;
             res.entry = *e;
-            ++levelHitCount[l];
+            ++st.levelHits[l];
             // Promote into the inner levels.
             for (unsigned inner = 0; inner < l; ++inner)
                 levels[inner].insert(*e);
@@ -244,20 +239,19 @@ MultiBtb::reset()
 {
     for (BtbLevel &l : levels)
         l.reset();
-    lookupCount = 0;
-    levelHitCount = {};
+    st = MultiBtbStats{};
 }
 
 double
 MultiBtb::cumulativeHitRate(unsigned l) const
 {
-    if (lookupCount == 0)
+    if (st.lookups == 0)
         return 0.0;
     std::uint64_t hits = 0;
     for (unsigned i = 0; i <= l && i < 3; ++i)
-        hits += levelHitCount[i];
+        hits += st.levelHits[i];
     return static_cast<double>(hits) /
-           static_cast<double>(lookupCount);
+           static_cast<double>(st.lookups);
 }
 
 } // namespace elfsim

@@ -19,7 +19,6 @@
 
 #include "btb/btb_entry.hh"
 #include "common/serialize.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -31,6 +30,21 @@ struct BtbLevelParams
     unsigned entries = 256;
     unsigned assoc = 4;       ///< 0 = fully associative
     Cycle latency = 1;
+};
+
+/** Per-level BTB counters; the field order is the checkpoint's. */
+struct BtbLevelStats
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("hits", self.hits);
+        v("misses", self.misses);
+    }
 };
 
 /** One set-associative (or fully associative) BTB level. */
@@ -59,8 +73,7 @@ class BtbLevel
     void reset();
 
     const BtbLevelParams &config() const { return params; }
-    std::uint64_t hits() const { return hitCount; }
-    std::uint64_t misses() const { return missCount; }
+    const BtbLevelStats &stats() const { return st; }
 
     /** Serialize contents, recency state, and hit/miss counters. */
     void saveState(Serializer &s) const;
@@ -91,8 +104,7 @@ class BtbLevel
     unsigned assoc_;
     std::vector<Way> ways; // set-major
     std::uint64_t useTick = 0;
-    std::uint64_t hitCount = 0;
-    std::uint64_t missCount = 0;
+    BtbLevelStats st;
 };
 
 /** Result of a hierarchical BTB probe. */
@@ -110,6 +122,23 @@ struct MultiBtbParams
     BtbLevelParams l0{"btb.l0", 24, 0, 0};
     BtbLevelParams l1{"btb.l1", 256, 4, 1};
     BtbLevelParams l2{"btb.l2", 4096, 8, 3};
+};
+
+/** Hierarchy probe counters; the field order is the checkpoint's. */
+struct MultiBtbStats
+{
+    std::uint64_t lookups = 0;
+    std::array<std::uint64_t, 3> levelHits{}; ///< hits at exactly level l
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("lookups", self.lookups);
+        v("hits_l0", self.levelHits[0]);
+        v("hits_l1", self.levelHits[1]);
+        v("hits_l2", self.levelHits[2]);
+    }
 };
 
 /** The 3-level BTB. */
@@ -134,13 +163,13 @@ class MultiBtb
     bool present(Addr pc) const;
 
     /** Total probes. */
-    std::uint64_t lookups() const { return lookupCount; }
+    std::uint64_t lookups() const { return st.lookups; }
 
     /** Probes that hit at exactly level @a l. */
     std::uint64_t
     hitsAtLevel(unsigned l) const
     {
-        return levelHitCount[l];
+        return st.levelHits[l];
     }
 
     /** Fraction of probes hitting at level <= @a l (paper metric). */
@@ -149,6 +178,16 @@ class MultiBtb
     BtbLevel &level(unsigned l) { return levels[l]; }
     const MultiBtbParams &config() const { return params; }
 
+    /** Call @a v(name, counters) for the hierarchy, then each level. */
+    template <typename V>
+    void
+    visitStats(V &&v) const
+    {
+        v("btb", st);
+        for (const BtbLevel &l : levels)
+            v(l.config().name.c_str(), l.stats());
+    }
+
     /** Serialize all levels plus the hierarchy's probe counters. */
     void saveState(Serializer &s) const;
     void loadState(Deserializer &d);
@@ -156,8 +195,7 @@ class MultiBtb
   private:
     MultiBtbParams params;
     std::vector<BtbLevel> levels;
-    std::uint64_t lookupCount = 0;
-    std::array<std::uint64_t, 3> levelHitCount{};
+    MultiBtbStats st;
 };
 
 } // namespace elfsim

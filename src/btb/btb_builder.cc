@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/stat_fields.hh"
 
 namespace elfsim {
 
@@ -19,8 +20,7 @@ BtbBuilder::saveState(Serializer &s) const
     s.u64(nextEstablishPC);
     s.u64(currentStart);
     s.u64(currentEnd);
-    s.u64(establishCount);
-    s.u64(amendCount);
+    stats::save(s, st);
 }
 
 void
@@ -34,8 +34,7 @@ BtbBuilder::loadState(Deserializer &d)
     nextEstablishPC = d.u64();
     currentStart = d.u64();
     currentEnd = d.u64();
-    establishCount = d.u64();
-    amendCount = d.u64();
+    stats::load(d, st);
 }
 
 BtbBuilder::BtbBuilder(const Program &prog, MultiBtb &btb)
@@ -113,7 +112,7 @@ BtbBuilder::establish(Addr start_pc)
 {
     const BtbEntry e = buildEntry(start_pc);
     btb.insert(e);
-    ++establishCount;
+    ++st.establishments;
     currentStart = start_pc;
     currentEnd = e.fallthrough();
     nextEstablishPC = currentEnd;
@@ -163,7 +162,7 @@ BtbBuilder::retire(const StaticInst &si, bool taken, Addr next_pc)
                 continue;
             const BtbEntry rebuilt = buildEntry(start);
             btb.insert(rebuilt);
-            ++amendCount;
+            ++st.amendments;
             if (start == currentStart)
                 currentEnd = rebuilt.fallthrough();
         }
@@ -179,13 +178,13 @@ BtbBuilder::retire(const StaticInst &si, bool taken, Addr next_pc)
         const Addr ft = si.pc + instBytes;
         if (!btb.present(ft)) {
             btb.insert(buildEntry(ft));
-            ++establishCount;
+            ++st.establishments;
         }
         // Symmetrically, the taken target needs one for the
         // opposite misprediction.
         if (!btb.present(si.directTarget)) {
             btb.insert(buildEntry(si.directTarget));
-            ++establishCount;
+            ++st.establishments;
         }
     }
 

@@ -23,6 +23,21 @@
 
 namespace elfsim {
 
+/** Entry-establishment counters; the field order is the checkpoint's. */
+struct BtbBuilderStats
+{
+    std::uint64_t establishments = 0; ///< entries established
+    std::uint64_t amendments = 0;     ///< rebuilds of the split case
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("establishments", self.establishments);
+        v("amendments", self.amendments);
+    }
+};
+
 /** Builds BTB entries from the retire stream. */
 class BtbBuilder
 {
@@ -64,11 +79,7 @@ class BtbBuilder
         return takenBefore.count(pc) != 0;
     }
 
-    /** Number of entries established so far. */
-    std::uint64_t establishments() const { return establishCount; }
-
-    /** Number of amendment rebuilds (split case). */
-    std::uint64_t amendments() const { return amendCount; }
+    const BtbBuilderStats &stats() const { return st; }
 
     /** Serialize the observed-taken set and region-tracking state. */
     void saveState(Serializer &s) const;
@@ -85,8 +96,7 @@ class BtbBuilder
     Addr currentStart = invalidAddr;   ///< start of the live region
     Addr currentEnd = invalidAddr;     ///< fall-through of live region
 
-    std::uint64_t establishCount = 0;
-    std::uint64_t amendCount = 0;
+    BtbBuilderStats st;
 };
 
 } // namespace elfsim

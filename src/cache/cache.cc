@@ -1,35 +1,26 @@
 #include "cache/cache.hh"
 
 #include "common/logging.hh"
+#include "common/stat_fields.hh"
 
 namespace elfsim {
 
 FixedLatencyMemory::FixedLatencyMemory(std::string name, Cycle latency)
-    : memName(std::move(name)), latency(latency), statsGroup(memName),
-      accessCount(statsGroup.addCounter("accesses", "total accesses"))
+    : memName(std::move(name)), latency(latency)
 {
 }
 
 Cycle
 FixedLatencyMemory::access(Addr, bool, Cycle, bool)
 {
-    ++accessCount;
+    ++st.accesses;
     return latency;
 }
 
 Cache::Cache(const CacheParams &params, MemoryLevel *next)
     : params(params), nextLevel(next),
       numSets(params.sizeBytes / (params.lineBytes * params.assoc)),
-      lines(numSets * params.assoc),
-      statsGroup(params.name),
-      hitCount(statsGroup.addCounter("hits", "ready-line hits")),
-      missCount(statsGroup.addCounter("misses", "line fills required")),
-      inflightHitCount(statsGroup.addCounter(
-          "inflight_hits", "hits on lines still being filled")),
-      prefetchCount(statsGroup.addCounter("prefetches",
-                                          "prefetch fills issued")),
-      prefetchUnusedDropCount(statsGroup.addCounter(
-          "prefetch_drops", "prefetches to already-present lines"))
+      lines(numSets * params.assoc)
 {
     ELFSIM_ASSERT(nextLevel != nullptr, "cache '%s' has no next level",
                   params.name.c_str());
@@ -96,15 +87,15 @@ Cache::access(Addr addr, bool write, Cycle now, bool is_prefetch)
     if (Line *l = findLine(line)) {
         l->lastUse = useTick;
         if (l->readyCycle <= now) {
-            ++hitCount;
+            ++st.hits;
             return params.hitLatency;
         }
         // Line is in flight (e.g. filled by a prefetch): wait for it.
-        ++inflightHitCount;
+        ++st.inflightHits;
         return (l->readyCycle - now) + params.hitLatency;
     }
 
-    ++missCount;
+    ++st.misses;
     const Cycle below = nextLevel->access(addr, write, now, is_prefetch);
     ++residency;
     Line &v = victim(line);
@@ -120,10 +111,10 @@ Cache::prefetch(Addr addr, Cycle now)
 {
     const Addr line = lineAddr(addr);
     if (findLine(line)) {
-        ++prefetchUnusedDropCount;
+        ++st.prefetchDrops;
         return;
     }
-    ++prefetchCount;
+    ++st.prefetches;
     const Cycle below = nextLevel->access(addr, false, now, true);
     ++useTick;
     ++residency;
@@ -155,33 +146,16 @@ Cache::invalidateAll()
     ++residency;
 }
 
-namespace {
-
-void
-saveCounter(Serializer &s, const stats::Counter &c)
-{
-    s.u64(c.raw());
-}
-
-void
-loadCounter(Deserializer &d, stats::Counter &c)
-{
-    c.reset();
-    c += d.u64();
-}
-
-} // namespace
-
 void
 FixedLatencyMemory::saveState(Serializer &s) const
 {
-    saveCounter(s, accessCount);
+    stats::save(s, st);
 }
 
 void
 FixedLatencyMemory::loadState(Deserializer &d)
 {
-    loadCounter(d, accessCount);
+    stats::load(d, st);
 }
 
 void
@@ -195,11 +169,7 @@ Cache::saveState(Serializer &s) const
         s.u64(l.lastUse);
     }
     s.u64(useTick);
-    saveCounter(s, hitCount);
-    saveCounter(s, missCount);
-    saveCounter(s, inflightHitCount);
-    saveCounter(s, prefetchCount);
-    saveCounter(s, prefetchUnusedDropCount);
+    stats::save(s, st);
 }
 
 void
@@ -215,11 +185,7 @@ Cache::loadState(Deserializer &d)
     }
     useTick = d.u64();
     ++residency;
-    loadCounter(d, hitCount);
-    loadCounter(d, missCount);
-    loadCounter(d, inflightHitCount);
-    loadCounter(d, prefetchCount);
-    loadCounter(d, prefetchUnusedDropCount);
+    stats::load(d, st);
 }
 
 } // namespace elfsim

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/serialize.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -48,6 +47,19 @@ class MemoryLevel
     virtual const std::string &name() const = 0;
 };
 
+/** Backing-memory counters. */
+struct MemoryStats
+{
+    std::uint64_t accesses = 0;
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("accesses", self.accesses);
+    }
+};
+
 /** Fixed-latency backing memory. */
 class FixedLatencyMemory : public MemoryLevel
 {
@@ -58,9 +70,8 @@ class FixedLatencyMemory : public MemoryLevel
                  bool is_prefetch = false) override;
     const std::string &name() const override { return memName; }
 
-    /** Access statistics. */
-    const stats::StatGroup &statGroup() const { return statsGroup; }
-    std::uint64_t accesses() const { return accessCount.raw(); }
+    const MemoryStats &stats() const { return st; }
+    std::uint64_t accesses() const { return st.accesses; }
 
     /** Serialize the access counter (warm-state checkpoints). */
     void saveState(Serializer &s) const;
@@ -69,8 +80,7 @@ class FixedLatencyMemory : public MemoryLevel
   private:
     std::string memName;
     Cycle latency;
-    stats::StatGroup statsGroup;
-    stats::Counter &accessCount;
+    MemoryStats st;
 };
 
 /** Geometry and timing parameters of one cache level. */
@@ -88,6 +98,27 @@ struct CacheParams
      * branch and target lines fall in different interleaves.
      */
     unsigned interleaves = 1;
+};
+
+/** Per-level cache counters; the field order is the checkpoint's. */
+struct CacheStats
+{
+    std::uint64_t hits = 0;          ///< ready-line hits
+    std::uint64_t misses = 0;        ///< line fills required
+    std::uint64_t inflightHits = 0;  ///< hits on lines still filling
+    std::uint64_t prefetches = 0;    ///< prefetch fills issued
+    std::uint64_t prefetchDrops = 0; ///< prefetches to present lines
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("hits", self.hits);
+        v("misses", self.misses);
+        v("inflight_hits", self.inflightHits);
+        v("prefetches", self.prefetches);
+        v("prefetch_drops", self.prefetchDrops);
+    }
 };
 
 /** One set-associative cache level with LRU replacement. */
@@ -137,13 +168,10 @@ class Cache : public MemoryLevel
     const std::string &name() const override { return params.name; }
     const CacheParams &config() const { return params; }
 
-    const stats::StatGroup &statGroup() const { return statsGroup; }
-    std::uint64_t hits() const { return hitCount.raw(); }
-    std::uint64_t misses() const { return missCount.raw(); }
-    std::uint64_t accesses() const
-    {
-        return hitCount.raw() + missCount.raw();
-    }
+    const CacheStats &stats() const { return st; }
+    std::uint64_t hits() const { return st.hits; }
+    std::uint64_t misses() const { return st.misses; }
+    std::uint64_t accesses() const { return st.hits + st.misses; }
 
     /** Serialize contents, recency state, and statistics. readyCycle
      *  values are absolute cycles, so the consumer must checkpoint the
@@ -197,12 +225,7 @@ class Cache : public MemoryLevel
     std::uint64_t useTick = 0;
     std::uint64_t residency = 0; ///< see residencyVersion()
 
-    stats::StatGroup statsGroup;
-    stats::Counter &hitCount;
-    stats::Counter &missCount;
-    stats::Counter &inflightHitCount;
-    stats::Counter &prefetchCount;
-    stats::Counter &prefetchUnusedDropCount;
+    CacheStats st;
 };
 
 } // namespace elfsim

@@ -25,25 +25,6 @@ MemHierarchy::dataAccess(Addr pc, Addr addr, bool write, Cycle now)
 }
 
 void
-MemHierarchy::dumpStats(std::ostream &os) const
-{
-    forEachStatGroup(
-        [&os](const stats::StatGroup &g) { g.dump(os); });
-}
-
-void
-MemHierarchy::forEachStatGroup(
-    const std::function<void(const stats::StatGroup &)> &fn) const
-{
-    fn(l0iCache->statGroup());
-    fn(l1iCache->statGroup());
-    fn(l1dCache->statGroup());
-    fn(l2Cache->statGroup());
-    fn(l3Cache->statGroup());
-    fn(mem->statGroup());
-}
-
-void
 MemHierarchy::saveState(Serializer &s) const
 {
     l0iCache->saveState(s);

@@ -79,13 +79,22 @@ class MemHierarchy
     StridePrefetcher *stridePrefetcher() { return dpf.get(); }
     const StridePrefetcher *stridePrefetcher() const { return dpf.get(); }
 
-    /** Dump all level stats. */
-    void dumpStats(std::ostream &os) const;
-
-    /** Visit each level's StatGroup, innermost (L0I) first — the walk
-     *  dumpStats and the machine-readable reporters share. */
-    void forEachStatGroup(
-        const std::function<void(const stats::StatGroup &)> &fn) const;
+    /**
+     * Call @a v(name, counters) for each level, innermost (L0I)
+     * first, then the backing memory and the stride prefetcher.
+     */
+    template <typename V>
+    void
+    visitStats(V &&v) const
+    {
+        for (const Cache *c : {l0iCache.get(), l1iCache.get(),
+                               l1dCache.get(), l2Cache.get(),
+                               l3Cache.get()})
+            v(c->name().c_str(), c->stats());
+        v(mem->name().c_str(), mem->stats());
+        if (dpf)
+            v("stride_pf", dpf->stats());
+    }
 
     /** Serialize every level plus prefetcher and memory counters. */
     void saveState(Serializer &s) const;

@@ -1,20 +1,19 @@
 #include "cache/prefetch.hh"
 
+#include "common/stat_fields.hh"
+
 namespace elfsim {
 
 StridePrefetcher::StridePrefetcher(const StridePrefetcherParams &params,
                                    Cache &target)
-    : params(params), target(target), table(params.tableEntries),
-      statsGroup(target.name() + ".stride_pf"),
-      issuedCount(statsGroup.addCounter("issued", "prefetches issued")),
-      trainCount(statsGroup.addCounter("trained", "training accesses"))
+    : params(params), target(target), table(params.tableEntries)
 {
 }
 
 void
 StridePrefetcher::train(Addr pc, Addr addr, Cycle now)
 {
-    ++trainCount;
+    ++st.trained;
     Entry &e = table[(pc / instBytes) % table.size()];
     if (e.tag != pc) {
         e = Entry{};
@@ -43,7 +42,7 @@ StridePrefetcher::train(Addr pc, Addr addr, Cycle now)
             const Addr target_addr =
                 static_cast<Addr>(static_cast<std::int64_t>(addr) + lead);
             target.prefetch(target_addr, now);
-            ++issuedCount;
+            ++st.issued;
         }
     }
 }
@@ -65,8 +64,7 @@ StridePrefetcher::saveState(Serializer &s) const
         s.u64(std::uint64_t(e.stride));
         s.u32(e.conf);
     }
-    s.u64(issuedCount.raw());
-    s.u64(trainCount.raw());
+    stats::save(s, st);
 }
 
 void
@@ -80,10 +78,7 @@ StridePrefetcher::loadState(Deserializer &d)
         e.stride = std::int64_t(d.u64());
         e.conf = d.u32();
     }
-    issuedCount.reset();
-    issuedCount += d.u64();
-    trainCount.reset();
-    trainCount += d.u64();
+    stats::load(d, st);
 }
 
 } // namespace elfsim

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cache/cache.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -23,6 +22,21 @@ struct StridePrefetcherParams
     unsigned degree = 2;          ///< prefetches issued per trigger
     unsigned distance = 2;        ///< lead distance in strides
     unsigned confThreshold = 2;   ///< confidence needed to issue
+};
+
+/** Stride prefetcher counters; the field order is the checkpoint's. */
+struct StridePrefetcherStats
+{
+    std::uint64_t issued = 0;  ///< prefetches issued
+    std::uint64_t trained = 0; ///< training accesses
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("issued", self.issued);
+        v("trained", self.trained);
+    }
 };
 
 /**
@@ -40,8 +54,8 @@ class StridePrefetcher
     /** Reset learned state. */
     void reset();
 
-    const stats::StatGroup &statGroup() const { return statsGroup; }
-    std::uint64_t issued() const { return issuedCount.raw(); }
+    const StridePrefetcherStats &stats() const { return st; }
+    std::uint64_t issued() const { return st.issued; }
 
     /** Serialize the learned stride table and counters. */
     void saveState(Serializer &s) const;
@@ -59,9 +73,7 @@ class StridePrefetcher
     StridePrefetcherParams params;
     Cache &target;
     std::vector<Entry> table;
-    stats::StatGroup statsGroup;
-    stats::Counter &issuedCount;
-    stats::Counter &trainCount;
+    StridePrefetcherStats st;
 };
 
 } // namespace elfsim

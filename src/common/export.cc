@@ -214,47 +214,4 @@ CsvWriter::endRow()
     firstCell = true;
 }
 
-namespace stats {
-
-void
-writeJson(JsonWriter &w, const StatGroup &g)
-{
-    w.beginObject();
-    g.forEach([&w](const Stat &s) {
-        if (s.kind() == StatKind::Distribution) {
-            const auto &d = static_cast<const Distribution &>(s);
-            w.key(s.name());
-            w.beginObject();
-            w.field("mean", d.mean());
-            w.field("samples", d.samples());
-            w.field("sum", d.total());
-            w.field("min", d.minimum());
-            w.field("max", d.maximum());
-            w.endObject();
-        } else {
-            w.field(s.name(), s.value());
-        }
-    });
-    w.endObject();
-}
-
-void
-writeCsv(CsvWriter &w, const StatGroup &g)
-{
-    g.forEach([&w](const Stat &s) {
-        const char *kind = s.kind() == StatKind::Counter ? "counter"
-                           : s.kind() == StatKind::Distribution
-                               ? "distribution"
-                               : "formula";
-        w.cell(s.name()).cell(kind).cell(s.value());
-        if (s.kind() == StatKind::Distribution) {
-            const auto &d = static_cast<const Distribution &>(s);
-            w.cell(d.samples()).cell(d.total()).cell(d.minimum())
-                .cell(d.maximum());
-        }
-        w.endRow();
-    });
-}
-
-} // namespace stats
 } // namespace elfsim

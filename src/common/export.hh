@@ -1,11 +1,11 @@
 /**
  * @file
  * Machine-readable output sinks: a streaming JSON writer and a CSV
- * writer, plus StatGroup serialization built on the stats visitation
- * API. Everything the simulator prints as text can also leave through
- * these, losslessly: doubles are formatted with shortest-round-trip
- * precision, so re-parsing an export reproduces the exact bits and a
- * deterministic computation serializes to byte-identical output.
+ * writer. Everything the simulator prints as text can also leave
+ * through these, losslessly: doubles are formatted with
+ * shortest-round-trip precision, so re-parsing an export reproduces
+ * the exact bits and a deterministic computation serializes to
+ * byte-identical output.
  */
 
 #ifndef ELFSIM_COMMON_EXPORT_HH
@@ -16,8 +16,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "common/stats.hh"
 
 namespace elfsim {
 
@@ -96,19 +94,6 @@ class CsvWriter
     bool firstCell = true;
 };
 
-namespace stats {
-
-/**
- * Serialize a StatGroup as one JSON object keyed by stat name.
- * Counters and formulas become numbers; distributions become
- * {"mean","samples","sum","min","max"} objects — lossless.
- */
-void writeJson(JsonWriter &w, const StatGroup &g);
-
-/** Append a StatGroup as CSV rows: name,kind,value[,samples,sum,min,max]. */
-void writeCsv(CsvWriter &w, const StatGroup &g);
-
-} // namespace stats
 } // namespace elfsim
 
 #endif // ELFSIM_COMMON_EXPORT_HH

@@ -2,8 +2,6 @@
 
 #include "common/logging.hh"
 
-#include <cstdio>
-
 namespace elfsim {
 
 ElfController::ElfController(const ElfControllerParams &params,
@@ -92,14 +90,6 @@ ElfController::patchFromFaq(const FaqEntry &e, unsigned offset,
         p.taken = false;
         p.target = e.startPC + instsToBytes(offset + 1);
         p.fromBtbMiss = e.fromBtbMiss;
-#ifdef ELFSIM_TRACE_ADOPT
-        std::fprintf(stderr,
-                     "adopt-null: seq=%llu entry=0x%llx+%u miss=%d "
-                     "n=%u\n",
-                     (unsigned long long)seq,
-                     (unsigned long long)e.startPC, offset,
-                     int(e.fromBtbMiss), e.numInsts);
-#endif
     }
     patchList.push_back(p);
 }

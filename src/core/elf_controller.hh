@@ -80,6 +80,21 @@ struct ElfStats
     std::uint64_t trustFetcherFlushes = 0;
     std::uint64_t instPrefetches = 0;
 
+    /** Field visitor; the order is the checkpoint's. */
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("coupled_cycles", self.coupledCycles);
+        v("decoupled_cycles", self.decoupledCycles);
+        v("coupled_periods", self.coupledPeriods);
+        v("coupled_insts", self.coupledInsts);
+        v("switches", self.switches);
+        v("divergence_flushes", self.divergenceFlushes);
+        v("trust_fetcher_flushes", self.trustFetcherFlushes);
+        v("inst_prefetches", self.instPrefetches);
+    }
+
     double
     avgCoupledInstsPerPeriod() const
     {

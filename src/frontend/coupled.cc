@@ -2,8 +2,6 @@
 
 #include "common/logging.hh"
 
-#include <cstdio>
-
 namespace elfsim {
 
 namespace {
@@ -176,13 +174,6 @@ CoupledFetchEngine::tick(Cycle now, BoundedQueue<DynInst> &out)
             resolveBranch(di);
             stalledControl = true;
             ++st.controlStalls;
-#ifdef ELFSIM_TRACE_SEQ
-            if (di.seq >= ELFSIM_TRACE_SEQ && di.seq <= ELFSIM_TRACE_SEQ + 200)
-                std::fprintf(stderr, "[%llu] stall seq=%llu pc=0x%llx\n",
-                             (unsigned long long)now,
-                             (unsigned long long)di.seq,
-                             (unsigned long long)di.pc());
-#endif
             ++produced;
             ++st.insts;
             break;

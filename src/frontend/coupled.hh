@@ -79,6 +79,20 @@ struct CoupledStats
     std::uint64_t stallsIndirect = 0;  ///< ... at other indirects
     std::uint64_t takenBubbleCycles = 0;
     std::uint64_t icacheStallCycles = 0;
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("insts", self.insts);
+        v("wrong_path_insts", self.wrongPathInsts);
+        v("control_stalls", self.controlStalls);
+        v("stalls_cond", self.stallsCond);
+        v("stalls_return", self.stallsReturn);
+        v("stalls_indirect", self.stallsIndirect);
+        v("taken_bubble_cycles", self.takenBubbleCycles);
+        v("icache_stall_cycles", self.icacheStallCycles);
+    }
 };
 
 /** The coupled fetch engine. */

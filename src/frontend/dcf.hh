@@ -26,7 +26,6 @@
 
 #include "bpred/predictor_bank.hh"
 #include "btb/btb.hh"
-#include "common/stats.hh"
 #include "frontend/faq.hh"
 
 namespace elfsim {
@@ -46,6 +45,22 @@ struct DcfStats
     std::uint64_t bubblesShortEntry = 0;      ///< proxy f/t wrong
     std::uint64_t bubblesIndirectL1 = 0;      ///< ITTAGE access
     std::uint64_t bubblesAccess = 0;          ///< L2 BTB extra cycles
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("blocks", self.blocks);
+        v("btb_miss_blocks", self.btbMissBlocks);
+        v("taken_blocks", self.takenBlocks);
+        v("bubble_cycles", self.bubbleCycles);
+        v("restarts", self.restarts);
+        v("bubbles_bimodal_override", self.bubblesBimodalOverride);
+        v("bubbles_bp2_taken", self.bubblesBp2Taken);
+        v("bubbles_short_entry", self.bubblesShortEntry);
+        v("bubbles_indirect_l1", self.bubblesIndirectL1);
+        v("bubbles_access", self.bubblesAccess);
+    }
 };
 
 /** The decoupled address-generation engine. */

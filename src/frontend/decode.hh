@@ -36,6 +36,18 @@ struct DecodeStats
     std::uint64_t resteerCond = 0;
     std::uint64_t resteerReturn = 0;
     std::uint64_t resteerIndirect = 0;
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("insts", self.insts);
+        v("resteers", self.resteers);
+        v("resteer_uncond", self.resteerUncond);
+        v("resteer_cond", self.resteerCond);
+        v("resteer_return", self.resteerReturn);
+        v("resteer_indirect", self.resteerIndirect);
+    }
 };
 
 /** The decode stage. */

@@ -39,6 +39,17 @@ struct FetchStats
     std::uint64_t faqEmptyCycles = 0;
     std::uint64_t takenCrossFetches = 0; ///< fetched across a taken
                                          ///< branch in one cycle
+
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("insts", self.insts);
+        v("wrong_path_insts", self.wrongPathInsts);
+        v("icache_stall_cycles", self.icacheStallCycles);
+        v("faq_empty_cycles", self.faqEmptyCycles);
+        v("taken_cross_fetches", self.takenCrossFetches);
+    }
 };
 
 /** The decoupled (FAQ-driven) fetch engine. */

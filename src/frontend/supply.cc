@@ -1,7 +1,5 @@
 #include "frontend/supply.hh"
 
-#include <cstdio>
-
 #include "common/logging.hh"
 
 namespace elfsim {
@@ -25,16 +23,6 @@ InstSupply::make(DynInst &di, Addr pc, Cycle now, FetchMode mode)
         return;
     }
 
-#ifdef ELFSIM_TRACE_REDIRECTS
-    if (!wrongPath)
-        std::fprintf(stderr,
-                     "  wrong-path latch at seq=%llu pc=0x%llx "
-                     "(expected 0x%llx, cursor=%llu) mode=%d\n",
-                     (unsigned long long)(seqCounter + 0),
-                     (unsigned long long)pc,
-                     (unsigned long long)oracle.pcAt(oracleCursor),
-                     (unsigned long long)oracleCursor, int(mode));
-#endif
     // Wrong path (or the very first deviation, which latches it).
     wrongPath = true;
     ++wrongPathCount;

@@ -16,7 +16,6 @@
 #ifndef ELFSIM_FRONTEND_SUPPLY_HH
 #define ELFSIM_FRONTEND_SUPPLY_HH
 
-#include "common/stats.hh"
 #include "frontend/pipeline_types.hh"
 #include "workload/oracle_stream.hh"
 #include "workload/wrong_path.hh"

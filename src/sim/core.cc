@@ -6,6 +6,7 @@
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/stat_fields.hh"
 #include "workload/compiled_trace.hh"
 
 namespace elfsim {
@@ -119,14 +120,6 @@ Core::applyPatches(Redirect &redirect, Cycle now)
         // prediction that execute and commit read.
         if (!di || !di->isBranch())
             continue;
-#ifdef ELFSIM_TRACE_SEQ
-        if (p.seq >= ELFSIM_TRACE_SEQ && p.seq <= ELFSIM_TRACE_SEQ + 200)
-            std::fprintf(stderr, "[%llu] patch seq=%llu taken=%d "
-                         "completed=%d\n",
-                         (unsigned long long)now,
-                         (unsigned long long)p.seq, int(p.taken),
-                         int(di->completed));
-#endif
         di->hasPrediction = true;
         di->predTaken = p.taken;
         di->predTarget = p.target;
@@ -247,16 +240,6 @@ Core::applyRedirect(Redirect r)
         }
     }
 
-#ifdef ELFSIM_TRACE_REDIRECTS
-    std::fprintf(stderr,
-                 "[%llu] redirect kind=%d survivor=%llu target=0x%llx "
-                 "cursor=%llu mode=%d\n",
-                 (unsigned long long)coreStats.cycles, int(r.kind),
-                 (unsigned long long)r.survivorSeq,
-                 (unsigned long long)r.targetPC,
-                 (unsigned long long)r.oracleCursor,
-                 int(controller->mode()));
-#endif
     switch (r.kind) {
       case RedirectKind::ExecMispredict:
         ++coreStats.execFlushes;
@@ -489,34 +472,9 @@ Core::saveWarmState(Serializer &s) const
 {
     // Cumulative counters first. The cycle counter must travel with
     // the caches: their readyCycle values are absolute cycles.
-    s.u64(coreStats.cycles);
-    s.u64(coreStats.execFlushes);
-    s.u64(coreStats.memOrderFlushes);
-    s.u64(coreStats.decodeResteers);
-    s.u64(coreStats.divergenceFlushes);
-    s.u64(coreStats.pendingFlushWaits);
-    s.u64(coreStats.stallResteers);
-    s.u64(coreStats.redirectToFetchTotal);
-    s.u64(coreStats.redirectToFetchCount);
-
-    const BackendStats &bs = backendUnit->stats();
-    s.u64(bs.committed);
-    s.u64(bs.committedBranches);
-    s.u64(bs.condMispredicts);
-    s.u64(bs.targetMispredicts);
-    s.u64(bs.memOrderFlushes);
-    s.u64(bs.robFullCycles);
-    s.u64(bs.coupledCommitted);
-
-    const ElfStats &es = controller->stats();
-    s.u64(es.coupledCycles);
-    s.u64(es.decoupledCycles);
-    s.u64(es.coupledPeriods);
-    s.u64(es.coupledInsts);
-    s.u64(es.switches);
-    s.u64(es.divergenceFlushes);
-    s.u64(es.trustFetcherFlushes);
-    s.u64(es.instPrefetches);
+    stats::save(s, coreStats);
+    stats::save(s, backendUnit->stats());
+    stats::save(s, controller->stats());
 
     // The sequence counter salts wrong-path memory addresses; resumed
     // runs must continue it, not restart it.
@@ -540,34 +498,11 @@ Core::loadWarmState(Deserializer &d, InstCount position,
                   "warm-state restore with in-flight instructions");
 
     CoreStats cs;
-    cs.cycles = d.u64();
-    cs.execFlushes = d.u64();
-    cs.memOrderFlushes = d.u64();
-    cs.decodeResteers = d.u64();
-    cs.divergenceFlushes = d.u64();
-    cs.pendingFlushWaits = d.u64();
-    cs.stallResteers = d.u64();
-    cs.redirectToFetchTotal = d.u64();
-    cs.redirectToFetchCount = d.u64();
-
+    stats::load(d, cs);
     BackendStats bs;
-    bs.committed = d.u64();
-    bs.committedBranches = d.u64();
-    bs.condMispredicts = d.u64();
-    bs.targetMispredicts = d.u64();
-    bs.memOrderFlushes = d.u64();
-    bs.robFullCycles = d.u64();
-    bs.coupledCommitted = d.u64();
-
+    stats::load(d, bs);
     ElfStats es;
-    es.coupledCycles = d.u64();
-    es.decoupledCycles = d.u64();
-    es.coupledPeriods = d.u64();
-    es.coupledInsts = d.u64();
-    es.switches = d.u64();
-    es.divergenceFlushes = d.u64();
-    es.trustFetcherFlushes = d.u64();
-    es.instPrefetches = d.u64();
+    stats::load(d, es);
 
     const SeqNum seqCounter = d.u64();
     const std::uint64_t wrongPathInsts = d.u64();
@@ -639,14 +574,8 @@ Core::debugDump() const
                      (unsigned long long)h->srcProducer1,
                      (unsigned long long)h->waitStore);
     }
-    if (cplEngineActiveForDump())
+    if (controller->coupledEngine().active())
         std::fprintf(stderr, "  coupled engine active\n");
-}
-
-bool
-Core::cplEngineActiveForDump() const
-{
-    return controller->coupledEngine().active();
 }
 
 void

@@ -88,11 +88,7 @@ void
 writeTraceStats(JsonWriter &w, const TraceStats &t)
 {
     w.beginObject();
-    w.field("compiles", t.compiles);
-    w.field("cache_hits", t.cacheHits);
-    w.field("cache_misses", t.cacheMisses);
-    w.field("bytes_mapped", t.bytesMapped);
-    w.field("compile_seconds", t.compileSeconds);
+    TraceStats::visitFields(t, JsonFieldVisitor{w});
     w.endObject();
 }
 

@@ -18,36 +18,19 @@ makeSample(const StatSnapshot &d, InstCount startInst)
 {
     IntervalSample s;
     s.startInst = startInst;
-    s.insts = d.insts;
-    s.cycles = d.cycles;
-    s.ipc = d.cycles ? double(d.insts) / double(d.cycles) : 0.0;
-    s.condMispredicts = d.condMispredicts;
-    s.targetMispredicts = d.targetMispredicts;
-    s.execFlushes = d.execFlushes;
-    s.memOrderFlushes = d.memOrderFlushes;
-    s.decodeResteers = d.decodeResteers;
-    s.divergenceFlushes = d.divergenceFlushes;
-    s.coupledFrac =
-        d.insts ? double(d.coupledCommitted) / double(d.insts) : 0.0;
+    s.insts = d.backend.committed;
+    s.cycles = d.core.cycles;
+    s.ipc = s.cycles ? double(s.insts) / double(s.cycles) : 0.0;
+    s.condMispredicts = d.backend.condMispredicts;
+    s.targetMispredicts = d.backend.targetMispredicts;
+    s.execFlushes = d.core.execFlushes;
+    s.memOrderFlushes = d.core.memOrderFlushes;
+    s.decodeResteers = d.core.decodeResteers;
+    s.divergenceFlushes = d.core.divergenceFlushes;
+    s.coupledFrac = s.insts ? double(d.backend.coupledCommitted) /
+                                  double(s.insts)
+                            : 0.0;
     return s;
-}
-
-/** Elementwise acc += d, for summing measured-window deltas. */
-void
-accumulate(StatSnapshot &acc, const StatSnapshot &d)
-{
-    acc.cycles += d.cycles;
-    acc.insts += d.insts;
-    acc.condMispredicts += d.condMispredicts;
-    acc.targetMispredicts += d.targetMispredicts;
-    acc.execFlushes += d.execFlushes;
-    acc.memOrderFlushes += d.memOrderFlushes;
-    acc.decodeResteers += d.decodeResteers;
-    acc.divergenceFlushes += d.divergenceFlushes;
-    acc.coupledCommitted += d.coupledCommitted;
-    acc.l1dMisses += d.l1dMisses;
-    acc.redirectToFetchTotal += d.redirectToFetchTotal;
-    acc.redirectToFetchCount += d.redirectToFetchCount;
 }
 
 /** Two-sided 95% Student-t interval multiplier for @a dof degrees of
@@ -124,21 +107,22 @@ streamCovers(const std::shared_ptr<const CompiledTrace> &trace,
 void
 fillSummary(RunResult &r, const Core &core, const StatSnapshot &d)
 {
-    r.cycles = d.cycles;
-    r.insts = d.insts;
+    r.cycles = d.core.cycles;
+    r.insts = d.backend.committed;
     r.ipc = r.cycles ? double(r.insts) / double(r.cycles) : 0.0;
 
     const double kilo = double(r.insts) / 1000.0;
-    r.condMpki = kilo > 0 ? double(d.condMispredicts) / kilo : 0;
+    const BackendStats &be = d.backend;
+    r.condMpki = kilo > 0 ? double(be.condMispredicts) / kilo : 0;
     r.branchMpki =
         kilo > 0
-            ? double(d.condMispredicts + d.targetMispredicts) / kilo
+            ? double(be.condMispredicts + be.targetMispredicts) / kilo
             : 0;
 
-    r.execFlushes = d.execFlushes;
-    r.memOrderFlushes = d.memOrderFlushes;
-    r.decodeResteers = d.decodeResteers;
-    r.divergenceFlushes = d.divergenceFlushes;
+    r.execFlushes = d.core.execFlushes;
+    r.memOrderFlushes = d.core.memOrderFlushes;
+    r.decodeResteers = d.core.decodeResteers;
+    r.divergenceFlushes = d.core.divergenceFlushes;
     r.pendingFlushWaits = core.stats().pendingFlushWaits;
 
     r.btbHitL0 = core.btb().cumulativeHitRate(0);
@@ -149,21 +133,17 @@ fillSummary(RunResult &r, const Core &core, const StatSnapshot &d)
     r.l0iMissRate = l0i.accesses()
                         ? double(l0i.misses()) / double(l0i.accesses())
                         : 0;
-    r.l1dMpki = kilo > 0 ? double(d.l1dMisses) / kilo : 0;
+    r.l1dMpki = kilo > 0 ? double(d.l1d.misses) / kilo : 0;
 
     r.wrongPathInsts = core.supply().wrongPathInsts();
     r.instPrefetches = core.elf().stats().instPrefetches;
 
-    r.avgRedirectToFetch =
-        d.redirectToFetchCount
-            ? double(d.redirectToFetchTotal) /
-                  double(d.redirectToFetchCount)
-            : 0.0;
+    r.avgRedirectToFetch = d.core.avgRedirectToFetch();
 
     r.avgCoupledInsts = core.elf().stats().avgCoupledInstsPerPeriod();
     r.coupledPeriods = core.elf().stats().coupledPeriods;
     r.coupledCommittedFrac =
-        r.insts ? double(d.coupledCommitted) / double(r.insts) : 0;
+        r.insts ? double(be.coupledCommitted) / double(r.insts) : 0;
 }
 
 /**
@@ -189,6 +169,8 @@ fillSummary(RunResult &r, const Core &core, const StatSnapshot &d)
  * Warm-state checkpoints at each detailed-window start are
  * restored/saved through the CheckpointStore, so a re-run of the same
  * (program content, config, schedule) skips every fast-forward.
+ *
+ * @a opts has passed validateRunOptions.
  */
 RunResult
 runSampled(const Program &prog, const SimConfig &cfg,
@@ -197,26 +179,8 @@ runSampled(const Program &prog, const SimConfig &cfg,
     const InstCount P = opts.samplePeriodInsts;
     const InstCount L = opts.sampleLengthInsts;
     const InstCount W = opts.sampleWarmupInsts;
-    if (L == 0)
-        throw ConfigError("sampled run needs a measured window: "
-                          "sample length must be > 0");
-    if (W + L > P)
-        throw ConfigError(
-            "sampling schedule does not fit: sample warmup (" +
-            std::to_string(W) + ") + length (" + std::to_string(L) +
-            ") exceed the period (" + std::to_string(P) + ")");
-    if (opts.intervalInsts > 0)
-        throw ConfigError("interval timeline capture and sampled "
-                          "execution are mutually exclusive");
     const std::uint64_t windows =
         (opts.warmupInsts + opts.measureInsts) / P;
-    if (windows == 0)
-        throw ConfigError(
-            "total instruction budget (" +
-            std::to_string(opts.warmupInsts + opts.measureInsts) +
-            ") smaller than one sampling period (" +
-            std::to_string(P) + ")");
-
     const InstCount ffInsts = P - W - L;
     const std::uint64_t cfgFp = configFingerprint(cfg);
     CheckpointStore &store = CheckpointStore::instance();
@@ -350,7 +314,7 @@ runSampled(const Program &prog, const SimConfig &cfg,
             core.run(L);
             const StatSnapshot d =
                 StatSnapshot::capture(core).delta(start);
-            accumulate(acc, d);
+            stats::add(acc, d);
             timeline.push_back(makeSample(d, detailedStart + W));
             ipcs.push_back(timeline.back().ipc);
         }
@@ -374,14 +338,13 @@ runSampled(const Program &prog, const SimConfig &cfg,
         r.sampling.warmupInsts = W;
         r.sampling.windows = windows;
         r.sampling.totalInsts = windows * P;
-        r.sampling.measuredInsts = acc.insts;
+        r.sampling.measuredInsts = r.insts;
         r.sampling.ipcRelErr95 =
             relErr95(ipcs, double(ffInsts) / double(P));
         r.sampling.estTotalCycles =
-            acc.insts ? double(acc.cycles) *
-                            double(r.sampling.totalInsts) /
-                            double(acc.insts)
-                      : 0.0;
+            r.insts ? double(r.cycles) * double(r.sampling.totalInsts) /
+                          double(r.insts)
+                    : 0.0;
         r.sampling.ckptHits = ckptHits;
         r.sampling.ckptMisses = ckptMisses;
         r.sampling.ckptSaves = ckptSaves;
@@ -403,55 +366,54 @@ runSampled(const Program &prog, const SimConfig &cfg,
 
 } // namespace
 
-StatSnapshot
-StatSnapshot::capture(const Core &core)
+void
+validateRunOptions(const RunOptions &o)
 {
-    StatSnapshot s;
-    s.cycles = core.cycles();
-    s.insts = core.committed();
-    s.condMispredicts = core.backend().stats().condMispredicts;
-    s.targetMispredicts = core.backend().stats().targetMispredicts;
-    s.execFlushes = core.stats().execFlushes;
-    s.memOrderFlushes = core.stats().memOrderFlushes;
-    s.decodeResteers = core.stats().decodeResteers;
-    s.divergenceFlushes = core.stats().divergenceFlushes;
-    s.coupledCommitted = core.backend().stats().coupledCommitted;
-    s.l1dMisses = core.memory().l1d().misses();
-    s.redirectToFetchTotal = core.stats().redirectToFetchTotal;
-    s.redirectToFetchCount = core.stats().redirectToFetchCount;
-    return s;
-}
-
-StatSnapshot
-StatSnapshot::delta(const StatSnapshot &since) const
-{
-    StatSnapshot d;
-    d.cycles = cycles - since.cycles;
-    d.insts = insts - since.insts;
-    d.condMispredicts = condMispredicts - since.condMispredicts;
-    d.targetMispredicts = targetMispredicts - since.targetMispredicts;
-    d.execFlushes = execFlushes - since.execFlushes;
-    d.memOrderFlushes = memOrderFlushes - since.memOrderFlushes;
-    d.decodeResteers = decodeResteers - since.decodeResteers;
-    d.divergenceFlushes = divergenceFlushes - since.divergenceFlushes;
-    d.coupledCommitted = coupledCommitted - since.coupledCommitted;
-    d.l1dMisses = l1dMisses - since.l1dMisses;
-    d.redirectToFetchTotal =
-        redirectToFetchTotal - since.redirectToFetchTotal;
-    d.redirectToFetchCount =
-        redirectToFetchCount - since.redirectToFetchCount;
-    return d;
+    const auto n = [](InstCount x) { return std::to_string(x); };
+    const InstCount P = o.samplePeriodInsts;
+    const InstCount L = o.sampleLengthInsts;
+    const InstCount W = o.sampleWarmupInsts;
+    if (P == 0) {
+        if (L > 0 || W > 0)
+            throw ConfigError("sample length/warmup need a sample "
+                              "period");
+        return;
+    }
+    if (L == 0)
+        throw ConfigError("a sample period needs a sample length > 0 "
+                          "(the measured window)");
+    if (L > P)
+        throw ConfigError("sample length (" + n(L) +
+                          ") exceeds the sample period (" + n(P) +
+                          "): the measured window must fit in the "
+                          "period");
+    if (W >= P)
+        throw ConfigError("sample warmup (" + n(W) +
+                          ") must be smaller than the sample period (" +
+                          n(P) + ")");
+    if (L > P - W)
+        throw ConfigError("sample warmup (" + n(W) + ") + length (" +
+                          n(L) + ") exceed the sample period (" + n(P) +
+                          "): the detailed window must fit in the "
+                          "period");
+    if (o.intervalInsts > 0)
+        throw ConfigError("interval capture and a sample period are "
+                          "mutually exclusive (a sampled run's "
+                          "timeline is its measured windows)");
+    if ((o.warmupInsts + o.measureInsts) / P == 0)
+        throw ConfigError("total instruction budget (" +
+                          n(o.warmupInsts + o.measureInsts) +
+                          ") is smaller than one sample period (" +
+                          n(P) + ")");
 }
 
 RunResult
 runSimulation(const Program &prog, const SimConfig &cfg,
               const RunOptions &opts)
 {
+    validateRunOptions(opts);
     if (opts.sampled())
         return runSampled(prog, cfg, opts);
-    if (opts.sampleLengthInsts > 0 || opts.sampleWarmupInsts > 0)
-        throw ConfigError("sample length/warmup require a sample "
-                          "period");
 
     // The trace only needs to cover the committed-instruction budget;
     // fetch-ahead past it falls through to the lazy tail, which is
@@ -481,7 +443,8 @@ runSimulation(const Program &prog, const SimConfig &cfg,
             core.run(chunk);
             const StatSnapshot now = StatSnapshot::capture(core);
             timeline.push_back(
-                makeSample(now.delta(prev), prev.insts - warm.insts));
+                makeSample(now.delta(prev), prev.backend.committed -
+                                                warm.backend.committed));
             prev = now;
         }
     } else {

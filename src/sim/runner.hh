@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/stat_fields.hh"
 #include "sim/core.hh"
 
 namespace elfsim {
@@ -321,6 +322,16 @@ struct RunOptions
 };
 
 /**
+ * The one copy of the run-shape rules: a sampling schedule must have
+ * a measured window, fit its detailed window in the period and its
+ * period in the instruction budget, and exclude interval capture;
+ * sample length/warmup need a period. Throws ConfigError naming the
+ * broken rule. The runner, the sweep-spec validator and the bench
+ * command line all check through this.
+ */
+void validateRunOptions(const RunOptions &o);
+
+/**
  * Cap on the compiled-trace prefix a sampled run acquires for the
  * batch warming kernel (instructions). 2^26 insts is roughly 2 GiB
  * of v2 artifact per distinct workload content — large enough to
@@ -331,31 +342,39 @@ struct RunOptions
 constexpr InstCount maxSampledTraceInsts = InstCount(1) << 26;
 
 /**
- * Point-in-time capture of the core counters that runSimulation
- * reports as deltas across the measurement window. Usage: capture()
- * after warmup, run the measurement window, then delta() against a
- * fresh capture.
+ * Point-in-time copy of the counter groups runSimulation reports as
+ * deltas across the measurement window. Usage: capture() after
+ * warmup, run the measurement window, then delta() against a fresh
+ * capture.
  */
 struct StatSnapshot
 {
-    Cycle cycles = 0;
-    InstCount insts = 0;
-    std::uint64_t condMispredicts = 0;
-    std::uint64_t targetMispredicts = 0;
-    std::uint64_t execFlushes = 0;
-    std::uint64_t memOrderFlushes = 0;
-    std::uint64_t decodeResteers = 0;
-    std::uint64_t divergenceFlushes = 0;
-    std::uint64_t coupledCommitted = 0;
-    std::uint64_t l1dMisses = 0;
-    std::uint64_t redirectToFetchTotal = 0;
-    std::uint64_t redirectToFetchCount = 0;
+    CoreStats core;
+    BackendStats backend;
+    CacheStats l1d;
 
-    /** Read every windowed counter off the core. */
-    static StatSnapshot capture(const Core &core);
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("core", self.core);
+        v("backend", self.backend);
+        v("l1d", self.l1d);
+    }
 
-    /** Elementwise `*this - since` (the measurement-window deltas). */
-    StatSnapshot delta(const StatSnapshot &since) const;
+    /** Copy every windowed group off the core. */
+    static StatSnapshot
+    capture(const Core &c)
+    {
+        return {c.stats(), c.backend().stats(), c.memory().l1d().stats()};
+    }
+
+    /** Fieldwise `*this - since` (the measurement-window deltas). */
+    StatSnapshot
+    delta(const StatSnapshot &since) const
+    {
+        return stats::delta(*this, since);
+    }
 };
 
 /** Build the program's core and run warmup + measurement. */

@@ -11,13 +11,14 @@
 #include <deque>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
+#include "common/stat_fields.hh"
 #include "common/thread_pool.hh"
 #include "sim/export.hh"
 
@@ -462,74 +463,32 @@ void
 SweepRunner::printTimingSummary(std::ostream &os) const
 {
     const SweepTiming &t = lastTiming;
-    stats::StatGroup g("sweep");
-    g.addCounter("jobs", "grid cells simulated") += t.jobs;
-    g.addCounter("threads", "worker threads") += t.threads;
-    g.addCounter("failed_cells", "cells that did not complete ok") +=
-        failedCells();
-    g.addFormula("wall_seconds", "whole-sweep wall-clock",
-                 [&t] { return t.wallSeconds; });
-    g.addFormula("serial_seconds", "sum of per-job wall-clocks",
-                 [&t] { return t.serialSeconds; });
-    g.addFormula("speedup", "serial_seconds / wall_seconds",
-                 [&t] { return t.speedup(); });
-    g.addCounter("sim_cycles", "aggregate measured cycles") +=
-        t.simCycles;
-    g.addCounter("sim_insts", "aggregate measured instructions") +=
-        t.simInsts;
-    g.addFormula("sim_cycles_per_second",
-                 "simulated cycles per wall-clock second",
-                 [&t] { return t.cyclesPerSecond(); });
-    stats::Distribution &d =
-        g.addDistribution("job_seconds", "per-job wall-clock");
-    for (double s : jobSeconds)
-        d.sample(s);
-    g.dump(os);
+    stats::printLine(os, "sweep.jobs", t.jobs);
+    stats::printLine(os, "sweep.threads", t.threads);
+    stats::printLine(os, "sweep.failed_cells", failedCells());
+    stats::printLine(os, "sweep.wall_seconds", t.wallSeconds);
+    stats::printLine(os, "sweep.serial_seconds", t.serialSeconds);
+    stats::printLine(os, "sweep.speedup", t.speedup());
+    stats::printLine(os, "sweep.sim_cycles", t.simCycles);
+    stats::printLine(os, "sweep.sim_insts", t.simInsts);
+    stats::printLine(os, "sweep.sim_cycles_per_second",
+                     t.cyclesPerSecond());
 
-    const TraceStats &tr = lastTraceStats;
-    stats::StatGroup tg("trace");
-    tg.addCounter("compiles", "traces built from the generator") +=
-        tr.compiles;
-    tg.addCounter("cache_hits", "memo or on-disk artifact reuse") +=
-        tr.cacheHits;
-    tg.addCounter("cache_misses", "acquisitions that had to compile") +=
-        tr.cacheMisses;
-    tg.addCounter("bytes_mapped", "trace file bytes mapped from disk") +=
-        tr.bytesMapped;
-    tg.addFormula("compile_seconds", "wall-clock spent compiling",
-                  [&tr] { return tr.compileSeconds; });
-    tg.dump(os);
+    // Per-job wall-clock moments.
+    const std::vector<double> &js = jobSeconds;
+    const auto [lo, hi] = std::minmax_element(js.begin(), js.end());
+    const bool any = !js.empty();
+    stats::printLine(os, "sweep.job_seconds::mean",
+                     any ? std::accumulate(js.begin(), js.end(), 0.0) /
+                               double(js.size())
+                         : 0.0);
+    stats::printLine(os, "sweep.job_seconds::samples", js.size());
+    stats::printLine(os, "sweep.job_seconds::min", any ? *lo : 0.0);
+    stats::printLine(os, "sweep.job_seconds::max", any ? *hi : 0.0);
 
-    const CkptStats &ck = lastCkptStats;
-    stats::StatGroup cg("ckpt");
-    cg.addCounter("hits", "warm-state checkpoints restored") +=
-        ck.hits;
-    cg.addCounter("misses", "lookups that fast-forwarded instead") +=
-        ck.misses;
-    cg.addCounter("saves", "checkpoint artifacts written") += ck.saves;
-    cg.addCounter("load_failures",
-                  "corrupt/stale artifacts skipped") += ck.loadFailures;
-    cg.addCounter("bytes_read", "artifact bytes restored") +=
-        ck.bytesRead;
-    cg.addCounter("bytes_written", "artifact bytes persisted") +=
-        ck.bytesWritten;
-    cg.dump(os);
-
-    const WarmStats &w = lastWarmStats;
-    stats::StatGroup wg("warm");
-    wg.addCounter("kernel_insts",
-                  "insts fast-forwarded by the batch kernel") +=
-        w.kernelInsts;
-    wg.addCounter("scalar_insts",
-                  "insts fast-forwarded by the scalar loop") +=
-        w.scalarInsts;
-    wg.addCounter("branch_events", "branch events the kernel replayed") +=
-        w.branchEvents;
-    wg.addCounter("lines_touched", "I-side line fetches the kernel issued") +=
-        w.linesTouched;
-    wg.addFormula("kernel_seconds", "wall-clock inside the batch kernel",
-                  [&w] { return w.kernelSeconds; });
-    wg.dump(os);
+    stats::print(os, "trace", lastTraceStats);
+    stats::print(os, "ckpt", lastCkptStats);
+    stats::print(os, "warm", lastWarmStats);
 }
 
 } // namespace elfsim

@@ -1,6 +1,7 @@
 #include "sim/sweep_spec.hh"
 
 #include <climits>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <type_traits>
@@ -251,38 +252,70 @@ makeSpecConfig(const ConfigSpec &c)
 
 namespace {
 
-/** Mirror of bench_util's sampling-contradiction checks, phrased for
- *  spec fields and thrown instead of exiting. */
+/** validateRunOptions, naming where in the spec the options sit. */
 void
-checkRunOptions(const RunOptions &o, const char *where)
+checkRunOptions(const RunOptions &o, const std::string &where)
 {
-    const auto bad = [&](const char *msg) {
-        throw ConfigError(errorf("%s: %s", where, msg));
-    };
-    if (o.samplePeriodInsts == 0) {
-        if (o.sampleLengthInsts > 0 || o.sampleWarmupInsts > 0)
-            bad("sample_length_insts/sample_warmup_insts need "
-                "sample_period_insts");
-        return;
+    try {
+        validateRunOptions(o);
+    } catch (const ConfigError &e) {
+        throw ConfigError(where + ": " + e.what());
     }
-    if (o.sampleLengthInsts == 0)
-        bad("sample_period_insts needs sample_length_insts > 0 "
-            "(the measured window)");
-    if (o.sampleLengthInsts > o.samplePeriodInsts)
-        bad("sample_length_insts exceeds sample_period_insts: the "
-            "measured window must fit in the period");
-    if (o.sampleWarmupInsts >= o.samplePeriodInsts)
-        bad("sample_warmup_insts must be smaller than "
-            "sample_period_insts");
-    if (o.sampleWarmupInsts + o.sampleLengthInsts >
-        o.samplePeriodInsts)
-        bad("sample_warmup_insts + sample_length_insts exceed "
-            "sample_period_insts: the detailed window must fit in "
-            "the period");
-    if (o.intervalInsts > 0)
-        bad("interval_insts and sample_period_insts are mutually "
-            "exclusive (a sampled run's timeline is its measured "
-            "windows)");
+}
+
+/**
+ * Largest micro-program a spec may build, in static instructions:
+ * 4 MiB of code, 16x the largest catalog program and past every BTB
+ * and I-cache level but the L3.
+ */
+constexpr double maxMicroInsts = 1 << 20;
+
+/** A micro-program generator a spec may name. */
+struct MicroGenerator
+{
+    const char *name;
+    const char *arg[2];
+    double min0;      ///< smallest first argument
+    bool probability; ///< second argument is a probability
+    double (*insts)(double, double);  ///< static program size
+    Program (*build)(double, double); ///< on checked arguments
+};
+
+const MicroGenerator microGenerators[] = {
+    {"random_branch_loop", {"block_len", "taken_prob"}, 0, true,
+     [](double len, double) { return 3 * (len + 1); },
+     [](double len, double p) {
+         return microRandomBranchLoop(unsigned(len), p);
+     }},
+    {"taken_chain", {"n_blocks", "block_len"}, 1, false,
+     [](double n, double len) { return n * (len + 1); },
+     [](double n, double len) {
+         return microTakenChain(unsigned(n), unsigned(len));
+     }},
+    {"sequential_loop", {"body_insts", "period"}, 0, false,
+     [](double body, double) { return body + 2; },
+     [](double body, double period) {
+         return microSequentialLoop(unsigned(body), unsigned(period));
+     }},
+    {"recursion", {"depth", "leaf_len"}, 0, false,
+     [](double, double leaf) { return leaf + 10; },
+     [](double depth, double leaf) {
+         return microRecursion(unsigned(depth), unsigned(leaf));
+     }},
+    {"btb_miss_chain", {"n_blocks", "block_len"}, 1, false,
+     [](double n, double len) { return n * (len + 1); },
+     [](double n, double len) {
+         return microBtbMissChain(unsigned(n), unsigned(len));
+     }},
+};
+
+const MicroGenerator *
+findMicro(const std::string &name)
+{
+    for (const MicroGenerator &g : microGenerators)
+        if (name == g.name)
+            return &g;
+    return nullptr;
 }
 
 /** Resolve a selector to the programs it names (build order is the
@@ -328,42 +361,51 @@ buildSelector(const WorkloadSelector &s)
             out.push_back(buildWorkload(*findWorkload(n)));
         break;
       }
-      case WorkloadSelector::Kind::Micro: {
-        const auto args2 = [&](const char *what) {
-            if (s.args.size() != 2)
-                throw ConfigError(errorf(
-                    "micro generator '%s' expects 2 args (%s)",
-                    s.name.c_str(), what));
-        };
-        const auto u = [&](std::size_t i) {
-            return static_cast<unsigned>(s.args[i]);
-        };
-        if (s.name == "random_branch_loop") {
-            args2("block_len, taken_prob");
-            out.push_back(microRandomBranchLoop(u(0), s.args[1]));
-        } else if (s.name == "taken_chain") {
-            args2("n_blocks, block_len");
-            out.push_back(microTakenChain(u(0), u(1)));
-        } else if (s.name == "sequential_loop") {
-            args2("body_insts, period");
-            out.push_back(microSequentialLoop(u(0), u(1)));
-        } else if (s.name == "recursion") {
-            args2("depth, leaf_len");
-            out.push_back(microRecursion(u(0), u(1)));
-        } else if (s.name == "btb_miss_chain") {
-            args2("n_blocks, block_len");
-            out.push_back(microBtbMissChain(u(0), u(1)));
-        } else {
-            throw ConfigError(errorf(
-                "unknown micro generator '%s'", s.name.c_str()));
-        }
+      case WorkloadSelector::Kind::Micro:
+        // checkMicro has accepted the generator and its arguments.
+        out.push_back(findMicro(s.name)->build(s.args[0], s.args[1]));
         break;
-      }
       case WorkloadSelector::Kind::Synthetic:
         out.push_back(generateCfg(s.params, s.seed, s.name));
         break;
     }
     return out;
+}
+
+/** A micro selector names a known generator and gives it two
+ *  arguments it accepts: whole numbers (taken_prob a probability)
+ *  that build at most maxMicroInsts instructions. */
+void
+checkMicro(const WorkloadSelector &s)
+{
+    const MicroGenerator *g = findMicro(s.name);
+    if (!g)
+        throw ConfigError(
+            errorf("unknown micro generator '%s'", s.name.c_str()));
+    if (s.args.size() != 2)
+        throw ConfigError(errorf("micro generator '%s' expects 2 args "
+                                 "(%s, %s)", g->name, g->arg[0],
+                                 g->arg[1]));
+    for (std::size_t i = 0; i < 2; ++i) {
+        const double a = s.args[i];
+        if (i == 1 && g->probability) {
+            if (!(a >= 0 && a <= 1))
+                throw ConfigError(errorf(
+                    "micro '%s': %s must lie in [0, 1] (got %g)",
+                    g->name, g->arg[i], a));
+            continue;
+        }
+        const double lo = i == 0 ? g->min0 : 0;
+        if (!(a >= lo && a <= UINT_MAX && a == std::floor(a)))
+            throw ConfigError(errorf(
+                "micro '%s': %s must be a whole number from %g to %u "
+                "(got %g)", g->name, g->arg[i], lo, UINT_MAX, a));
+    }
+    const double insts = g->insts(s.args[0], s.args[1]);
+    if (insts > maxMicroInsts)
+        throw ConfigError(errorf(
+            "micro '%s' would build %g static instructions (at most "
+            "%g)", g->name, insts, maxMicroInsts));
 }
 
 /** Selector-only validation: everything buildSelector would reject,
@@ -388,26 +430,30 @@ checkSelector(const WorkloadSelector &s)
             throw ConfigError(
                 errorf("unknown suite '%s'", s.name.c_str()));
         break;
-      case WorkloadSelector::Kind::Micro: {
-        const bool known = s.name == "random_branch_loop" ||
-                           s.name == "taken_chain" ||
-                           s.name == "sequential_loop" ||
-                           s.name == "recursion" ||
-                           s.name == "btb_miss_chain";
-        if (!known)
-            throw ConfigError(errorf(
-                "unknown micro generator '%s'", s.name.c_str()));
-        if (s.args.size() != 2)
-            throw ConfigError(errorf(
-                "micro generator '%s' expects 2 args",
-                s.name.c_str()));
+      case WorkloadSelector::Kind::Micro:
+        checkMicro(s);
         break;
-      }
-      case WorkloadSelector::Kind::Synthetic:
+      case WorkloadSelector::Kind::Synthetic: {
         if (s.name.empty())
             throw ConfigError(
                 "synthetic workload needs a non-empty name");
+        // generateCfg's preconditions.
+        const CfgParams &p = s.params;
+        const char *n = s.name.c_str();
+        if (p.numFuncs < 1)
+            throw ConfigError(errorf(
+                "synthetic '%s': num_funcs must be at least 1", n));
+        if (p.blocksPerFunc < 2)
+            throw ConfigError(errorf(
+                "synthetic '%s': blocks_per_func must be at least 2",
+                n));
+        if (p.instsPerBlockMin > p.instsPerBlockMax)
+            throw ConfigError(errorf(
+                "synthetic '%s': insts_per_block_min (%u) exceeds "
+                "insts_per_block_max (%u)", n, p.instsPerBlockMin,
+                p.instsPerBlockMax));
         break;
+      }
     }
 }
 
@@ -430,7 +476,7 @@ validateSweepSpec(const SweepSpec &spec)
             throw ConfigError(
                 errorf("%s has no configs", where.c_str()));
         if (g.hasRun)
-            checkRunOptions(g.run, (where + ".run").c_str());
+            checkRunOptions(g.run, where + ".run");
         for (const WorkloadSelector &s : g.workloads)
             checkSelector(s);
         // Config rows fail fast too: build each one once so an
@@ -481,6 +527,19 @@ numberU64(const json::Value &v, const std::string &key)
             "spec field '%s' must be a non-negative integer",
             key.c_str()));
     }
+}
+
+/** A count for an unsigned field: past UINT_MAX it would wrap to a
+ *  small value, so it is rejected. */
+unsigned
+numberUnsigned(const json::Value &v, const std::string &key)
+{
+    const std::uint64_t n = numberU64(v, key);
+    if (n > UINT_MAX)
+        throw ConfigError(errorf(
+            "spec field '%s' must be at most %u (got %llu)",
+            key.c_str(), UINT_MAX, static_cast<unsigned long long>(n)));
+    return static_cast<unsigned>(n);
 }
 
 /** Reject any member not consumed by the dispatcher: a typo'd field
@@ -552,14 +611,9 @@ parsePolicy(const json::Value &v)
             p.deadlineSeconds = policySeconds(val, k);
         else if (k == "stall_seconds")
             p.stallSeconds = policySeconds(val, k);
-        else if (k == "max_retries") {
-            const std::uint64_t n = numberU64(val, k);
-            if (n > UINT_MAX)
-                throw ConfigError(errorf(
-                    "policy.max_retries must be at most %u (got %llu)",
-                    UINT_MAX, static_cast<unsigned long long>(n)));
-            p.maxRetries = static_cast<unsigned>(n);
-        } else if (k == "manifest_path")
+        else if (k == "max_retries")
+            p.maxRetries = numberUnsigned(val, k);
+        else if (k == "manifest_path")
             p.manifestPath = val.asString();
         else if (k == "resume")
             p.resume = val.asBool();
@@ -587,7 +641,7 @@ parseCfgParams(const json::Value &v)
             else if constexpr (std::is_same_v<T, std::uint64_t>)
                 member = numberU64(val, k);
             else
-                member = static_cast<T>(numberU64(val, k));
+                member = numberUnsigned(val, k);
         });
         return matched;
     });
@@ -625,7 +679,7 @@ parseSelector(const json::Value &v)
             setKind(WorkloadSelector::Kind::Synthetic,
                     val.asString());
         else if (k == "stride") {
-            s.stride = static_cast<unsigned>(numberU64(val, k));
+            s.stride = numberUnsigned(val, k);
             strideSeen = true;
         } else if (k == "args") {
             for (std::size_t i = 0; i < val.size(); ++i)
@@ -765,7 +819,7 @@ parseSweepSpec(const json::Value &doc)
         } else if (k == "name")
             spec.name = val.asString();
         else if (k == "jobs")
-            spec.jobs = static_cast<unsigned>(numberU64(val, k));
+            spec.jobs = numberUnsigned(val, k);
         else if (k == "base_seed")
             spec.baseSeed = numberU64(val, k);
         else if (k == "run")

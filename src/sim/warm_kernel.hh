@@ -17,6 +17,8 @@
 
 #include <cstdint>
 
+#include "common/stat_fields.hh"
+
 namespace elfsim {
 
 /**
@@ -37,27 +39,24 @@ struct WarmStats
     std::uint64_t linesTouched = 0;  ///< I-side line fetches issued
     double kernelSeconds = 0.0;      ///< wall time inside the kernel
 
-    void
-    add(const WarmStats &o)
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
     {
-        kernelInsts += o.kernelInsts;
-        scalarInsts += o.scalarInsts;
-        branchEvents += o.branchEvents;
-        linesTouched += o.linesTouched;
-        kernelSeconds += o.kernelSeconds;
+        v("kernel_insts", self.kernelInsts);
+        v("scalar_insts", self.scalarInsts);
+        v("branch_events", self.branchEvents);
+        v("lines_touched", self.linesTouched);
+        v("kernel_seconds", self.kernelSeconds);
     }
+
+    void add(const WarmStats &o) { stats::add(*this, o); }
 
     /** This instance minus @a since (counters are monotonic). */
     WarmStats
     delta(const WarmStats &since) const
     {
-        WarmStats d;
-        d.kernelInsts = kernelInsts - since.kernelInsts;
-        d.scalarInsts = scalarInsts - since.scalarInsts;
-        d.branchEvents = branchEvents - since.branchEvents;
-        d.linesTouched = linesTouched - since.linesTouched;
-        d.kernelSeconds = kernelSeconds - since.kernelSeconds;
-        return d;
+        return stats::delta(*this, since);
     }
 };
 

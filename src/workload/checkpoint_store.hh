@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stat_fields.hh"
 #include "common/types.hh"
 #include "workload/program.hh"
 
@@ -55,18 +56,23 @@ struct CkptStats
     std::uint64_t bytesRead = 0;
     std::uint64_t bytesWritten = 0;
 
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("hits", self.hits);
+        v("misses", self.misses);
+        v("saves", self.saves);
+        v("load_failures", self.loadFailures);
+        v("bytes_read", self.bytesRead);
+        v("bytes_written", self.bytesWritten);
+    }
+
     /** Counters accumulated since the @a since snapshot. */
     CkptStats
     delta(const CkptStats &since) const
     {
-        CkptStats d;
-        d.hits = hits - since.hits;
-        d.misses = misses - since.misses;
-        d.saves = saves - since.saves;
-        d.loadFailures = loadFailures - since.loadFailures;
-        d.bytesRead = bytesRead - since.bytesRead;
-        d.bytesWritten = bytesWritten - since.bytesWritten;
-        return d;
+        return stats::delta(*this, since);
     }
 };
 

@@ -32,6 +32,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/stat_fields.hh"
 #include "common/types.hh"
 #include "workload/compiled_trace.hh"
 #include "workload/program.hh"
@@ -47,17 +48,22 @@ struct TraceStats
     std::uint64_t bytesMapped = 0; ///< file bytes mapped from disk
     double compileSeconds = 0.0;   ///< wall-clock spent compiling
 
+    template <typename Self, typename V>
+    static void
+    visitFields(Self &self, V &&v)
+    {
+        v("compiles", self.compiles);
+        v("cache_hits", self.cacheHits);
+        v("cache_misses", self.cacheMisses);
+        v("bytes_mapped", self.bytesMapped);
+        v("compile_seconds", self.compileSeconds);
+    }
+
     /** Counters accumulated since the @a since snapshot. */
     TraceStats
     delta(const TraceStats &since) const
     {
-        TraceStats d;
-        d.compiles = compiles - since.compiles;
-        d.cacheHits = cacheHits - since.cacheHits;
-        d.cacheMisses = cacheMisses - since.cacheMisses;
-        d.bytesMapped = bytesMapped - since.bytesMapped;
-        d.compileSeconds = compileSeconds - since.compileSeconds;
-        return d;
+        return stats::delta(*this, since);
     }
 };
 

@@ -15,7 +15,7 @@ TEST(MemDep, RecordsViolatingPair)
     MemDepPredictor mdp;
     mdp.train(0x400100, 0x400080);
     EXPECT_EQ(mdp.storeFor(0x400100), 0x400080u);
-    EXPECT_EQ(mdp.trainings(), 1u);
+    EXPECT_EQ(mdp.stats().trainings, 1u);
 }
 
 TEST(MemDep, EntryAgesOutAfterUses)

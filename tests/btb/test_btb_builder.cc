@@ -130,7 +130,7 @@ TEST(BtbBuilder, AmendmentShortensEntryWhenCondTurnsTaken)
     // Now force the amendment path directly.
     b.retire(*p.instAt(p.entryPC()), false, p.entryPC() + 4);
     b.retire(*cond, true, cond->directTarget);
-    EXPECT_GE(b.amendments(), 1u);
+    EXPECT_GE(b.stats().amendments, 1u);
     EXPECT_TRUE(b.observedTaken(cond->pc));
 
     const BtbLookupResult r = btb.lookup(p.entryPC());

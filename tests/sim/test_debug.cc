@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/stat_fields.hh"
 #include "sim/core.hh"
 #include "workload/builders.hh"
 
@@ -22,7 +25,9 @@ TEST(Debug, HierarchyStatsDump)
     mem.dataAccess(0x400000, 0x10000000, false, 0);
     mem.instFetch(0x400000, 0);
     std::ostringstream os;
-    mem.dumpStats(os);
+    mem.visitStats([&os](const char *group, const auto &counters) {
+        stats::print(os, group, counters);
+    });
     const std::string s = os.str();
     EXPECT_NE(s.find("l0i.misses"), std::string::npos);
     EXPECT_NE(s.find("l1d.hits"), std::string::npos);

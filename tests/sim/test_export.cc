@@ -4,8 +4,7 @@
  * validates that the machine-readable pipeline (a) round-trips every
  * RunResult field losslessly, (b) is byte-identical across sweep
  * thread counts, (c) captures interval timelines that exactly tile
- * the measurement window without perturbing the simulation, and that
- * the Reporter backends (sim/report.hh) emit well-formed output.
+ * the measurement window without perturbing the simulation.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 
 #include "common/json.hh"
 #include "sim/export.hh"
-#include "sim/report.hh"
 #include "sim/sweep.hh"
 #include "workload/builders.hh"
 #include "workload/checkpoint_store.hh"
@@ -476,67 +474,3 @@ TEST(Export, CsvHasHeaderAndOneRowPerResult)
     EXPECT_EQ(trows, 1 + samples);
 }
 
-TEST(Export, StatGroupJsonIsLossless)
-{
-    stats::StatGroup g("grp");
-    g.addCounter("hits", "hit count") += 42;
-    stats::Distribution &d = g.addDistribution("lat", "latency");
-    d.sample(1.5);
-    d.sample(4.25);
-    g.addFormula("ratio", "fixed ratio", [] { return 0.375; });
-
-    std::ostringstream os;
-    JsonWriter w(os);
-    stats::writeJson(w, g);
-    JsonParser parser(os.str());
-    const JVal doc = parser.parse();
-    ASSERT_TRUE(parser.ok());
-
-    EXPECT_EQ(doc.at("grp.hits").num, 42.0);
-    EXPECT_EQ(doc.at("grp.ratio").num, 0.375);
-    const JVal &lat = doc.at("grp.lat");
-    EXPECT_EQ(lat.at("samples").num, 2.0);
-    EXPECT_EQ(lat.at("sum").num, 5.75);
-    EXPECT_EQ(lat.at("min").num, 1.5);
-    EXPECT_EQ(lat.at("max").num, 4.25);
-    EXPECT_EQ(lat.at("mean").num, 2.875);
-}
-
-TEST(Export, JsonReporterEmitsParsableReport)
-{
-    Program p = microRandomBranchLoop(8, 0.4);
-    Core core(makeConfig(FrontendVariant::UElf), p);
-    core.run(30000);
-
-    std::ostringstream os;
-    JsonReporter().fullReport(os, core);
-    JsonParser parser(os.str());
-    const JVal doc = parser.parse();
-    ASSERT_TRUE(parser.ok());
-
-    EXPECT_EQ(doc.at("schema").str, "elfsim-report-v1");
-    EXPECT_EQ(doc.at("variant").str, "U-ELF");
-    const JVal &sections = doc.at("sections");
-    ASSERT_TRUE(sections.has("summary"));
-    ASSERT_TRUE(sections.has("frontend"));
-    ASSERT_TRUE(sections.has("btb"));
-    ASSERT_TRUE(sections.has("memory"));
-    ASSERT_TRUE(sections.has("backend"));
-    EXPECT_GT(sections.at("summary").at("IPC").num, 0.0);
-    EXPECT_TRUE(sections.at("summary").has("coupled periods"));
-    // The two "wrong path" sub-rows of the frontend section stay
-    // distinct keys.
-    EXPECT_TRUE(sections.at("frontend").has("wrong path"));
-    EXPECT_TRUE(sections.at("frontend").has("wrong path_2"));
-    // Memory-hierarchy StatGroups serialize through the stats walk.
-    EXPECT_TRUE(sections.at("memory").has("l1d"));
-    EXPECT_GE(sections.at("memory").at("l1d").obj.size(), 1u);
-
-    std::ostringstream sos;
-    JsonReporter().summary(sos, core);
-    JsonParser sparser(sos.str());
-    const JVal sdoc = sparser.parse();
-    ASSERT_TRUE(sparser.ok());
-    EXPECT_TRUE(sdoc.at("sections").has("summary"));
-    EXPECT_FALSE(sdoc.at("sections").has("backend"));
-}

@@ -259,6 +259,107 @@ TEST(SweepSpecValidate, EmptyAndUnknownPiecesRejected)
     EXPECT_THROW(validateSweepSpec(spec), ConfigError);
 }
 
+namespace {
+
+/** The ConfigError validateSweepSpec raises for @a s, or "" if none. */
+std::string
+selectorError(const WorkloadSelector &s)
+{
+    SweepSpec spec = bench::fig3Spec(smallWindow());
+    spec.groups[0].workloads[0] = s;
+    try {
+        validateSweepSpec(spec);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+// Bad micro arguments used to abort in the generators (bad_alloc, the
+// builder's "need at least one block" panic) or build something other
+// than asked (2.5 blocks -> 2; a taken probability above 1). The
+// validator rejects each one, naming the generator, before any
+// program is built.
+TEST(SweepSpecValidate, BadMicroArgumentsRejected)
+{
+    const std::vector<WorkloadSelector> bad = {
+        WorkloadSelector::micro("taken_chain", {-1, 8}),
+        WorkloadSelector::micro("taken_chain", {4294967295.0, 1}),
+        WorkloadSelector::micro("taken_chain", {0, 8}),
+        WorkloadSelector::micro("taken_chain", {1e30, 8}),
+        WorkloadSelector::micro("taken_chain", {2.5, 8}),
+        WorkloadSelector::micro("btb_miss_chain", {1 << 20, 8}),
+        WorkloadSelector::micro("sequential_loop", {30, -16}),
+        WorkloadSelector::micro("recursion", {8.5, 4}),
+        WorkloadSelector::micro("random_branch_loop", {8, 1.5}),
+        WorkloadSelector::micro("random_branch_loop", {8, -0.25}),
+    };
+    for (const WorkloadSelector &s : bad) {
+        const std::string err = selectorError(s);
+        EXPECT_NE(err.find(s.name), std::string::npos)
+            << s.name << " [" << s.args[0] << ", " << s.args[1]
+            << "]: '" << err << "'";
+    }
+
+    for (const WorkloadSelector &s :
+         {WorkloadSelector::micro("taken_chain", {1, 0}),
+          WorkloadSelector::micro("btb_miss_chain", {4096, 4}),
+          WorkloadSelector::micro("random_branch_loop", {8, 1}),
+          WorkloadSelector::micro("recursion", {4294967295.0, 4})})
+        EXPECT_EQ(selectorError(s), "") << s.name;
+}
+
+TEST(SweepSpecValidate, SyntheticPreconditionsRejected)
+{
+    const auto synth = [](void (*edit)(CfgParams &)) {
+        CfgParams p;
+        edit(p);
+        return WorkloadSelector::synthetic("synth", p, 1);
+    };
+    for (const WorkloadSelector &s :
+         {synth([](CfgParams &p) { p.numFuncs = 0; }),
+          synth([](CfgParams &p) { p.blocksPerFunc = 1; }),
+          synth([](CfgParams &p) {
+              p.instsPerBlockMin = 9;
+              p.instsPerBlockMax = 8;
+          })}) {
+        const std::string err = selectorError(s);
+        EXPECT_NE(err.find("synth"), std::string::npos) << err;
+    }
+    EXPECT_EQ(selectorError(synth([](CfgParams &) {})), "");
+}
+
+// A count past UINT_MAX used to wrap silently: "stride":2^32 selected
+// the whole set, "jobs":2^32+1 ran one thread.
+TEST(SweepSpecJson, CountsPastUintMaxRejected)
+{
+    const std::string head = "{\"schema\":\"elfsim-sweepspec-v1\",";
+    const std::string cfg = "\"configs\":[{\"variant\":\"DCF\"}]}";
+    for (const std::string &bad :
+         {head + "\"jobs\":4294967297,\"workloads\":[{\"name\":"
+                 "\"641.leela\"}]," + cfg,
+          head + "\"workloads\":[{\"set\":\"catalog\","
+                 "\"stride\":4294967296}]," + cfg,
+          head + "\"workloads\":[{\"synthetic\":\"s\",\"params\":"
+                 "{\"num_funcs\":4294967297}}]," + cfg}) {
+        try {
+            parseSweepSpec(bad);
+            ADD_FAILURE() << "parsed: " << bad;
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("at most"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const SweepSpec edge = parseSweepSpec(
+        head + "\"jobs\":4294967295,\"workloads\":[{\"set\":"
+               "\"catalog\",\"stride\":4294967295}]," + cfg);
+    EXPECT_EQ(edge.jobs, UINT_MAX);
+    EXPECT_EQ(edge.groups[0].workloads[0].stride, UINT_MAX);
+}
+
 // ---------------------------------------------------------------------
 // Knob registry
 // ---------------------------------------------------------------------
