@@ -12,13 +12,12 @@
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "workload/compiled_trace.hh"
 
 namespace elfsim {
 
 namespace {
 
-constexpr char ckptMagic[16] = "elfsim-ckpt-v1"; // NUL-padded to 16
+constexpr char ckptMagic[16] = "elfsim-ckpt-v2"; // NUL-padded to 16
 
 /** Fixed-size part of the file, through the checksum field. */
 constexpr std::size_t headerBytes = 16 + 4 * 8;
@@ -30,10 +29,10 @@ std::uint64_t
 contentChecksum(std::uint64_t key, std::uint64_t position,
                 std::uint64_t payload_len, const void *payload)
 {
-    Fnv1a h;
-    h.u64(key).u64(position).u64(payload_len);
-    h.bytes(payload, std::size_t(payload_len));
-    return h.value();
+    Checksum64 sum;
+    sum.u64(key).u64(position).u64(payload_len);
+    sum.bytes(payload, std::size_t(payload_len));
+    return sum.value();
 }
 
 /** Keep artifact file names shell- and filesystem-friendly. */
@@ -93,9 +92,9 @@ CheckpointStore::key(const Program &prog, std::uint64_t config_fp,
 {
     Fnv1a h;
     h.str(ckptMagic); // format version participates in the key
-    // Program *content* (count 0: the pure image/behaviour hash), so
+    // Program *content*, hashed once when the program was built, so
     // identically-built programs share artifacts regardless of name.
-    h.u64(CompiledTrace::key(prog, 0));
+    h.u64(prog.contentHash());
     h.u64(config_fp);
     // The warm state at a position depends on the entire earlier
     // execution schedule, which the sampling parameters determine.

@@ -11,7 +11,7 @@
  * fast-forwarding from the beginning of the stream.
  *
  * Artifacts live beside the compiled-trace cache as content-keyed
- * "elfsim-ckpt-v1" files (--ckpt-cache DIR on the benches,
+ * "elfsim-ckpt-v2" files (--ckpt-cache DIR on the benches,
  * $ELFSIM_CKPT_CACHE, or CheckpointStore::setDirectory) and share its
  * robustness contract: atomic temp-file + rename writes, and key /
  * size / checksum validation on load. Any load defect — stale key,
@@ -19,17 +19,21 @@
  * demotes the artifact to a transparent fast-forward, never to a
  * failed cell.
  *
- * On-disk format ("elfsim-ckpt-v1", little-endian):
+ * On-disk format ("elfsim-ckpt-v2", little-endian):
  *
- *   char  magic[16]    "elfsim-ckpt-v1\0\0"
+ *   char  magic[16]    "elfsim-ckpt-v2\0\0"
  *   u64   key          content hash (program content + configuration
  *                      fingerprint + sampling schedule + stream
  *                      position + format version)
  *   u64   position     architectural instructions consumed
  *   u64   payloadLen   payload bytes after the header
- *   u64   checksum     FNV-1a of key, position, payloadLen, payload
+ *   u64   checksum     Checksum64 of key, position and payloadLen
+ *                      (8 little-endian bytes each), then the payload
  *   u8[]  payload      opaque Serializer bytes (Core::saveWarmState
  *                      plus the oracle-generator resume state)
+ *
+ * The key hashes the magic, so an artifact in a retired format (v1)
+ * is never looked up.
  */
 
 #ifndef ELFSIM_WORKLOAD_CHECKPOINT_STORE_HH

@@ -21,15 +21,14 @@ namespace elfsim {
 
 namespace {
 
-constexpr char traceMagic[16] = "elfsim-trace-v2"; // includes the NUL
+constexpr char traceMagic[16] = "elfsim-trace-v3"; // includes the NUL
 
 /**
- * Content-key salt, frozen at the original format string. The key
- * names the *stream* (program content + length), not the container
- * layout; CheckpointStore keys derive from it, so the salt must
- * survive container-format bumps. Staleness of the container itself
- * is caught by the magic above — a v1 file fails the memcmp and
- * recompiles into a v2 file under the same key and path.
+ * Content-key salt, independent of the magic above. The key names the
+ * *stream* (program content + length), not the container layout, so a
+ * container bump keeps every key: an artifact in a retired format
+ * fails the magic check and recompiles into the current format under
+ * the same key and path.
  */
 constexpr char traceKeySalt[] = "elfsim-trace-v1";
 
@@ -73,16 +72,14 @@ expectedFileSize(const TraceHeader &h)
 }
 
 /**
- * Checksum of the semantic content: every header scalar except the
- * checksum itself, then the raw section bytes. @a sections is the
- * contiguous region following the header.
+ * Checksum state after every header scalar except the checksum itself;
+ * the section bytes that follow the header are fed on top of it.
  */
-std::uint64_t
-contentChecksum(const TraceHeader &h, const void *sections,
-                std::size_t section_bytes)
+Checksum64
+headerChecksum(const TraceHeader &h)
 {
-    Fnv1a hash;
-    hash.u64(h.key)
+    Checksum64 sum;
+    sum.u64(h.key)
         .u64(h.count)
         .u64(h.callDepth)
         .u64(h.condN)
@@ -92,8 +89,7 @@ contentChecksum(const TraceHeader &h, const void *sections,
         .u64(h.nBranch)
         .u64(h.nRun)
         .u64(h.nMem);
-    hash.bytes(sections, section_bytes);
-    return hash.value();
+    return sum;
 }
 
 /** RAII holder keeping a loaded file image alive for the views. */
@@ -160,49 +156,8 @@ std::uint64_t
 CompiledTrace::key(const Program &prog, InstCount count)
 {
     Fnv1a h;
-    h.str(traceKeySalt); // frozen stream-content salt, NOT the magic
-    h.u64(prog.codeBase()).u64(prog.entryPC()).u64(count);
-
-    const std::vector<StaticInst> &image = prog.instructions();
-    h.u64(image.size());
-    for (const StaticInst &si : image) {
-        h.u64(si.pc)
-            .u64(std::uint64_t(si.cls))
-            .u64(std::uint64_t(si.branch))
-            .u64(si.directTarget)
-            .u64(si.destReg)
-            .u64(si.srcRegs[0])
-            .u64(si.srcRegs[1])
-            .u64(si.behavior);
-    }
-
-    const BehaviorSet &b = prog.behaviors();
-    h.u64(b.numConds());
-    for (std::size_t i = 0; i < b.numConds(); ++i) {
-        const CondSpec &c = b.cond(std::uint32_t(i));
-        h.u64(std::uint64_t(c.kind))
-            .f64(c.takenProb)
-            .u64(c.period)
-            .u64(c.seed)
-            .f64(c.patternBias);
-    }
-    h.u64(b.numIndirects());
-    for (std::size_t i = 0; i < b.numIndirects(); ++i) {
-        const IndirectSpec &t = b.indirect(std::uint32_t(i));
-        h.u64(std::uint64_t(t.kind)).u64(t.period).u64(t.seed);
-        h.u64(t.targets.size());
-        for (Addr a : t.targets)
-            h.u64(a);
-    }
-    h.u64(b.numMems());
-    for (std::size_t i = 0; i < b.numMems(); ++i) {
-        const MemSpec &m = b.mem(std::uint32_t(i));
-        h.u64(std::uint64_t(m.kind))
-            .u64(m.regionBase)
-            .u64(m.regionSize)
-            .u64(m.stride)
-            .u64(m.seed);
-    }
+    h.str(traceKeySalt); // stream-content salt, NOT the magic
+    h.u64(prog.contentHash()).u64(count);
     return h.value();
 }
 
@@ -295,8 +250,8 @@ CompiledTrace::payloadBytes() const
            4 * (count_ + nBranch_ + nRun_ + nMem_) + nBranch_;
 }
 
-std::vector<char>
-CompiledTrace::serialized() const
+void
+CompiledTrace::save(const std::string &path) const
 {
     TraceHeader h;
     h.key = key_;
@@ -310,56 +265,39 @@ CompiledTrace::serialized() const
     h.nRun = nRun_;
     h.nMem = nMem_;
 
-    // Assemble the whole image once so the checksum and the file
-    // write see the exact same bytes: header first, then the
-    // contiguous section region.
-    std::vector<char> image;
-    image.reserve(std::size_t(expectedFileSize(h)));
-    image.resize(headerBytes);
-    const auto appendRaw = [&image](const void *p, std::size_t bytes) {
-        if (bytes == 0)
-            return; // empty sections may have null views
-        const char *raw = static_cast<const char *>(p);
-        image.insert(image.end(), raw, raw + bytes);
+    // The sections, in file order, straight from the trace's arrays.
+    struct Section
+    {
+        const void *data; // may be null when bytes == 0
+        std::size_t bytes;
     };
-    const auto appendU64s = [&appendRaw](const std::uint64_t *p,
-                                         std::size_t n) {
-        appendRaw(p, 8 * n);
+    const Section sections[] = {
+        {end_.callStack.data(), 8 * h.callDepth},
+        {end_.condCount.data(), 8 * h.condN},
+        {end_.indCount.data(), 8 * h.indN},
+        {end_.memCount.data(), 8 * h.memN},
+        {takenWords_, 8 * takenWordsFor(count_)},
+        {nextPC_, 8 * count_},
+        {memAddr_, 8 * count_},
+        {branchPC_, 8 * nBranch_},
+        {branchTarget_, 8 * nBranch_},
+        {runPC_, 8 * nRun_},
+        {memPC_, 8 * nMem_},
+        {memEvAddr_, 8 * nMem_},
+        {storeWords_, 8 * takenWordsFor(nMem_)},
+        {siIdx_, 4 * count_},
+        {branchPos_, 4 * nBranch_},
+        {runPos_, 4 * nRun_},
+        {memPos_, 4 * nMem_},
+        {branchKind_, nBranch_},
     };
-    appendU64s(end_.callStack.data(), h.callDepth);
-    appendU64s(end_.condCount.data(), h.condN);
-    appendU64s(end_.indCount.data(), h.indN);
-    appendU64s(end_.memCount.data(), h.memN);
-    appendU64s(takenWords_, takenWordsFor(count_));
-    appendU64s(nextPC_, count_);
-    appendU64s(memAddr_, count_);
-    appendU64s(branchPC_, nBranch_);
-    appendU64s(branchTarget_, nBranch_);
-    appendU64s(runPC_, nRun_);
-    appendU64s(memPC_, nMem_);
-    appendU64s(memEvAddr_, nMem_);
-    appendU64s(storeWords_, takenWordsFor(nMem_));
-    appendRaw(siIdx_, 4 * count_);
-    appendRaw(branchPos_, 4 * nBranch_);
-    appendRaw(runPos_, 4 * nRun_);
-    appendRaw(memPos_, 4 * nMem_);
-    appendRaw(branchKind_, nBranch_);
-
-    h.checksum = contentChecksum(h, image.data() + headerBytes,
-                                 image.size() - headerBytes);
-
-    std::memcpy(image.data(), traceMagic, sizeof(traceMagic));
+    Checksum64 sum = headerChecksum(h);
+    for (const Section &s : sections)
+        sum.bytes(s.data, s.bytes);
+    h.checksum = sum.value();
     const std::uint64_t scalars[] = {
         h.key,  h.count,   h.callDepth, h.condN, h.indN,    h.memN,
         h.endPC, h.nBranch, h.nRun,     h.nMem,  h.checksum};
-    std::memcpy(image.data() + 16, scalars, sizeof(scalars));
-    return image;
-}
-
-void
-CompiledTrace::save(const std::string &path) const
-{
-    const std::vector<char> image = serialized();
 
     // Write to a private temp file and rename into place: readers of
     // a shared cache directory only ever see complete files.
@@ -371,14 +309,20 @@ CompiledTrace::save(const std::string &path) const
                               std::uint64_t(0)
 #endif
         );
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw IoError(errorf("cannot open '%s' for writing",
-                                 tmp.c_str()));
-        os.write(image.data(), std::streamsize(image.size()));
-        if (!os)
-            throw IoError(errorf("write to '%s' failed", tmp.c_str()));
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os)
+        throw IoError(errorf("cannot open '%s' for writing",
+                             tmp.c_str()));
+    os.write(traceMagic, sizeof(traceMagic));
+    os.write(reinterpret_cast<const char *>(scalars), sizeof(scalars));
+    for (const Section &s : sections)
+        if (s.bytes != 0)
+            os.write(static_cast<const char *>(s.data),
+                     std::streamsize(s.bytes));
+    os.close(); // flushes; a failed flush fails the stream
+    if (!os) {
+        std::remove(tmp.c_str());
+        throw IoError(errorf("write to '%s' failed", tmp.c_str()));
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
@@ -396,26 +340,15 @@ CompiledTrace::load(const std::string &path, std::uint64_t expect_key)
                              path.c_str()));
     const char *data = backing->data();
     const std::size_t size = backing->size();
-    const std::size_t mapped = backing->map ? backing->mapLen : 0;
-    return parseImage(data, size, expect_key,
-                      errorf("trace file '%s'", path.c_str()),
-                      std::move(backing), mapped);
-}
+    const std::string what = errorf("trace file '%s'", path.c_str());
 
-std::shared_ptr<const CompiledTrace>
-CompiledTrace::parseImage(const char *data, std::size_t size,
-                          std::uint64_t expect_key,
-                          const std::string &what,
-                          std::shared_ptr<void> backing,
-                          std::size_t mapped_bytes)
-{
     if (size < headerBytes)
         throw ParseError(errorf("%s truncated "
                                 "(%zu bytes, header needs %zu)",
                                 what.c_str(), size, headerBytes));
     if (std::memcmp(data, traceMagic, sizeof(traceMagic)) != 0)
         throw ParseError(errorf("%s has a bad magic "
-                                "(not an elfsim-trace-v2 image)",
+                                "(not an elfsim-trace-v3 image)",
                                 what.c_str()));
 
     TraceHeader h;
@@ -446,8 +379,8 @@ CompiledTrace::parseImage(const char *data, std::size_t size,
             (unsigned long long)expectedFileSize(h)));
 
     const char *sections = data + headerBytes;
-    const std::size_t sectionBytes = size - headerBytes;
-    if (contentChecksum(h, sections, sectionBytes) != h.checksum)
+    if (headerChecksum(h).bytes(sections, size - headerBytes).value() !=
+        h.checksum)
         throw ParseError(errorf("%s failed its checksum "
                                 "(corrupt or torn write)",
                                 what.c_str()));
@@ -455,8 +388,8 @@ CompiledTrace::parseImage(const char *data, std::size_t size,
     std::shared_ptr<CompiledTrace> t(new CompiledTrace);
     t->count_ = h.count;
     t->key_ = h.key;
+    t->mappedBytes_ = backing->map ? backing->mapLen : 0;
     t->backing_ = std::move(backing);
-    t->mappedBytes_ = mapped_bytes;
 
     const std::uint64_t *u64s =
         reinterpret_cast<const std::uint64_t *>(sections);

@@ -32,18 +32,20 @@
  *   - memory events: one entry per memory instruction, carrying
  *     position, PC, bound address, and a packed is-store bitset.
  *
- * On-disk format ("elfsim-trace-v2", native-endian, 8-byte words):
+ * On-disk format ("elfsim-trace-v3", native-endian, 8-byte words):
  *
- *   char     magic[16]   "elfsim-trace-v2\0"
- *   u64      key         content hash (program image + behaviour
- *                        specs + instruction count); the key salt is
- *                        frozen at the v1 format string — see key()
+ *   char     magic[16]   "elfsim-trace-v3\0"
+ *   u64      key         content hash (Program::contentHash +
+ *                        instruction count); the key salt is
+ *                        independent of the magic — see key()
  *   u64      count       compiled instructions
  *   u64      callDepth, condN, indN, memN   end-state array lengths
  *   u64      endPC       generator PC after instruction count
  *   u64      nBranch, nRun, nMem            side-table lengths
- *   u64      checksum    FNV-1a of the other header scalars plus
- *                        every section byte after this field
+ *   u64      checksum    Checksum64 of the other header scalars
+ *                        (each as 8 little-endian bytes, in file
+ *                        order) plus every section byte after this
+ *                        field
  *   u64[]    callStack, condCount, indCount, memCount  (end state)
  *   u64[]    takenWords  ceil(count / 64) packed outcome bits
  *   u64[]    nextPC      count entries
@@ -65,10 +67,11 @@
  * section, so every view is naturally aligned off the 8-aligned
  * header. The file size is fully determined by the header, so
  * truncation is detected before the checksum is even computed; a bad
- * magic (including a stale v1 artifact), a stale key, a size
- * mismatch, or a checksum mismatch all raise ParseError, which the
- * TraceCache treats as "recompile", never as a failed cell — a v1
- * file transparently recompiles into a v2 file at the same path.
+ * magic (including an artifact in a retired v1 or v2 format), a stale
+ * key, implausible lengths, a size mismatch, or a checksum mismatch
+ * all raise ParseError, which the TraceCache treats as "recompile",
+ * never as a failed cell — a v2 file under a current key
+ * transparently recompiles into a v3 file at the same path.
  */
 
 #ifndef ELFSIM_WORKLOAD_COMPILED_TRACE_HH
@@ -96,18 +99,16 @@ class CompiledTrace
 
     /**
      * Content hash identifying a (program, instruction count) pair:
-     * the static image, every behaviour spec, the entry point, and
-     * the requested length. Two programs with identical content share
-     * a key (and therefore a cache file) regardless of their names or
-     * addresses in memory.
+     * the program's contentHash (static image, every behaviour spec,
+     * the entry point) and the requested length. Two programs with
+     * identical content share a key (and therefore a cache file)
+     * regardless of their names or addresses in memory. Constant time:
+     * the image was hashed once, when the Program was built.
      *
-     * The hash is salted with the *original* "elfsim-trace-v1" format
+     * The hash is salted with the original "elfsim-trace-v1" format
      * string, frozen independently of the file magic: the key names
-     * the stream content, not the container layout, and warm-state
-     * checkpoint keys (CheckpointStore::key) derive from it — bumping
-     * the salt with the container would orphan every elfsim-ckpt-v1
-     * artifact for no semantic change. Container-format staleness is
-     * caught by the file magic instead.
+     * the stream content, not the container layout. Container-format
+     * staleness is caught by the file magic instead.
      */
     static std::uint64_t key(const Program &prog, InstCount count);
 
@@ -177,15 +178,11 @@ class CompiledTrace
     /**
      * Write the trace to @a path atomically (temp file + rename), so
      * concurrent processes sharing one cache directory never observe
-     * a torn file. Throws IoError on filesystem failure.
+     * a torn file. The checksum and the write both read the trace's
+     * own arrays; no file image is assembled in memory. Throws
+     * IoError on filesystem failure, after removing the temp file.
      */
     void save(const std::string &path) const;
-
-    /**
-     * The complete elfsim-trace-v2 image (header + sections) as a
-     * byte buffer — exactly the bytes save() writes.
-     */
-    std::vector<char> serialized() const;
 
     /**
      * Load a trace from @a path, mmap when possible (falling back to
@@ -201,14 +198,6 @@ class CompiledTrace
 
   private:
     CompiledTrace() = default;
-
-    /** Validate + adopt one complete elfsim-trace-v2 image;
-     *  @a backing keeps @a data alive for the views, @a what names the
-     *  image in errors. */
-    static std::shared_ptr<const CompiledTrace>
-    parseImage(const char *data, std::size_t size,
-               std::uint64_t expect_key, const std::string &what,
-               std::shared_ptr<void> backing, std::size_t mapped_bytes);
 
     InstCount count_ = 0;
     std::uint64_t key_ = 0;

@@ -1,9 +1,64 @@
 #include "workload/program.hh"
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "workload/program_builder.hh"
 
 namespace elfsim {
+
+namespace {
+
+/** Program::contentHash of a finished image. */
+std::uint64_t
+hashContent(const Program &prog)
+{
+    Fnv1a h;
+    h.u64(prog.codeBase()).u64(prog.entryPC());
+
+    const std::vector<StaticInst> &image = prog.instructions();
+    h.u64(image.size());
+    for (const StaticInst &si : image) {
+        h.u64(si.pc)
+            .u64(std::uint64_t(si.cls))
+            .u64(std::uint64_t(si.branch))
+            .u64(si.directTarget)
+            .u64(si.destReg)
+            .u64(si.srcRegs[0])
+            .u64(si.srcRegs[1])
+            .u64(si.behavior);
+    }
+
+    const BehaviorSet &b = prog.behaviors();
+    h.u64(b.numConds());
+    for (std::size_t i = 0; i < b.numConds(); ++i) {
+        const CondSpec &c = b.cond(std::uint32_t(i));
+        h.u64(std::uint64_t(c.kind))
+            .f64(c.takenProb)
+            .u64(c.period)
+            .u64(c.seed)
+            .f64(c.patternBias);
+    }
+    h.u64(b.numIndirects());
+    for (std::size_t i = 0; i < b.numIndirects(); ++i) {
+        const IndirectSpec &t = b.indirect(std::uint32_t(i));
+        h.u64(std::uint64_t(t.kind)).u64(t.period).u64(t.seed);
+        h.u64(t.targets.size());
+        for (Addr a : t.targets)
+            h.u64(a);
+    }
+    h.u64(b.numMems());
+    for (std::size_t i = 0; i < b.numMems(); ++i) {
+        const MemSpec &m = b.mem(std::uint32_t(i));
+        h.u64(std::uint64_t(m.kind))
+            .u64(m.regionBase)
+            .u64(m.regionSize)
+            .u64(m.stride)
+            .u64(m.seed);
+    }
+    return h.value();
+}
+
+} // namespace
 
 ProgramBuilder::SymBlock &
 ProgramBuilder::current()
@@ -226,6 +281,7 @@ ProgramBuilder::finalize(std::string name, std::uint32_t entry_block)
     }
 
     ELFSIM_ASSERT(prog.image.size() == total, "layout size mismatch");
+    prog.contentKey = hashContent(prog);
     return prog;
 }
 

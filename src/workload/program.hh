@@ -87,6 +87,15 @@ class Program
     /** Human-readable name (set by the catalog/builders). */
     const std::string &name() const { return progName; }
 
+    /**
+     * FNV-1a of the program's content: code base, entry point, every
+     * static instruction and every behaviour spec, but not the name.
+     * Computed once by ProgramBuilder::finalize (0 for a
+     * default-constructed Program); compiled-trace and checkpoint keys
+     * derive from it.
+     */
+    std::uint64_t contentHash() const { return contentKey; }
+
   private:
     friend class ProgramBuilder;
 
@@ -96,6 +105,7 @@ class Program
     std::vector<BlockInfo> blockTable;
     BehaviorSet behaviorSet;
     std::string progName = "anonymous";
+    std::uint64_t contentKey = 0;
 };
 
 } // namespace elfsim

@@ -10,12 +10,14 @@
  *
  * With a cache directory configured (--trace-cache DIR on the benches,
  * $ELFSIM_TRACE_CACHE, or TraceCache::setDirectory), traces also
- * persist across processes as content-keyed "elfsim-trace-v2" files:
+ * persist across processes as content-keyed "elfsim-trace-v3" files:
  * the first process of a campaign compiles and saves, the rest map the
  * file read-only. Staleness and corruption are detected by the file's
- * key and checksum; any load failure logs a warning and falls back to
- * recompiling, so a poisoned cache can slow a run down but never fail
- * it (the 'tracecache' fault-injection site tests exactly this).
+ * magic, key, lengths and checksum (Checksum64 over the header scalars
+ * and every section byte, see CompiledTrace); any load failure logs a
+ * warning and falls back to recompiling, so a poisoned cache can slow
+ * a run down but never fail it (the 'tracecache' fault-injection site
+ * tests exactly this).
  *
  * Tracing defaults to ON (in-memory memoization only). Set
  * $ELFSIM_TRACE=0 (or 'off') or call setEnabled(false) to force every

@@ -4,7 +4,8 @@
  * own reported error bound against a full detailed run across the
  * workload catalog, checkpointed re-runs are byte-identical to cold
  * runs (and actually hit), corrupt or injected-fault checkpoint
- * artifacts fall back to fast-forward transparently, bad schedules
+ * artifacts fall back to fast-forward transparently, a flip of any
+ * one artifact byte past the magic fails the load, bad schedules
  * are rejected up front, a sampled sweep exports identically at any
  * thread count, and the warm-state checkpoint payload is pinned byte
  * for byte.
@@ -324,6 +325,59 @@ TEST(Sampling, CorruptCheckpointsFallBackToFastForward)
         g.sampling.warmFfInsts = warm.sampling.warmFfInsts = 0;
         EXPECT_EQ(toJson(g), toJson(warm));
     }
+}
+
+// The payload checksum streams over a partial tail word: one flipped
+// byte anywhere past the magic — key, position, length, checksum or
+// payload — must fail the load and count exactly one load failure.
+TEST(CheckpointStore, LoadRejectsEveryFlippedByte)
+{
+    ScopedCkptDir dir("elfsim_ckpt_flip");
+    CheckpointStore &store = CheckpointStore::instance();
+    std::vector<std::uint8_t> payload(1003);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = std::uint8_t(i * 131 + 7);
+    const std::uint64_t key = 0x0123456789abcdefull;
+    const InstCount position = 40000;
+    store.save("flip", key, position, payload);
+    const std::string path = store.filePath("flip", key);
+    std::string good;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        good = os.str();
+    }
+    ASSERT_GT(good.size(), payload.size());
+
+    // Patch one byte in place, load, and put the byte back. Every
+    // failed load warns; keep the 1k warnings out of the test log.
+    std::fstream file(path, std::ios::binary | std::ios::in |
+                                std::ios::out);
+    const auto poke = [&file](std::size_t at, char c) {
+        file.seekp(std::streamoff(at));
+        file.put(c);
+        file.flush();
+    };
+    std::vector<std::uint8_t> got;
+    testing::internal::CaptureStderr();
+    for (std::size_t i = 16; i < good.size(); ++i) {
+        poke(i, char(good[i] ^ (1 << (i & 7))));
+        const CkptStats before = store.stats();
+        EXPECT_FALSE(store.load("flip", key, position, got))
+            << "byte " << i << " of " << good.size();
+        EXPECT_EQ(store.stats().delta(before).loadFailures, 1u)
+            << "byte " << i << " of " << good.size();
+        poke(i, good[i]);
+    }
+    testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(file.good());
+    file.close();
+
+    const CkptStats before = store.stats();
+    ASSERT_TRUE(store.load("flip", key, position, got));
+    EXPECT_EQ(store.stats().delta(before).hits, 1u);
+    EXPECT_EQ(got, payload);
 }
 
 TEST(Sampling, SweepExportIsByteIdenticalAcrossJobCounts)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +25,8 @@
 #include "workload/compiled_trace.hh"
 #include "workload/oracle_stream.hh"
 #include "workload/trace_cache.hh"
+
+#include <sys/resource.h>
 
 using namespace elfsim;
 
@@ -223,6 +226,78 @@ TEST(CompiledTrace, LoadRejectsBadMagicStaleKeyAndTruncation)
     std::remove(path.c_str());
 }
 
+// The checksum streams across section boundaries and a partial tail
+// word, so one flipped byte anywhere past the magic — header scalar,
+// checksum field, any section, the last byte — must be rejected.
+TEST(CompiledTrace, LoadRejectsEveryFlippedByte)
+{
+    const Program prog = microRandomBranchLoop(8, 0.4);
+    const auto trace = CompiledTrace::compile(prog, 300);
+    const std::string path = tempPath("trace_flip.etrace");
+    trace->save(path);
+    const std::string good = slurp(path);
+    const std::uint64_t key = trace->cacheKey();
+    // The checksummed stream (80 header bytes, then the sections) has
+    // the same length mod 8 as the file: it ends in a partial word,
+    // so it also ends off a 32-byte stripe.
+    ASSERT_NE(good.size() % 8, 0u);
+
+    // Patch one byte in place, load, and put the byte back.
+    std::fstream file(path, std::ios::binary | std::ios::in |
+                                std::ios::out);
+    const auto poke = [&file](std::size_t at, char c) {
+        file.seekp(std::streamoff(at));
+        file.put(c);
+        file.flush();
+    };
+    for (std::size_t i = 16; i < good.size(); ++i) {
+        poke(i, char(good[i] ^ (1 << (i & 7))));
+        EXPECT_THROW(CompiledTrace::load(path, key), ParseError)
+            << "byte " << i << " of " << good.size();
+        poke(i, good[i]);
+    }
+    ASSERT_TRUE(file.good());
+    file.close();
+    EXPECT_EQ(slurp(path), good);
+    EXPECT_NO_THROW(CompiledTrace::load(path, key));
+    std::remove(path.c_str());
+}
+
+// A write that fails part-way (here: the file-size limit) throws
+// IoError and leaves nothing behind, not even the temp file.
+TEST(CompiledTrace, FailedSaveRemovesItsTempFile)
+{
+    const Program prog = microRandomBranchLoop(8, 0.4);
+    const auto trace = CompiledTrace::compile(prog, 20000);
+    const std::string dir = tempPath("elfsim_trace_fsize");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    // Lower the soft file-size limit and ignore SIGXFSZ, so the write
+    // past 4 KiB fails with EFBIG instead of killing the process.
+    struct rlimit prevLimit;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &prevLimit), 0);
+    struct rlimit small = prevLimit;
+    small.rlim_cur = 4096;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+    void (*prevHandler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    bool threw = false;
+    try {
+        trace->save(dir + "/t.etrace");
+    } catch (const IoError &) {
+        threw = true;
+    }
+    ::setrlimit(RLIMIT_FSIZE, &prevLimit);
+    std::signal(SIGXFSZ, prevHandler);
+
+    EXPECT_TRUE(threw);
+    std::vector<std::string> left;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        left.push_back(e.path().filename().string());
+    EXPECT_EQ(left, std::vector<std::string>());
+    std::filesystem::remove_all(dir);
+}
+
 // The v2 warming side tables are a pure re-indexing of the per-inst
 // arrays: re-derive all three from siIndex/taken/nextPC/memAddr and
 // the static image, and require the stored tables — and the binary
@@ -282,12 +357,13 @@ TEST(CompiledTrace, SideTablesMatchPerInstArraysAcrossCatalog)
     }
 }
 
-// A v1-era artifact (the pre-side-table format) must demote to a
-// transparent recompile — never a failed acquisition — and the
-// recompile overwrites the stale file with a loadable v2 image.
-TEST(TraceCache, V1ArtifactTransparentlyRecompiles)
+// An artifact in the retired v2 format (byte-wise FNV-1a checksum)
+// must demote to a transparent recompile — never a failed acquisition
+// — and the recompile overwrites the stale file with a loadable v3
+// image.
+TEST(TraceCache, RetiredV2ArtifactTransparentlyRecompiles)
 {
-    ScopedCacheDir scope(testing::TempDir() + "elfsim_trace_v1fb");
+    ScopedCacheDir scope(testing::TempDir() + "elfsim_trace_v2fb");
     TraceCache &cache = TraceCache::instance();
     const Program prog = microBtbMissChain(512, 6);
 
@@ -297,13 +373,13 @@ TEST(TraceCache, V1ArtifactTransparentlyRecompiles)
     const std::string path = cache.filePath(prog, 3000);
     ASSERT_FALSE(path.empty());
 
-    // Stamp the artifact with the retired v1 magic. Nothing else in
+    // Stamp the artifact with the retired v2 magic. Nothing else in
     // the file changes — magic rejection alone must trigger the
     // fallback.
+    const std::string v3Magic("elfsim-trace-v3", 16); // with its NUL
     std::string bytes = slurp(path);
-    ASSERT_GE(bytes.size(), std::size_t(16));
-    ASSERT_NE(bytes.find("elfsim-trace-v2"), std::string::npos);
-    bytes[14] = '1';
+    ASSERT_EQ(bytes.substr(0, 16), v3Magic);
+    bytes[14] = '2';
     {
         std::ofstream os(path, std::ios::binary | std::ios::trunc);
         os.write(bytes.data(), std::streamsize(bytes.size()));
@@ -317,8 +393,8 @@ TEST(TraceCache, V1ArtifactTransparentlyRecompiles)
     EXPECT_EQ(second->cacheKey(), first->cacheKey());
     EXPECT_EQ(second->size(), first->size());
 
-    // The refreshed artifact is v2 again and loads cleanly.
-    EXPECT_NE(slurp(path).find("elfsim-trace-v2"), std::string::npos);
+    // The refreshed artifact is v3 again and loads cleanly.
+    EXPECT_EQ(slurp(path).substr(0, 16), v3Magic);
     EXPECT_NO_THROW(CompiledTrace::load(path, first->cacheKey()));
 }
 
