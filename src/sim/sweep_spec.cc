@@ -241,12 +241,65 @@ applySimKnob(SimConfig &cfg, const std::string &key, const SpecValue &v)
             errorf("unknown SimConfig knob '%s'", key.c_str()));
 }
 
+namespace {
+
+/** Throw the ConfigError for knob @a key, which is @a why. */
+[[noreturn]] void
+badKnob(const char *key, const char *why)
+{
+    throw ConfigError(errorf("knob '%s' %s", key, why));
+}
+
+/**
+ * The value rules of a spec's config row. applySimKnob checks only
+ * each value's type; a value outside these ranges would divide by
+ * zero, trip an internal assertion or wedge every cell.
+ */
+void
+checkSpecConfig(const SimConfig &cfg)
+{
+    const std::pair<const char *, const BtbLevelParams *> btbLevels[] = {
+        {"btb.l0", &cfg.btb.l0},
+        {"btb.l1", &cfg.btb.l1},
+        {"btb.l2", &cfg.btb.l2}};
+    for (const auto &[level, btb] : btbLevels) {
+        const std::string entries = std::string(level) + ".entries";
+        const std::string assoc = std::string(level) + ".assoc";
+        if (btb->entries == 0)
+            badKnob(entries.c_str(), "must be at least 1");
+        if (btb->assoc != 0 && btb->entries % btb->assoc != 0)
+            badKnob(assoc.c_str(),
+                    "must divide the level's entries (or be 0: fully "
+                    "associative)");
+    }
+    const std::pair<const char *, unsigned> sizes[] = {
+        {"faq_entries", cfg.faqEntries},
+        {"checkpoint_entries", cfg.checkpointEntries},
+        {"fetch_buffer_entries", cfg.fetchBufferEntries},
+        {"divergence.vec_entries", cfg.divergence.vecEntries},
+        {"coupled.bimodal_entries", cfg.coupledPreds.bimodal.entries},
+        {"fetch.width", cfg.fetch.width}};
+    for (const auto &[key, value] : sizes) {
+        if (value == 0)
+            badKnob(key, "must be at least 1");
+    }
+    const unsigned bits = cfg.coupledPreds.bimodal.counterBits;
+    if (bits < 1 || bits > 16)
+        badKnob("coupled.bimodal_counter_bits", "must be 1..16");
+    // Fetch waits for a whole group of free fetch-buffer slots.
+    if (cfg.fetch.width > cfg.fetchBufferEntries)
+        badKnob("fetch.width", "must not exceed fetch_buffer_entries");
+}
+
+} // namespace
+
 SimConfig
 makeSpecConfig(const ConfigSpec &c)
 {
     SimConfig cfg = makeConfig(c.variant);
     for (const auto &[key, value] : c.overrides)
         applySimKnob(cfg, key, value);
+    checkSpecConfig(cfg);
     return cfg;
 }
 
@@ -480,7 +533,8 @@ validateSweepSpec(const SweepSpec &spec)
         for (const WorkloadSelector &s : g.workloads)
             checkSelector(s);
         // Config rows fail fast too: build each one once so an
-        // unknown knob is rejected before any simulation starts.
+        // unknown knob or a bad value is rejected before any
+        // simulation starts.
         for (const ConfigSpec &c : g.configs)
             (void)makeSpecConfig(c);
     }

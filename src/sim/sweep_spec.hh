@@ -267,8 +267,12 @@ struct ExpandedSweep
     std::vector<std::string> labels;
 };
 
-/** Build a SimConfig from a config row; throws ConfigError on an
- *  unknown knob key or a type-mismatched value. */
+/** Build a SimConfig from a config row; throws ConfigError, naming
+ *  the knob, on an unknown knob key, a type-mismatched value, or a
+ *  value the model cannot run: a zero-sized queue, BTB level or
+ *  coupled bimodal, a BTB assoc that does not divide its entries, a
+ *  bimodal counter width outside 1..16, or a fetch width of 0 or
+ *  above fetch_buffer_entries. */
 SimConfig makeSpecConfig(const ConfigSpec &c);
 
 /**

@@ -311,6 +311,88 @@ TEST(SweepSpecValidate, BadMicroArgumentsRejected)
         EXPECT_EQ(selectorError(s), "") << s.name;
 }
 
+namespace {
+
+/** The ConfigError validateSweepSpec raises for a fig3 spec whose
+ *  first config row also sets @a knobs, or "" if none. */
+std::string
+knobError(FrontendVariant variant,
+          std::initializer_list<std::pair<const char *, std::uint64_t>>
+              knobs)
+{
+    SweepSpec spec = bench::fig3Spec(smallWindow());
+    ConfigSpec &c = spec.groups[0].configs[0];
+    c.variant = variant;
+    for (const auto &[key, value] : knobs)
+        c.setU64(key, value);
+    try {
+        validateSweepSpec(spec);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+// Knob values the model cannot run used to kill the process with
+// SIGFPE (a zero-sized BTB level or coupled bimodal), panic with an
+// InternalError (a zero-sized queue, a BTB assoc that does not divide
+// its entries, a counter width outside 1..16) or wedge every cell for
+// 100k cycles (a fetch width of 0 or above the fetch buffer). The
+// validator rejects each one, naming the knob, before any cell runs.
+TEST(SweepSpecValidate, UnrunnableKnobValuesRejected)
+{
+    struct Bad
+    {
+        const char *knob;
+        std::uint64_t value;
+    };
+    for (FrontendVariant v : {FrontendVariant::NoDcf, FrontendVariant::Dcf,
+                              FrontendVariant::LElf,
+                              FrontendVariant::UElf}) {
+        for (const Bad &b : {Bad{"btb.l0.entries", 0},
+                             Bad{"btb.l1.entries", 0},
+                             Bad{"btb.l2.entries", 0},
+                             Bad{"btb.l0.assoc", 5},
+                             Bad{"btb.l1.assoc", 3},
+                             Bad{"btb.l2.assoc", 3},
+                             Bad{"coupled.bimodal_entries", 0},
+                             Bad{"coupled.bimodal_counter_bits", 0},
+                             Bad{"coupled.bimodal_counter_bits", 17},
+                             Bad{"faq_entries", 0},
+                             Bad{"checkpoint_entries", 0},
+                             Bad{"fetch_buffer_entries", 0},
+                             Bad{"divergence.vec_entries", 0},
+                             Bad{"fetch.width", 0},
+                             Bad{"fetch.width", 32}}) {
+            const std::string err = knobError(v, {{b.knob, b.value}});
+            EXPECT_NE(err.find(b.knob), std::string::npos)
+                << variantName(v) << " " << b.knob << " = " << b.value
+                << ": '" << err << "'";
+        }
+    }
+    // A fetch width above the default buffer is fine with a buffer
+    // that holds a group.
+    EXPECT_EQ(knobError(FrontendVariant::UElf,
+                        {{"fetch.width", 32}, {"fetch_buffer_entries", 32}}),
+              "");
+    // The smallest configs the benches and tests run stay valid.
+    EXPECT_EQ(knobError(FrontendVariant::UElf,
+                        {{"btb.l0.entries", 1},
+                         {"btb.l0.assoc", 0},
+                         {"btb.l1.entries", 4},
+                         {"btb.l1.assoc", 4},
+                         {"btb.l2.entries", 8},
+                         {"btb.l2.assoc", 8},
+                         {"fetch.width", 16},
+                         {"faq_entries", 4},
+                         {"divergence.vec_entries", 16},
+                         {"coupled.bimodal_entries", 512},
+                         {"coupled.bimodal_counter_bits", 1}}),
+              "");
+}
+
 TEST(SweepSpecValidate, SyntheticPreconditionsRejected)
 {
     const auto synth = [](void (*edit)(CfgParams &)) {
