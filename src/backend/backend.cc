@@ -13,14 +13,99 @@ Backend::Backend(const BackendParams &params, MemHierarchy &mem,
       lsq(params.lsqEntries), maskWords((params.robEntries + 63) / 64),
       readyMask(maskWords, 0),
       waiters(std::size_t(params.robEntries) * maskWords, 0),
+      calHorizon(params.issueToExec +
+                 std::max({mem.worstLoadLatency(), params.mulLatency,
+                           params.divLatency, params.fpLatency,
+                           Cycle(1)})),
+      calBuckets(std::bit_ceil(std::size_t(calHorizon) + 1)),
+      calHead(calBuckets, noEvent), calBusy((calBuckets + 63) / 64, 0),
       lastProducer(numArchRegs, 0), lastProducerPos(numArchRegs, 0)
 {
-    // Stale events of squashed instructions stay queued until their
-    // cycle passes (validation drops them), so size the heap for the
-    // issue rate times the longest completion latency, not just for
-    // the live ROB — steady state must never reallocate.
-    compHeap.reserve(std::size_t(params.robEntries) * 16);
-    compDue.reserve(std::size_t(params.robEntries) * 16);
+    // Every pending event was issued within the last horizon cycles
+    // (stale events of squashed instructions included: validation
+    // drops them only when their cycle comes), so the pool holds an
+    // issue width of events per horizon cycle, and so does the batch
+    // of one cycle — steady state never allocates.
+    const std::size_t pool = std::size_t(params.issueWidth) * calHorizon;
+    calEvents.reserve(pool);
+    compDue.reserve(pool);
+}
+
+void
+Backend::clearCalendar()
+{
+    std::fill(calHead.begin(), calHead.end(), noEvent);
+    std::fill(calBusy.begin(), calBusy.end(), 0);
+    calEvents.clear();
+    calFree = noEvent;
+    calPending = 0;
+}
+
+void
+Backend::schedule(Cycle cycle, SeqNum seq, std::uint32_t pos, Cycle now)
+{
+    // An event due this cycle or earlier completes next cycle, as it
+    // did when the batch was "every event due by now": this cycle's
+    // completions have already run.
+    cycle = std::max(cycle, now + 1);
+    ELFSIM_ASSERT(cycle - now <= calHorizon,
+                  "completion at cycle %llu, issued at %llu, lies past "
+                  "the calendar horizon of %llu cycles",
+                  (unsigned long long)cycle, (unsigned long long)now,
+                  (unsigned long long)calHorizon);
+    const std::size_t b = cycle & (calBuckets - 1);
+    // Recycle a drained event, or take the pool's next unused one.
+    std::uint32_t e = calFree;
+    if (e != noEvent) {
+        calFree = calEvents[e].next;
+        calEvents[e] = {seq, pos, calHead[b]};
+    } else {
+        ELFSIM_ASSERT(calEvents.size() < calEvents.capacity(),
+                      "completion calendar pool exhausted");
+        e = std::uint32_t(calEvents.size());
+        calEvents.push_back({seq, pos, calHead[b]});
+    }
+    calHead[b] = e;
+    calBusy[b / 64] |= std::uint64_t(1) << (b % 64);
+    ++calPending;
+}
+
+Cycle
+Backend::firstEventFrom(Cycle from) const
+{
+    if (calPending == 0)
+        return neverCycle;
+    // Ring order from @a from's bucket: the bits of its word from the
+    // bucket up first, the ones below it last (as issue() walks the
+    // ready set).
+    const std::size_t start = from & (calBuckets - 1);
+    const std::size_t words = calBusy.size();
+    std::size_t w = start / 64;
+    for (std::size_t k = 0; k <= words; ++k) {
+        std::uint64_t bits = calBusy[w];
+        if (k == 0)
+            bits &= ~std::uint64_t(0) << (start % 64);
+        if (bits != 0) {
+            const std::size_t b = w * 64 + std::countr_zero(bits);
+            return from + ((b - start) & (calBuckets - 1));
+        }
+        if (++w == words)
+            w = 0;
+    }
+    return neverCycle;
+}
+
+Cycle
+Backend::nextWake() const
+{
+    Cycle wake = firstEventFrom(drainedThrough + 1);
+    if (robCount < rob.size()) {
+        const DynInst &di = rob.at(robCount);
+        if (iqCount < params.iqEntries &&
+            !(di.si->isMemInst() && lsq.full()))
+            wake = std::min(wake, di.readyAt);
+    }
+    return wake;
 }
 
 bool
@@ -116,18 +201,18 @@ Backend::execLatency(const DynInst &di, Cycle now)
     }
 }
 
-void
+bool
 Backend::dispatch(Cycle now)
 {
     unsigned n = 0;
     while (n < params.dispatchWidth && robCount < rob.size()) {
         DynInst &di = rob.at(robCount);
         if (di.readyAt > now)
-            return;
+            break;
         if (iqCount >= params.iqEntries)
-            return;
+            break;
         if (di.si->isMemInst() && lsq.full())
-            return;
+            break;
         ++n;
 
         // Record producers (seq + ROB slot) at rename.
@@ -191,13 +276,14 @@ Backend::dispatch(Cycle now)
         if (!waiting)
             markReady(pos);
     }
+    return n > 0;
 }
 
-void
+bool
 Backend::issue(Cycle now)
 {
     if (robCount == 0)
-        return;
+        return false;
     unsigned issued = 0;
     unsigned alu = 0, muldiv = 0, ldst = 0, simd = 0;
 
@@ -258,31 +344,46 @@ Backend::issue(Cycle now)
             di->issued = true;
             const Cycle lat = di->isStore() ? 1 : execLatency(*di, now);
             di->completeCycle = now + params.issueToExec + lat - 1;
-            compHeap.push_back(
-                {di->completeCycle, di->seq, std::uint32_t(pos)});
-            std::push_heap(compHeap.begin(), compHeap.end(), LaterCycle{});
+            schedule(di->completeCycle, di->seq, std::uint32_t(pos), now);
             if (++issued == params.issueWidth)
-                return;
+                return true;
         }
         if (++w == maskWords)
             w = 0;
     }
+    return issued > 0;
 }
 
-void
+bool
 Backend::complete(Cycle now, Redirect &redirect)
 {
-    // Pop every event due by now. The batch is re-sorted to seq order
-    // so instructions complete in exactly the ROB (age) order the old
+    // Only a skip of idle cycles separates two calls; it must never
+    // pass a cycle with events due.
+    ELFSIM_ASSERT(now == drainedThrough + 1 || calPending == 0 ||
+                      (now > drainedThrough &&
+                       firstEventFrom(drainedThrough + 1) >= now),
+                  "completion event left due before cycle %llu",
+                  (unsigned long long)now);
+    drainedThrough = now;
+
+    // Take this cycle's bucket. The batch is sorted to seq order so
+    // instructions complete in exactly the ROB (age) order the old
     // full-ROB scan used.
+    const std::size_t b = now & (calBuckets - 1);
+    if (calHead[b] == noEvent)
+        return false;
     compDue.clear();
-    while (!compHeap.empty() && compHeap.front().cycle <= now) {
-        std::pop_heap(compHeap.begin(), compHeap.end(), LaterCycle{});
-        compDue.push_back(compHeap.back());
-        compHeap.pop_back();
+    std::uint32_t last = noEvent;
+    for (std::uint32_t e = calHead[b]; e != noEvent;
+         e = calEvents[e].next) {
+        compDue.push_back(calEvents[e]);
+        last = e;
     }
-    if (compDue.empty())
-        return;
+    calEvents[last].next = calFree;
+    calFree = calHead[b];
+    calHead[b] = noEvent;
+    calBusy[b / 64] &= ~(std::uint64_t(1) << (b % 64));
+    calPending -= compDue.size();
     std::sort(compDue.begin(), compDue.end(),
               [](const CompletionEvent &a, const CompletionEvent &b) {
                   return a.seq < b.seq;
@@ -341,9 +442,10 @@ Backend::complete(Cycle now, Redirect &redirect)
             mergeRedirect(redirect, req);
         }
     }
+    return true;
 }
 
-void
+bool
 Backend::commit(Cycle now)
 {
     unsigned n = 0;
@@ -392,15 +494,17 @@ Backend::commit(Cycle now)
         --robCount;
         ++n;
     }
+    return n > 0;
 }
 
-void
+bool
 Backend::tick(Cycle now, Redirect &redirect)
 {
-    commit(now);
-    complete(now, redirect);
-    issue(now);
-    dispatch(now);
+    bool acted = commit(now);
+    acted |= complete(now, redirect);
+    acted |= issue(now);
+    acted |= dispatch(now);
+    return acted;
 }
 
 void
@@ -441,6 +545,11 @@ Backend::squashYoungerThan(SeqNum survivor_seq)
     while (!lsq.empty() && lsq.back().seq > survivor_seq)
         lsq.popBack(1);
     rebuildScoreboard();
+    // With nothing left in flight every pending event is a ghost.
+    // Dropping them lets the clock jump (fast-forward, warm-state
+    // restore) with an empty calendar.
+    if (rob.empty() && calPending != 0)
+        clearCalendar();
 }
 
 bool

@@ -102,12 +102,36 @@ class Backend
     void accept(DynInst &&di, Cycle now);
 
     /**
-     * Advance one cycle: dispatch, issue, execute completions, and
-     * commit. Branch mispredictions / order violations discovered
+     * Advance one cycle: commit, execute completions, issue, and
+     * dispatch. Branch mispredictions / order violations discovered
      * this cycle are merged into @a redirect if older than what it
      * already holds.
+     * @return true iff any of the four acted. A cycle in which none
+     * did changed no back-end state, so the next cycles are the same
+     * idle cycle until nextWake().
      */
-    void tick(Cycle now, Redirect &redirect);
+    bool tick(Cycle now, Redirect &redirect);
+
+    /**
+     * After a tick in which the back end did not act: the earliest
+     * cycle at which it can act on its own, or neverCycle.
+     * Its wake sources are the next completion event, and the oldest
+     * undispatched instruction's readyAt while the IQ and LSQ have
+     * room for it.
+     */
+    Cycle nextWake() const;
+
+    /**
+     * Account @a n skipped idle cycles the way ticking them would:
+     * each refuses admitGroup(@a group) exactly when it is refused
+     * now.
+     */
+    void
+    skipIdle(unsigned group, Cycle n)
+    {
+        if (!canAccept(group))
+            st.robFullCycles += n;
+    }
 
     /**
      * Squash every instruction younger than @a survivor_seq and
@@ -180,8 +204,8 @@ class Backend
     };
 
     /**
-     * Scheduled completion of an issued instruction. Events are kept
-     * in a min-heap on @a cycle so complete() touches only the
+     * Scheduled completion of an issued instruction, filed in the
+     * calendar bucket of its cycle so complete() touches only the
      * instructions finishing this cycle instead of scanning the whole
      * ROB. Squashes leave stale events behind; an event is validated
      * against the live ROB slot (position liveness + seq identity +
@@ -190,29 +214,25 @@ class Backend
      */
     struct CompletionEvent
     {
-        Cycle cycle = 0;
         SeqNum seq = 0;
         std::uint32_t pos = 0;
+        std::uint32_t next = 0; ///< next in the bucket or drained list
     };
 
-    /** Heap comparator: std::*_heap max-heaps on it, so "later cycle
-     *  sorts down" yields a min-heap on completion cycle. A type, not
-     *  a function pointer, so the heap operations inline it. */
-    struct LaterCycle
-    {
-        bool
-        operator()(const CompletionEvent &a,
-                   const CompletionEvent &b) const
-        {
-            return a.cycle > b.cycle;
-        }
-    };
+    /** End of a bucket's (or the drained list's) event list. */
+    static constexpr std::uint32_t noEvent = ~std::uint32_t(0);
 
-    void dispatch(Cycle now);
-    void issue(Cycle now);
-    void complete(Cycle now, Redirect &redirect);
-    void commit(Cycle now);
+    bool dispatch(Cycle now);
+    bool issue(Cycle now);
+    bool complete(Cycle now, Redirect &redirect);
+    bool commit(Cycle now);
     void rebuildScoreboard();
+
+    void schedule(Cycle cycle, SeqNum seq, std::uint32_t pos, Cycle now);
+    /** First cycle from @a from on whose bucket holds an event, or
+     *  neverCycle. */
+    Cycle firstEventFrom(Cycle from) const;
+    void clearCalendar();
 
     bool producerPending(SeqNum seq, std::uint32_t pos) const;
     bool operandsReady(const DynInst &di) const;
@@ -265,8 +285,28 @@ class Backend
     std::vector<std::uint64_t> waiters; ///< robEntries rows of maskWords
     std::size_t iqCount = 0;            ///< dispatched, not yet issued
 
-    /** Pending completions, min-heap on cycle (std::*_heap). */
-    std::vector<CompletionEvent> compHeap;
+    /**
+     * Pending completions as a calendar: one bucket per cycle over a
+     * ring of calBuckets cycles (a power of two). The constructor
+     * sizes the ring past the horizon, issueToExec plus the longest
+     * execution latency the config allows (the worst-case load or
+     * the mul/div/fp latency), so the pending events, all due within
+     * the horizon, never share a bucket across cycles. A bucket is a
+     * list threaded through calEvents, a pool reserved for an issue
+     * width of events per horizon cycle, whose drained events are
+     * recycled through calFree; calBusy has a bit per non-empty
+     * bucket, so the next completion is a find-first-set.
+     */
+    Cycle calHorizon;
+    std::size_t calBuckets;
+    std::vector<CompletionEvent> calEvents;
+    std::vector<std::uint32_t> calHead; ///< per bucket, or noEvent
+    std::vector<std::uint64_t> calBusy;
+    std::uint32_t calFree = noEvent;    ///< drained-event list
+    std::size_t calPending = 0;         ///< events in the buckets
+    /** The cycle complete() last ran at: every bucket up to it is
+     *  drained. */
+    Cycle drainedThrough = 0;
     /** Events due this cycle, sorted to ROB (seq) order. Member so
      *  the per-tick batch never allocates in steady state. */
     std::vector<CompletionEvent> compDue;

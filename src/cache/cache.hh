@@ -72,6 +72,7 @@ class FixedLatencyMemory : public MemoryLevel
 
     const MemoryStats &stats() const { return st; }
     std::uint64_t accesses() const { return st.accesses; }
+    Cycle fixedLatency() const { return latency; }
 
     /** Serialize the access counter (warm-state checkpoints). */
     void saveState(Serializer &s) const;

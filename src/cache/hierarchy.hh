@@ -50,6 +50,20 @@ class MemHierarchy
      */
     Cycle dataAccess(Addr pc, Addr addr, bool write, Cycle now);
 
+    /**
+     * The longest load-to-use latency dataAccess() can return: a miss
+     * from the L1D through the L2 and L3 to memory. A hit on a line
+     * still filling waits at most for the rest of that fill, which
+     * started no later than the access, so it never costs more.
+     */
+    Cycle
+    worstLoadLatency() const
+    {
+        return l1dCache->config().hitLatency +
+               l2Cache->config().hitLatency +
+               l3Cache->config().hitLatency + mem->fixedLatency();
+    }
+
     /** FAQ-directed instruction prefetch into L0I (fills L1I/L2 too). */
     void
     prefetchInst(Addr addr, Cycle now)

@@ -21,6 +21,10 @@ using Addr = std::uint64_t;
 /** Simulation time in core clock cycles. */
 using Cycle = std::uint64_t;
 
+/** No such cycle: the wake time of a stage that only another stage's
+ *  action can wake. */
+constexpr Cycle neverCycle = std::numeric_limits<Cycle>::max();
+
 /** Global dynamic instruction sequence number (monotonic, 1-based). */
 using SeqNum = std::uint64_t;
 

@@ -109,6 +109,14 @@ class DivergenceTracker
     /** Free space on the coupled side (fetch stalls when exhausted). */
     unsigned coupledSpace() const;
 
+    /** @return true iff compare() has a pair to consume or report;
+     *  otherwise it changes nothing. */
+    bool
+    hasPair() const
+    {
+        return !coupled.empty() && !decoupled.empty();
+    }
+
     /** Drop everything (period reset). */
     void reset();
 

@@ -1,5 +1,7 @@
 #include "core/elf_controller.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace elfsim {
@@ -35,11 +37,10 @@ ElfController::ElfController(const ElfControllerParams &params,
                   : FetchMode::Coupled;
 }
 
-void
+bool
 ElfController::dcfTick(Cycle now)
 {
-    if (dcfEngine)
-        dcfEngine->tick(now);
+    return dcfEngine && dcfEngine->tick(now);
 }
 
 void
@@ -144,9 +145,10 @@ ElfController::switchToDecoupled(Cycle now)
     (void)now;
 }
 
-void
+bool
 ElfController::processFaqWhileCoupled(Cycle now)
 {
+    bool acted = false;
     while (!faq.empty() &&
            faq.front().genCycle + params.bp1ToFe <= now) {
         const FaqEntry &head = faq.front();
@@ -158,7 +160,7 @@ ElfController::processFaqWhileCoupled(Cycle now)
         // resumes: the FAQ covers the decision and drives past it.
         if (decoupledCount + head.numInsts >= fetchCoupledCount) {
             switchToDecoupled(now);
-            return;
+            return true;
         }
 
         // Rule 1/2: the fetcher already fetched (and decoded) every
@@ -170,36 +172,56 @@ ElfController::processFaqWhileCoupled(Cycle now)
                 ckpts.fillPayloadsUpTo(periodStartSeq +
                                        decoupledCount - 1);
             faq.pop();
+            acted = true;
             continue;
         }
         break;
     }
+    return acted;
 }
 
-unsigned
+ElfController::Fetcher
+ElfController::fetcher(bool can_fetch) const
+{
+    if (!can_fetch)
+        return Fetcher::None;
+    if (curMode == FetchMode::Decoupled)
+        return Fetcher::Decoupled;
+    // ELF: respect the finite bitvectors/target queues, accounting
+    // for coupled instructions fetched but not yet recorded at decode.
+    if (isElf(params.variant) &&
+        divTracker.coupledSpace() <=
+            coupledFetched - decodeCoupledCount + params.fetch.width)
+        return Fetcher::None;
+    return Fetcher::Coupled;
+}
+
+bool
 ElfController::fetchTick(Cycle now, BoundedQueue<DynInst> &out,
                          Redirect &redirect, bool can_fetch)
 {
     const std::size_t before = out.size();
-    unsigned n = 0;
-
-    if (params.variant == FrontendVariant::NoDcf) {
-        return can_fetch ? cplEng->tick(now, out) : 0;
+    // An engine acts whenever it gets past its stall checks: it
+    // fetches or misses in the L0I.
+    bool acted = false;
+    switch (fetcher(can_fetch)) {
+      case Fetcher::Coupled:
+        acted = cplEng->nextActive(now) == now;
+        cplEng->tick(now, out);
+        break;
+      case Fetcher::Decoupled:
+        acted = decEng->nextActive(now, params.bp1ToFe) == now;
+        decEng->tick(now, params.bp1ToFe, out);
+        break;
+      case Fetcher::None:
+        break;
     }
-    if (params.variant == FrontendVariant::Dcf) {
-        return can_fetch ? decEng->tick(now, params.bp1ToFe, out) : 0;
-    }
+    if (!isElf(params.variant))
+        return acted;
+    const unsigned n = static_cast<unsigned>(out.size() - before);
 
     if (curMode == FetchMode::Coupled) {
         ++st.coupledCycles;
-        // Respect the finite bitvectors/target queues: account for
-        // coupled instructions fetched but not yet recorded at decode.
-        const std::uint64_t unrecorded =
-            coupledFetched - decodeCoupledCount;
-        if (can_fetch && divTracker.coupledSpace() >
-                             unrecorded + params.fetch.width) {
-            n = cplEng->tick(now, out);
-        }
         for (std::size_t i = before; i < out.size(); ++i) {
             const DynInst &di = out.at(i);
             if (di.fetchStalled) {
@@ -212,11 +234,9 @@ ElfController::fetchTick(Cycle now, BoundedQueue<DynInst> &out,
         fetchCoupledCount += n;
         coupledFetched += n;
         st.coupledInsts += n;
-        processFaqWhileCoupled(now);
+        acted |= processFaqWhileCoupled(now);
     } else {
         ++st.decoupledCycles;
-        if (can_fetch)
-            n = decEng->tick(now, params.bp1ToFe, out);
         // The coupled RAS is updated even in decoupled mode (IV-D2).
         if (hasCoupledRas(params.variant)) {
             for (std::size_t i = before; i < out.size(); ++i) {
@@ -233,6 +253,7 @@ ElfController::fetchTick(Cycle now, BoundedQueue<DynInst> &out,
     // last coupled instructions drain through decode). Stalled
     // branches adopt the DCF's prediction without flushing.
     adoptScratch.clear();
+    acted |= divTracker.hasPair();
     const auto div = divTracker.compare(adoptScratch);
     for (const Divergence &a : adoptScratch) {
         PredPatch p;
@@ -250,6 +271,7 @@ ElfController::fetchTick(Cycle now, BoundedQueue<DynInst> &out,
         // Every coupled instruction decoded and compared clean: the
         // resynchronization is fully done.
         endPeriodTracking();
+        acted = true;
     }
     if (div) {
         Redirect req;
@@ -274,7 +296,62 @@ ElfController::fetchTick(Cycle now, BoundedQueue<DynInst> &out,
             patchList.push_back(p);
         }
     }
-    return n;
+    return acted;
+}
+
+Cycle
+ElfController::nextWake(Cycle now, bool can_fetch) const
+{
+    Cycle wake = neverCycle;
+    switch (fetcher(can_fetch)) {
+      case Fetcher::Coupled:
+        wake = cplEng->nextActive(now);
+        break;
+      case Fetcher::Decoupled:
+        wake = decEng->nextActive(now, params.bp1ToFe);
+        break;
+      case Fetcher::None:
+        break;
+    }
+    if (params.variant == FrontendVariant::NoDcf)
+        return wake;
+
+    // Coupled ELF consumes the FAQ head once it is visible (a visible
+    // head it left waits for the coupled counts to move).
+    if (curMode == FetchMode::Coupled && !faq.empty()) {
+        const Cycle visible = faq.front().genCycle + params.bp1ToFe;
+        if (visible > now)
+            wake = std::min(wake, visible);
+    }
+    wake = std::min(wake, dcfEngine->nextActive(now));
+    // An idle fetch leaves the prefetcher idle only behind a full
+    // in-flight queue (a scan that found every line present holds
+    // until the FAQ or the L0I changes).
+    if (params.maxInstPrefetch != 0 &&
+        prefetchInflight.size() >= params.maxInstPrefetch)
+        wake = std::min(wake, prefetchInflight.front());
+    return wake;
+}
+
+void
+ElfController::skipIdle(Cycle now, Cycle n, bool can_fetch)
+{
+    switch (fetcher(can_fetch)) {
+      case Fetcher::Coupled:
+        cplEng->skipIdle(now, n);
+        break;
+      case Fetcher::Decoupled:
+        decEng->skipIdle(now, n);
+        break;
+      case Fetcher::None:
+        break;
+    }
+    if (!isElf(params.variant))
+        return;
+    if (curMode == FetchMode::Coupled)
+        st.coupledCycles += n;
+    else
+        st.decoupledCycles += n;
 }
 
 void
@@ -341,17 +418,19 @@ ElfController::applyRedirect(Cycle now, Addr target_pc)
     ++st.coupledPeriods;
 }
 
-void
+bool
 ElfController::prefetchTick(Cycle now, bool fetch_was_idle)
 {
     if (params.variant == FrontendVariant::NoDcf)
-        return;
+        return false;
     if (!fetch_was_idle)
-        return;
+        return false;
+    // Retiring completed prefetches changes nothing a later cycle
+    // would not retire itself, so it is not an action.
     while (!prefetchInflight.empty() && prefetchInflight.front() <= now)
         prefetchInflight.pop();
     if (prefetchInflight.size() >= params.maxInstPrefetch)
-        return;
+        return false;
 
     // Oldest-to-youngest scan of the FAQ for the first block whose
     // line is not already in the L0I. A scan that found every line
@@ -361,18 +440,19 @@ ElfController::prefetchTick(Cycle now, bool fetch_was_idle)
     const std::uint64_t faqVersion = faq.version();
     const std::uint64_t l0iVersion = mem.l0i().residencyVersion();
     if (faqVersion == coveredFaqVersion && l0iVersion == coveredL0iVersion)
-        return;
+        return false;
     for (std::size_t i = 0; i < faq.size(); ++i) {
         const FaqEntry &e = faq.at(i);
         if (!mem.l0i().present(e.startPC)) {
             mem.prefetchInst(e.startPC, now);
             prefetchInflight.push(now + 8);
             ++st.instPrefetches;
-            return;
+            return true;
         }
     }
     coveredFaqVersion = faqVersion;
     coveredL0iVersion = l0iVersion;
+    return true;
 }
 
 } // namespace elfsim

@@ -112,18 +112,21 @@ class ElfController : public DecodeObserver
                   InstSupply &supply, Faq &faq, CheckpointQueue &ckpts,
                   PredictorBank &bank, MultiBtb &btb);
 
-    /** BP1 address-generation cycle (no-op for NoDCF). */
-    void dcfTick(Cycle now);
+    /** BP1 address-generation cycle (no-op for NoDCF).
+     *  @return true iff the DCF pushed a block. */
+    bool dcfTick(Cycle now);
 
     /**
      * Fetch cycle: produce instructions, appending them to @a out
      * (room for a fetch width is needed when @a can_fetch), run the
      * resynchronization count rules, and run divergence detection. A
      * divergence flush request is merged into @a redirect.
-     * @return instructions fetched.
+     * @return true iff anything beyond the per-cycle counters changed:
+     * a fetch or an I-cache access, a FAQ block consumed while
+     * coupled, a divergence comparison, or the end of a period.
      */
-    unsigned fetchTick(Cycle now, BoundedQueue<DynInst> &out,
-                       Redirect &redirect, bool can_fetch = true);
+    bool fetchTick(Cycle now, BoundedQueue<DynInst> &out,
+                   Redirect &redirect, bool can_fetch = true);
 
     /** DecodeObserver: decode-side counts/records. */
     void onDecoded(const DynInst &di) override;
@@ -136,8 +139,25 @@ class ElfController : public DecodeObserver
      */
     void applyRedirect(Cycle now, Addr target_pc);
 
-    /** FAQ-directed instruction prefetch on idle L0I cycles. */
-    void prefetchTick(Cycle now, bool fetch_was_idle);
+    /** FAQ-directed instruction prefetch on idle L0I cycles.
+     *  @return true iff it prefetched or rescanned the FAQ. */
+    bool prefetchTick(Cycle now, bool fetch_was_idle);
+
+    /**
+     * After a cycle @a now in which fetchTick, dcfTick and
+     * prefetchTick (fetch idle) all did nothing: the earliest cycle
+     * at which one of them can act on its own, or neverCycle. Its
+     * wake sources are the fetching engine's busyUntil or FAQ head,
+     * the FAQ head's genCycle + bp1ToFe while coupled, the DCF's
+     * bubble countdown, and the oldest in-flight prefetch while
+     * that queue is full. @a can_fetch is fetchTick's argument.
+     */
+    Cycle nextWake(Cycle now, bool can_fetch) const;
+
+    /** Count @a n idle cycles after that idle cycle @a now, as
+     *  ticking them would: the ELF mode cycles and the fetching
+     *  engine's stall cycles. */
+    void skipIdle(Cycle now, Cycle n, bool can_fetch);
 
     /**
      * Prediction patches for the core to apply, then discard with
@@ -184,7 +204,11 @@ class ElfController : public DecodeObserver
     void restoreStats(const ElfStats &stats) { st = stats; }
 
   private:
-    void processFaqWhileCoupled(Cycle now);
+    /** The engine fetchTick drives this cycle, if any. */
+    enum class Fetcher { None, Coupled, Decoupled };
+    Fetcher fetcher(bool can_fetch) const;
+
+    bool processFaqWhileCoupled(Cycle now);
     void switchToDecoupled(Cycle now);
     void expandDecoupledRecords(const FaqEntry &e, unsigned first,
                                 unsigned count);

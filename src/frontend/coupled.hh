@@ -20,6 +20,8 @@
 #ifndef ELFSIM_FRONTEND_COUPLED_HH
 #define ELFSIM_FRONTEND_COUPLED_HH
 
+#include <algorithm>
+
 #include "bpred/checkpoint.hh"
 #include "cache/hierarchy.hh"
 #include "common/queue.hh"
@@ -120,6 +122,29 @@ class CoupledFetchEngine
 
     /** Unstall after an execute resteer (resume at @a pc). */
     void resumeAt(Addr pc, Cycle now);
+
+    /**
+     * The first cycle from @a now on at which tick() does more than
+     * count a stall cycle: @a now itself when it fetches (or misses)
+     * now; busyUntil during an I-side fill or a taken-branch bubble;
+     * neverCycle while inactive or stalled at a decision.
+     */
+    Cycle
+    nextActive(Cycle now) const
+    {
+        if (!active() || stalledControl)
+            return neverCycle;
+        return std::max(now, busyUntil);
+    }
+
+    /** Count @a n idle cycles after an idle tick at @a now, as
+     *  ticking them would. */
+    void
+    skipIdle(Cycle now, Cycle n)
+    {
+        if (active() && !stalledControl && now < busyUntil)
+            st.icacheStallCycles += n;
+    }
 
     /**
      * Fetch up to width instructions, appending them to @a out, which

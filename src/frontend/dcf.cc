@@ -152,11 +152,11 @@ DecoupledFetcher::processEntry(const BtbLookupResult &res, FaqEntry &out)
     return bubbles;
 }
 
-void
+bool
 DecoupledFetcher::tick(Cycle now)
 {
     if (pc == invalidAddr || now < stallUntil || faq.full())
-        return;
+        return false;
 
     const BtbLookupResult res = btb.lookup(pc);
     FaqEntry entry;
@@ -173,7 +173,7 @@ DecoupledFetcher::tick(Cycle now)
         ++st.blocks;
         ++st.btbMissBlocks;
         pc = entry.nextPC;
-        return;
+        return true;
     }
 
     const unsigned bubbles = processEntry(res, entry);
@@ -184,6 +184,7 @@ DecoupledFetcher::tick(Cycle now)
     st.bubbleCycles += bubbles;
     pc = entry.nextPC;
     stallUntil = now + 1 + bubbles;
+    return true;
 }
 
 } // namespace elfsim

@@ -24,6 +24,8 @@
 #ifndef ELFSIM_FRONTEND_DCF_HH
 #define ELFSIM_FRONTEND_DCF_HH
 
+#include <algorithm>
+
 #include "bpred/predictor_bank.hh"
 #include "btb/btb.hh"
 #include "frontend/faq.hh"
@@ -69,8 +71,22 @@ class DecoupledFetcher
   public:
     DecoupledFetcher(MultiBtb &btb, PredictorBank &bank, Faq &faq);
 
-    /** Run one address-generation cycle. */
-    void tick(Cycle now);
+    /** Run one address-generation cycle.
+     *  @return true iff it pushed a block into the FAQ. */
+    bool tick(Cycle now);
+
+    /**
+     * The first cycle from @a now on at which tick() pushes a block:
+     * the end of the bubble countdown (stallUntil), or neverCycle
+     * while halted or while the FAQ is full.
+     */
+    Cycle
+    nextActive(Cycle now) const
+    {
+        if (pc == invalidAddr || faq.full())
+            return neverCycle;
+        return std::max(now, stallUntil);
+    }
 
     /**
      * Restart BP1 at @a pc (pipeline flush, misfetch recovery, or

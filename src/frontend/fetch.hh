@@ -14,6 +14,8 @@
 #ifndef ELFSIM_FRONTEND_FETCH_HH
 #define ELFSIM_FRONTEND_FETCH_HH
 
+#include <algorithm>
+
 #include "bpred/checkpoint.hh"
 #include "cache/hierarchy.hh"
 #include "common/queue.hh"
@@ -79,6 +81,34 @@ class DecoupledFetchEngine
 
     /** @return true iff an I-cache miss is holding fetch. */
     bool stalled(Cycle now) const { return now < busyUntil; }
+
+    /**
+     * The first cycle from @a now on at which tick() does more than
+     * count a stall cycle: @a now itself when it fetches (or misses)
+     * now; busyUntil while an I-side fill holds fetch; otherwise the
+     * cycle the FAQ head becomes visible, or neverCycle for an empty
+     * FAQ.
+     */
+    Cycle
+    nextActive(Cycle now, Cycle faq_ready_cycle) const
+    {
+        if (stalled(now))
+            return busyUntil;
+        if (faq.empty())
+            return neverCycle;
+        return std::max(now, faq.front().genCycle + faq_ready_cycle);
+    }
+
+    /** Count @a n idle cycles after an idle tick at @a now, as
+     *  ticking them would. */
+    void
+    skipIdle(Cycle now, Cycle n)
+    {
+        if (stalled(now))
+            st.icacheStallCycles += n;
+        else
+            st.faqEmptyCycles += n;
+    }
 
     const FetchStats &stats() const { return st; }
 

@@ -290,13 +290,25 @@ Core::applyRedirect(Redirect r)
 void
 Core::tick()
 {
+    step();
+}
+
+bool
+Core::canFetch() const
+{
+    return fetchToDecode->freeSlots() >= cfg.fetch.width;
+}
+
+bool
+Core::step()
+{
     ++coreStats.cycles;
     const Cycle now = coreStats.cycles;
 
     Redirect redirect = heldRedirect;
     heldRedirect = Redirect{};
 
-    backendUnit->tick(now, redirect);
+    bool acted = backendUnit->tick(now, redirect);
 
     // Decode (gated by back-end capacity), in place at the front of
     // the fetch buffer; each decoded instruction then moves once,
@@ -310,6 +322,7 @@ Core::tick()
             fetchToDecode->dropFront();
         }
         mergeRedirect(redirect, resteer);
+        acted |= decoded > 0;
     }
 
     // Fetch, straight into the fetch buffer. The controller always
@@ -317,9 +330,9 @@ Core::tick()
     // every cycle); the engines only produce instructions when the
     // buffer has room.
     const std::size_t oldTail = fetchToDecode->size();
-    const unsigned fetched = controller->fetchTick(
-        now, *fetchToDecode, redirect,
-        fetchToDecode->freeSlots() >= cfg.fetch.width);
+    acted |= controller->fetchTick(now, *fetchToDecode, redirect,
+                                   canFetch());
+    const std::size_t fetched = fetchToDecode->size() - oldTail;
     for (std::size_t i = oldTail; i < fetchToDecode->size(); ++i) {
         DynInst &di = fetchToDecode->at(i);
         // ELF coupled-mode instances: the catching-up DCF will push
@@ -336,10 +349,52 @@ Core::tick()
         measureRedirectCycle = 0;
     }
 
-    controller->dcfTick(now);
-    controller->prefetchTick(now, fetched == 0);
+    acted |= controller->dcfTick(now);
+    acted |= controller->prefetchTick(now, fetched == 0);
     applyPatches(redirect, now);
+    // A redirect acts; one held for its checkpoint payload (ELF) is
+    // retried, and counted, every cycle.
+    acted |= redirect.pending();
     applyRedirect(redirect);
+    return acted;
+}
+
+Cycle
+Core::nextWake() const
+{
+    // Every comparison of a stored cycle against the clock in the
+    // tick path is a wake source. After a cycle in which no stage
+    // acted, the next one that can act is the earliest of:
+    //  - the next completion event (Backend calendar);
+    //  - the oldest undispatched instruction's readyAt, when the IQ
+    //    and LSQ have room (Backend::dispatch);
+    //  - the fetch-buffer front's readyAt, when the back end can
+    //    admit a group (DecodeStage::tick);
+    //  - the FAQ head's genCycle + bp1ToFe (the decoupled engine,
+    //    and coupled ELF consuming the FAQ);
+    //  - the fetching engine's busyUntil (I-side fill, taken-branch
+    //    bubbles);
+    //  - the DCF bubble countdown (DecoupledFetcher::stallUntil);
+    //  - the oldest in-flight instruction prefetch, when that queue
+    //    is full (ElfController::prefetchTick).
+    // Everything else waits on another stage's action.
+    Cycle wake = std::min(backendUnit->nextWake(),
+                          controller->nextWake(coreStats.cycles,
+                                               canFetch()));
+    if (!fetchToDecode->empty() &&
+        backendUnit->canAccept(cfg.fetch.width))
+        wake = std::min(wake, fetchToDecode->front().readyAt);
+    return wake;
+}
+
+void
+Core::skipIdle(Cycle until)
+{
+    const Cycle now = coreStats.cycles;
+    const Cycle n = until - now;
+    backendUnit->skipIdle(cfg.fetch.width, n);
+    controller->skipIdle(now, n, canFetch());
+    coreStats.cycles = until;
 }
 
 void
@@ -594,11 +649,23 @@ Core::run(InstCount max_insts)
     InstCount lastCommitted = committed();
     Cycle lastProgress = coreStats.cycles;
     while (committed() < target) {
-        tick();
+        if (!step()) {
+            // Nothing acted: every cycle before the next wake is this
+            // same idle cycle, so skip them. The skip stops at the
+            // poll and at the progress limit, so both fire on the
+            // cycle they would when ticking.
+            const Cycle wake = nextWake();
+            Cycle until =
+                std::min(wake - 1, lastProgress + noProgressCycles + 1);
+            if (exec)
+                until = std::min(until, nextPoll);
+            if (wake > coreStats.cycles && until > coreStats.cycles)
+                skipIdle(until);
+        }
         if (committed() != lastCommitted) {
             lastCommitted = committed();
             lastProgress = coreStats.cycles;
-        } else if (coreStats.cycles - lastProgress > 100000) {
+        } else if (coreStats.cycles - lastProgress > noProgressCycles) {
             debugDump();
             ELFSIM_PANIC("no forward progress for 100k cycles "
                          "(workload %s, variant %s)",

@@ -87,14 +87,24 @@ class Core
     Core(const SimConfig &cfg, const Program &prog,
          std::shared_ptr<const CompiledTrace> trace = nullptr);
 
-    /** Advance one cycle. */
+    /** Advance exactly one cycle. */
     void tick();
 
     /**
      * Run until @a max_insts instructions have committed (or panic
-     * after a generous cycle bound — a deadlock diagnostic).
+     * after noProgressCycles cycles without a commit — a deadlock
+     * diagnostic). Every statistic reads as if each cycle were
+     * ticked, but after a cycle in which no stage acted the clock
+     * jumps to the earliest cycle at which one can act again (see
+     * nextWake()), and the per-cycle counters are bulk-added for the
+     * cycles skipped. A skip never passes the ExecContext poll or the
+     * no-progress panic, so both fire on the same cycle as when
+     * ticking.
      */
     void run(InstCount max_insts);
+
+    /** Cycles without a commit after which run() panics. */
+    static constexpr Cycle noProgressCycles = 100000;
 
     /**
      * Watchdog/fault-injection poll cadences, one named constant per
@@ -223,6 +233,18 @@ class Core
                        const OracleGen *gen_state);
 
   private:
+    /** One cycle. @return true iff any stage acted, i.e. changed
+     *  state beyond the per-cycle counters. */
+    bool step();
+    /** After a cycle in which no stage acted: the earliest cycle at
+     *  which one can act, or neverCycle. */
+    Cycle nextWake() const;
+    /** Move the clock from an idle cycle to @a until, counting the
+     *  skipped cycles as ticking them would. */
+    void skipIdle(Cycle until);
+    /** Fetch's gate: the fetch buffer has room for a whole group. */
+    bool canFetch() const;
+
     void applyRedirect(Redirect r);
     void applyPatches(Redirect &redirect, Cycle now);
     bool historyVisible(const StaticInst &si) const;

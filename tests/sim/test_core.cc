@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/error.hh"
+#include "common/fault.hh"
+#include "common/stat_fields.hh"
 #include "sim/core.hh"
 #include "sim/runner.hh"
 #include "workload/builders.hh"
+#include "workload/catalog.hh"
 #include "workload/program_builder.hh"
 
 using namespace elfsim;
@@ -165,4 +174,174 @@ TEST(CoreBehavior, SlowProducerChainHoldsDecodeAsRobFull)
     const BackendStats &be = core.backend().stats();
     EXPECT_GT(be.robFullCycles, core.cycles() / 2);
     EXPECT_LT(be.robFullCycles, core.cycles());
+}
+
+// --- run() skips idle cycles; tick() steps one ----------------------
+
+namespace {
+
+/** Every stat-tree leaf of @a core: its name and its value's bits. */
+std::vector<std::pair<std::string, std::uint64_t>>
+statLeaves(const Core &core)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    core.visitStats([&](const char *group, const auto &counters) {
+        stats::forEachLeaf(group, counters,
+                           [&](const std::string &name, auto v) {
+                               if constexpr (std::is_floating_point_v<
+                                                 decltype(v)>)
+                                   out.emplace_back(
+                                       name,
+                                       std::bit_cast<std::uint64_t>(v));
+                               else
+                                   out.emplace_back(name, v);
+                           });
+    });
+    return out;
+}
+
+/**
+ * Drive one core with run() and a twin with single tick()s over the
+ * same 2k + 8k windows. @return the first stat-tree leaf in which
+ * they differ after a window, or "" when none does.
+ */
+std::string
+firstRunTickDifference(const SimConfig &cfg, const Program &p)
+{
+    Core skipping(cfg, p);
+    Core ticking(cfg, p);
+    for (InstCount window : {InstCount(2000), InstCount(8000)}) {
+        skipping.run(window);
+        const InstCount target = ticking.committed() + window;
+        while (ticking.committed() < target)
+            ticking.tick();
+        const auto a = statLeaves(skipping);
+        const auto b = statLeaves(ticking);
+        if (a.size() != b.size())
+            return "stat tree shape";
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (a[i] != b[i])
+                return a[i].first + ": run " +
+                       std::to_string(a[i].second) + ", tick " +
+                       std::to_string(b[i].second);
+        }
+    }
+    return "";
+}
+
+constexpr FrontendVariant allVariants[] = {
+    FrontendVariant::NoDcf, FrontendVariant::Dcf, FrontendVariant::LElf,
+    FrontendVariant::UElf};
+
+} // namespace
+
+TEST(CoreRunVsTick, EveryCounterMatchesOnMemoryBoundWorkloads)
+{
+    // The detailed_memory benchmark's workloads plus a branchy server
+    // proxy; the skip bulk-adds the per-cycle counters, which no
+    // golden digest covers.
+    for (const char *name :
+         {"605.mcf", "srv2.subtest_3", "437.leslie3d", "lbm_like",
+          "473.astar", "bwaves_like", "srv1.subtest_1"}) {
+        const WorkloadSpec *spec = findWorkload(name);
+        ASSERT_NE(spec, nullptr) << name;
+        const Program p = buildWorkload(*spec);
+        for (FrontendVariant v : allVariants)
+            EXPECT_EQ(firstRunTickDifference(makeConfig(v), p), "")
+                << name << " " << variantName(v);
+    }
+}
+
+TEST(CoreRunVsTick, EveryCounterMatchesAtExtremeMemoryLatencies)
+{
+    // Memory latencies of 1 and 1000 put the completion calendar's
+    // horizon at both extremes.
+    const Program p = microMemoryStream(1 << 20, MemKind::Random, 6);
+    for (Cycle lat : {Cycle(1), Cycle(1000)}) {
+        for (FrontendVariant v : allVariants) {
+            SimConfig cfg = makeConfig(v);
+            cfg.mem.memLatency = lat;
+            EXPECT_EQ(firstRunTickDifference(cfg, p), "")
+                << "latency " << lat << " " << variantName(v);
+        }
+    }
+}
+
+TEST(CoreRunVsTick, EveryCounterMatchesWithDeepPipesAndTinyBtbs)
+{
+    // Longer fetch-to-decode and BP1-to-FE pipes, a FAQ shorter than
+    // the BP1-to-FE depth and a BTB that misses often leave the front
+    // end waiting on its own timers (decode readyAt, FAQ head
+    // visibility, DCF bubbles) while the back end has room.
+    const Program p = buildWorkload(*findWorkload("srv1.subtest_1"));
+    for (FrontendVariant v : allVariants) {
+        SimConfig cfg = makeConfig(v);
+        cfg.fetch.fetchToDecode = 3;
+        cfg.bp1ToFe = 5;
+        cfg.faqEntries = 4;
+        cfg.btb.l0.entries = 1;
+        cfg.btb.l0.assoc = 0;
+        cfg.btb.l1.entries = 4;
+        cfg.btb.l1.assoc = 4;
+        cfg.btb.l2.entries = 8;
+        cfg.btb.l2.assoc = 8;
+        EXPECT_EQ(firstRunTickDifference(cfg, p), "") << variantName(v);
+    }
+}
+
+TEST(CoreRunVsTick, PollFiresOnTheTickedCycles)
+{
+    // The ExecContext poll (and so the fault injector) fires every
+    // runPollCycles cycles; a skip stops at the poll. Values captured
+    // with per-cycle ticking.
+    const Program p = buildWorkload(*findWorkload("605.mcf"));
+    struct Want
+    {
+        std::uint64_t armedTick;
+        Cycle cycle;
+        InstCount committed;
+    };
+    for (FrontendVariant v : {FrontendVariant::Dcf, FrontendVariant::UElf}) {
+        for (const Want &w : {Want{20000, 20480, 2645},
+                              Want{60500, 61440, 7926},
+                              Want{150300, 150528, 19813}}) {
+            FaultSpec f;
+            f.kind = FaultKind::Throw;
+            f.tick = w.armedTick;
+            FaultInjector::instance().arm({f});
+            Core core(makeConfig(v), p);
+            ExecContext ctx;
+            {
+                ScopedExecContext scope(ctx);
+                EXPECT_THROW(core.run(100000), InjectedError);
+            }
+            FaultInjector::instance().disarm();
+            EXPECT_EQ(core.cycles(), w.cycle)
+                << variantName(v) << " tick " << w.armedTick;
+            EXPECT_EQ(core.committed(), w.committed)
+                << variantName(v) << " tick " << w.armedTick;
+        }
+    }
+}
+
+TEST(CoreRunVsTick, WedgedCorePanicsOnTheTickedCycle)
+{
+    // A ROB smaller than the fetch width never admits a decode group:
+    // the core has no wake source at all, so only the no-progress
+    // bound stops the skip.
+    const Program p = buildWorkload(*findWorkload("605.mcf"));
+    SimConfig cfg = makeConfig(FrontendVariant::Dcf);
+    cfg.backend.robEntries = 4;
+    Core core(cfg, p);
+    ScopedRecoverableErrors recoverable;
+    try {
+        core.run(1000);
+        FAIL() << "a wedged core must panic";
+    } catch (const InternalError &e) {
+        EXPECT_NE(std::string(e.what()).find("no forward progress"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(core.cycles(), Core::noProgressCycles + 1);
+    EXPECT_EQ(core.committed(), 0u);
 }
