@@ -13,6 +13,16 @@
 # share of samples, each sample charged to its innermost inlined frame
 # (addr2line -f -i -C).
 #
+# It then prints a per-layer table: each sample is charged to the
+# innermost inlined frame that lies in one of the model's directories
+# (src/frontend, core, bpred, btb, cache, backend, sim, workload), so a
+# ring or libstdc++ frame inlined into a stage counts towards that
+# stage; samples with no model frame count as "other", and the layers
+# sum to the total. Each layer's share is also given as ns per
+# simulated instruction: the runs' summed wall time over the stream
+# instructions sim_mips counts, times the share. The table is written
+# to build-sample/SPEC.profile.json (schema elfsim-profile-v1).
+#
 #   scripts/sample.sh detailed_frontend
 #   scripts/sample.sh detailed_memory 40 5
 #
@@ -48,26 +58,30 @@ fi
 
 # The sampler writes pc_samples.<pid> into the process's working
 # directory.
+# Each run's summary line (wall_s, setup_s, sim_mips) goes to
+# run_summaries for the per-layer ns per instruction.
 cd "$BUILD"
-rm -f pc_samples.*
+rm -f pc_samples.* run_summaries
 for _ in $(seq "$RUNS"); do
     LD_PRELOAD="$BUILD/pc_sampler.so" ./elfsim_benchmark \
         --spec "$SPEC_FILE" --results "$BUILD/$SPEC.results.json" \
-        > /dev/null
+        >> run_summaries
 done
 
 python3 - "$BUILD/elfsim_benchmark" "$(dirname "$BUILD")/" "$N" "$RUNS" \
-    pc_samples.* <<'EOF'
+    "$SPEC" pc_samples.* <<'EOF'
 import collections
+import json
 import os
 import re
 import subprocess
 import sys
 
 exe, root, top, runs = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+spec = sys.argv[5]
 exe_addrs = collections.Counter()
 outside = collections.Counter()
-for path in sys.argv[5:]:
+for path in sys.argv[6:]:
     with open(path) as f:
         for line in f:
             obj, addr = line.split("\t")
@@ -80,29 +94,48 @@ if total == 0:
     sys.exit("no samples recorded")
 
 # addr2line -a prints each address, then (function, file:line) pairs
-# from the innermost inlined frame outwards; keep the first pair.
+# from the innermost inlined frame outwards.
 addrs = list(exe_addrs)
 out = subprocess.run(["addr2line", "-a", "-f", "-i", "-C", "-e", exe],
                      input="\n".join(addrs) + "\n", text=True,
                      stdout=subprocess.PIPE, check=True).stdout.splitlines()
 is_addr = re.compile(r"0x[0-9a-f]+$")
-frame = {}
+frames = {}
 i = 0
 for addr in addrs:
     assert int(out[i], 16) == int(addr, 16), (out[i], addr)
-    func, loc = out[i + 1], out[i + 2]
-    frame[addr] = (func, loc)
-    i += 3
+    i += 1
+    frames[addr] = []
     while i < len(out) and not is_addr.match(out[i]):
+        loc = out[i + 1].split(" (discriminator")[0]
+        if loc.startswith("/"):
+            loc = os.path.normpath(loc)
+        if loc.startswith(root):
+            loc = loc[len(root):]
+        frames[addr].append((out[i], loc))
         i += 2
+frame = {addr: f[0] for addr, f in frames.items()}
+
+LAYERS = ("frontend", "core", "bpred", "btb", "cache", "backend", "sim",
+          "workload")
+
+
+def layer_of(addr_frames):
+    for _, loc in addr_frames:
+        parts = loc.split("/")
+        if len(parts) > 2 and parts[0] == "src" and parts[1] in LAYERS:
+            return parts[1]
+    return "other"
+
+
+layers = collections.Counter({"other": sum(outside.values())})
+for addr, n in exe_addrs.items():
+    layers[layer_of(frames[addr])] += n
 
 files = collections.Counter(outside)
 lines = collections.Counter({(obj, ""): n for obj, n in outside.items()})
 for addr, n in exe_addrs.items():
     func, loc = frame[addr]
-    loc = loc.split(" (discriminator")[0]
-    if loc.startswith(root):
-        loc = loc[len(root):]
     files[loc.rsplit(":", 1)[0]] += n
     lines[(loc, func)] += n
 
@@ -117,4 +150,28 @@ print("  share  samples  line  (function)")
 for (loc, func), n in lines.most_common(top):
     func = func if len(func) <= 60 else func[:57] + "..."
     print(f"{100.0 * n / total:6.1f}% {n:8d}  {loc}  ({func})")
+
+# sim_mips is stream instructions over (wall_s - setup_s).
+wall = insts = 0.0
+with open("run_summaries") as f:
+    for line in f:
+        run = json.loads(line)
+        wall += run["wall_s"]
+        insts += run["sim_mips"] * 1e6 * (run["wall_s"] - run["setup_s"])
+ns_per_inst = 1e9 * wall / insts if insts else 0.0
+rows = [{"layer": name, "samples": n, "share": n / total,
+         "ns_per_inst": ns_per_inst * n / total}
+        for name, n in sorted(layers.items(), key=lambda kv: -kv[1])]
+print(f"\nper layer ({wall:.3f} s wall, {insts:.0f} insts, "
+      f"{ns_per_inst:.1f} ns/inst over {runs} run(s))")
+print("  share  samples  ns/inst  layer")
+for r in rows:
+    print(f"{100.0 * r['share']:6.1f}% {r['samples']:8d} "
+          f"{r['ns_per_inst']:8.1f}  {r['layer']}")
+with open(f"{spec}.profile.json", "w") as f:
+    json.dump({"schema": "elfsim-profile-v1", "spec": spec,
+               "runs": int(runs), "samples": total, "wall_s": wall,
+               "insts": insts, "ns_per_inst": ns_per_inst,
+               "layers": rows}, f, indent=2)
+    f.write("\n")
 EOF
