@@ -27,11 +27,11 @@ mkdir -p "$OUT"
 # Warm artifact caches: repeat smokes map the compiled workload
 # streams and warm-state checkpoints from disk instead of regenerating
 # them. Each cache lives under a subdirectory named after its artifact
-# format version (elfsim-trace-v3 / elfsim-ckpt-v2): a format bump
+# format version (elfsim-trace-v4 / elfsim-ckpt-v2): a format bump
 # lands in a fresh directory, so artifacts written by an older or
 # newer checkout can never be picked up here and skew the timing
 # gates. Bump the path together with the magic string.
-TRACE_CACHE="$BUILD/trace-cache/elfsim-trace-v3"
+TRACE_CACHE="$BUILD/trace-cache/elfsim-trace-v4"
 CKPT_CACHE="$BUILD/ckpt-cache/elfsim-ckpt-v2"
 mkdir -p "$TRACE_CACHE" "$CKPT_CACHE"
 

@@ -36,10 +36,10 @@ mkdir -p "$RESULTS"
 # bench touching a workload compiles and saves its trace, every later
 # bench maps the artifact (content-keyed, so stale files just miss).
 # Caches live under a subdirectory named after the artifact format
-# version (elfsim-trace-v3 / elfsim-ckpt-v2), so artifacts written by
+# version (elfsim-trace-v4 / elfsim-ckpt-v2), so artifacts written by
 # a checkout with a different format can never be picked up here —
 # keep the path in sync with the magic string when bumping a format.
-TRACE_CACHE=build/trace-cache/elfsim-trace-v3
+TRACE_CACHE=build/trace-cache/elfsim-trace-v4
 CKPT_CACHE=build/ckpt-cache/elfsim-ckpt-v2
 mkdir -p "$TRACE_CACHE" "$CKPT_CACHE"
 

@@ -41,12 +41,12 @@
  *              failed its checksum, forcing the transparent
  *              fast-forward fallback (cell -> ok, just slower). The
  *              <tick> field is ignored, like tracecache.
- *   warmtab    distrust the compiled-trace warming side tables: the
- *              batch warming kernel is bypassed and fast-forward
- *              degrades to the scalar per-instruction loop
+ *   warmtab    bypass the batch warming kernel: fast-forward runs
+ *              the scalar per-instruction loop instead, which reads
+ *              the same compiled trace through the oracle stream
  *              (cell -> ok with identical warm state, just slower;
- *              proves the scalar fallback stays live). The <tick>
- *              field is ignored, like tracecache.
+ *              keeps the scalar loop live and comparable). The
+ *              <tick> field is ignored, like tracecache.
  *
  * Injection is deterministic: sites key on simulated cycles and the
  * job's submission index, never on wall-clock or thread identity.

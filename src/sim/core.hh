@@ -250,16 +250,17 @@ class Core
     bool historyVisible(const StaticInst &si) const;
 
     /**
-     * Batch functional warming over the compiled-trace side tables
+     * Batch functional warming over the compiled trace's event tables
      * (sim/warm_kernel.cc): warm @a kn instructions starting at
      * 0-based stream position @a p0 (== lastCommitOracleIdx), with
      * @a last_line the live I-line dedup register shared with the
      * scalar loop (in/out, for windows straddling the prefix end).
      * State after the call is byte-identical to @a kn scalar
      * fast-forward iterations. @a p0 + @a kn must lie within the
-     * compiled prefix.
+     * compiled prefix. Returns the PC of the next instruction, the
+     * one at position @a p0 + @a kn.
      */
-    void warmKernel(const CompiledTrace &tr, InstCount p0,
+    Addr warmKernel(const CompiledTrace &tr, InstCount p0,
                     InstCount kn, Addr &last_line);
     DynInst *findInFlight(SeqNum seq);
     /** findInFlight, falling back to the fetch-to-decode buffer

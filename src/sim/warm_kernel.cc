@@ -4,19 +4,22 @@
  *
  * Replays a window of the compiled architectural stream through the
  * warm structures — caches, predictors, BTB hierarchy, BTB builder —
- * by iterating the elfsim-trace-v2 warming side tables instead of
- * pulling every instruction through the oracle window:
+ * by iterating the compiled trace's event tables (runs, branch
+ * events, memory events) instead of pulling every instruction through
+ * the oracle window:
  *
  *   - the cache pass merges I-line transitions (computed from the
- *     sequential-run list and the configured L0I line size — line
- *     geometry is config-dependent, so transitions are never stored)
- *     with the memory-event list, in stream order, issuing exactly
- *     the instFetch/dataAccess calls the scalar loop would;
+ *     run list and the configured L0I line size — line geometry is
+ *     config-dependent, so transitions are never stored) with the
+ *     memory-event list, in stream order, issuing exactly the
+ *     instFetch/dataAccess calls the scalar loop would. A memory
+ *     event's PC is its run's start PC plus its offset in the run;
  *   - the branch pass walks the branch-event list, catching the BTB
  *     builder up over branch-free gaps with
  *     BtbBuilder::retireSequentialRange, then training
  *     TAGE/ITTAGE/bimodal/RAS, the coupled predictors, and the BTB
- *     exactly like commit of an unpredicted branch.
+ *     exactly like commit of an unpredicted branch. It tracks the PC
+ *     from event to event and reads the static instruction at it.
  *
  * The two passes touch disjoint state (MemHierarchy vs the predictor/
  * BTB group), and each preserves stream order within its group, so
@@ -60,7 +63,7 @@ processWarmStats()
     return processWarm;
 }
 
-void
+Addr
 Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
                  Addr &last_line)
 {
@@ -78,15 +81,14 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     // The oracle window may hold instructions generated ahead by the
     // preceding detailed run; the scalar loop would replay them (the
     // compiled stream is the lazy stream, so replay == table replay).
-    // Drop them and re-serve from the arrays after the seek below.
+    // Drop them and re-serve from the tables after the seek below.
     if (!oracle->windowEmpty())
         oracle->retireUpTo(oracle->newest());
 
-    // Side-table cursors, advanced monotonically across chunks.
+    // Table cursors, advanced monotonically across chunks.
     InstCount r = tr.runContaining(p0);
     InstCount m = tr.firstMemAtOrAfter(p0);
     InstCount b = tr.firstBranchAtOrAfter(p0);
-    const StaticInst *image = prog.instructions().data();
 
     // PC of the branch pass's next unretired position, tracked
     // incrementally: between branch events the stream is strictly
@@ -109,11 +111,18 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
         // --- cache pass: line transitions merged with mem events ---
         InstCount pos = A0;
         while (pos < A1) {
-            const InstCount runEnd = (r + 1 < tr.numRuns())
-                                         ? tr.runPos(r + 1)
-                                         : tr.size();
+            const InstCount runEnd = tr.runEnd(r);
             const InstCount segEnd = std::min(runEnd, A1);
-            Addr pc = tr.runPC(r) + instsToBytes(pos - tr.runPos(r));
+            const InstCount runPos = tr.runPos(r);
+            const Addr runPC = tr.runPC(r);
+            // Every memory event left in this segment lies in run r.
+            const auto dataAccess = [&](InstCount j) {
+                const InstCount mpos = tr.memPos(j);
+                mem->dataAccess(runPC + instsToBytes(mpos - runPos),
+                                tr.memAddr(j), tr.memIsStore(j),
+                                base + (mpos - p0) + 1);
+            };
+            Addr pc = runPC + instsToBytes(pos - runPos);
             while (pos < segEnd) {
                 // Next position whose fetch leaves the current line.
                 InstCount nf;
@@ -126,12 +135,8 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
                     // No further fetch this segment: drain mem
                     // events up to the segment end and move on.
                     while (m < tr.numMemEvents() &&
-                           tr.memPos(m) < segEnd) {
-                        mem->dataAccess(tr.memPC(m), tr.memEvAddr(m),
-                                        tr.memIsStore(m),
-                                        base + (tr.memPos(m) - p0) + 1);
-                        ++m;
-                    }
+                           tr.memPos(m) < segEnd)
+                        dataAccess(m++);
                     pos = segEnd;
                     break;
                 }
@@ -139,12 +144,8 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
                 // precede it; one *at* the fetch position follows the
                 // fetch (scalar order: instFetch, then dataAccess) —
                 // it drains on the next iteration or at segment end.
-                while (m < tr.numMemEvents() && tr.memPos(m) < nf) {
-                    mem->dataAccess(tr.memPC(m), tr.memEvAddr(m),
-                                    tr.memIsStore(m),
-                                    base + (tr.memPos(m) - p0) + 1);
-                    ++m;
-                }
+                while (m < tr.numMemEvents() && tr.memPos(m) < nf)
+                    dataAccess(m++);
                 pc += instsToBytes(nf - pos);
                 pos = nf;
                 mem->instFetch(pc, base + (pos - p0) + 1);
@@ -152,10 +153,9 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
                 ++fetches;
             }
             if (pos == runEnd) {
-                // The instruction ending this run is a taken
-                // transfer; the scalar loop resets its line register
-                // after every taken branch so the target refetches.
-                if (tr.taken(runEnd - 1))
+                // The scalar loop resets its line register after
+                // every taken branch so the target refetches.
+                if (tr.runEndsTaken(r))
                     last_line = invalidAddr;
                 ++r;
             }
@@ -168,10 +168,11 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
             if (bpos > gapStart)
                 builder->retireSequentialRange(gapNextPC,
                                                bpos - gapStart);
-            const StaticInst &si = image[tr.siIndex(bpos)];
-            ELFSIM_ASSERT(si.pc ==
-                              gapNextPC + instsToBytes(bpos - gapStart),
+            const StaticInst *sp =
+                prog.instAt(gapNextPC + instsToBytes(bpos - gapStart));
+            ELFSIM_ASSERT(sp && sp->branch != BranchKind::None,
                           "branch-pass PC tracking diverged");
+            const StaticInst &si = *sp;
             const bool taken = tr.branchTaken(b);
             const Addr target = tr.branchTarget(b);
             bank->commitBranch(si.pc, si.branch, taken, target,
@@ -199,7 +200,7 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     }
 
     // Reposition the stream after the warmed window; the next
-    // instruction served is idx0 + kn + 1 (from the arrays inside
+    // instruction served is idx0 + kn + 1 (from the tables inside
     // the prefix, resuming the saved generator state past it).
     oracle->seekTo(idx0 + kn + 1);
 
@@ -210,6 +211,7 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wallStart)
             .count();
+    return gapNextPC;
 }
 
 } // namespace elfsim

@@ -21,7 +21,7 @@ namespace elfsim {
 
 namespace {
 
-constexpr char traceMagic[16] = "elfsim-trace-v3"; // includes the NUL
+constexpr char traceMagic[16] = "elfsim-trace-v4"; // includes the NUL
 
 /**
  * Content-key salt, independent of the magic above. The key names the
@@ -52,7 +52,7 @@ struct TraceHeader
 };
 
 std::uint64_t
-takenWordsFor(std::uint64_t count)
+bitWordsFor(std::uint64_t count)
 {
     return (count + 63) / 64;
 }
@@ -63,12 +63,34 @@ std::uint64_t
 expectedFileSize(const TraceHeader &h)
 {
     const std::uint64_t u64s = h.callDepth + h.condN + h.indN + h.memN +
-                               takenWordsFor(h.count) + 2 * h.count +
-                               2 * h.nBranch + h.nRun + 2 * h.nMem +
-                               takenWordsFor(h.nMem);
-    const std::uint64_t u32s =
-        h.count + h.nBranch + h.nRun + h.nMem;
-    return headerBytes + 8 * u64s + 4 * u32s + h.nBranch;
+                               h.nBranch + bitWordsFor(h.nBranch) +
+                               h.nRun + h.nMem + bitWordsFor(h.nMem);
+    const std::uint64_t u32s = h.nBranch + h.nRun + h.nMem;
+    return headerBytes + 8 * u64s + 4 * u32s;
+}
+
+/** True iff the @a n positions at @a pos strictly ascend below
+ *  @a count. */
+bool
+positionsAscendBelow(const std::uint32_t *pos, std::uint64_t n,
+                     std::uint64_t count)
+{
+    if (n == 0)
+        return true;
+    bool ascending = true;
+    for (std::uint64_t j = 1; j < n; ++j)
+        ascending &= pos[j] > pos[j - 1];
+    return ascending && pos[n - 1] < count;
+}
+
+/** Append bit @a bit as element @a j of a packed bit set. */
+void
+pushBit(std::vector<std::uint64_t> &words, std::size_t j, bool bit)
+{
+    if ((j & 63) == 0)
+        words.push_back(0);
+    if (bit)
+        words[j >> 6] |= std::uint64_t(1) << (j & 63);
 }
 
 /**
@@ -168,86 +190,45 @@ CompiledTrace::compile(const Program &prog, InstCount count)
     t->count_ = count;
     t->key_ = key(prog, count);
 
-    t->ownTaken_.assign(takenWordsFor(count), 0);
-    t->ownNextPC_.resize(count);
-    t->ownMemAddr_.resize(count);
-    t->ownSiIdx_.resize(count);
-
-    const StaticInst *imageBase = prog.instructions().data();
     OracleGen gen;
     gen.reset(prog);
-    // Warming side-table derivation runs inline with the generation
-    // pass: a new sequential run opens at position 0 and after every
-    // taken transfer; every branch-kinded and memory instruction
-    // contributes one event in stream order.
+    // One generation pass writes the three tables: a run opens at
+    // position 0 and after every taken transfer; every branch-kinded
+    // and memory instruction contributes one event in stream order.
     bool newRun = true;
-    Addr fallThrough = invalidAddr;
     for (InstCount i = 0; i < count; ++i) {
         const OracleInst oi = gen.step(prog);
         const StaticInst &si = *oi.si;
-        t->ownSiIdx_[i] = std::uint32_t(oi.si - imageBase);
-        if (oi.taken)
-            t->ownTaken_[i >> 6] |= std::uint64_t(1) << (i & 63);
-        t->ownNextPC_[i] = oi.nextPC;
-        t->ownMemAddr_[i] = oi.memAddr;
-
         if (newRun) {
             t->ownRunPos_.push_back(std::uint32_t(i));
             t->ownRunPC_.push_back(si.pc);
-        } else {
-            ELFSIM_ASSERT(si.pc == fallThrough,
-                          "non-sequential PC inside a run");
         }
         if (si.branch != BranchKind::None) {
+            pushBit(t->ownTakenWords_, t->ownBranchPos_.size(), oi.taken);
             t->ownBranchPos_.push_back(std::uint32_t(i));
-            t->ownBranchPC_.push_back(si.pc);
             t->ownBranchTarget_.push_back(oi.nextPC);
-            t->ownBranchKind_.push_back(
-                std::uint8_t(std::uint64_t(si.branch)) |
-                (oi.taken ? std::uint8_t(0x80) : std::uint8_t(0)));
         }
         if (si.isMemInst()) {
-            const std::size_t j = t->ownMemPos_.size();
-            if ((j & 63) == 0)
-                t->ownStoreWords_.push_back(0);
-            if (si.isStore())
-                t->ownStoreWords_[j >> 6] |=
-                    std::uint64_t(1) << (j & 63);
+            pushBit(t->ownStoreWords_, t->ownMemPos_.size(), si.isStore());
             t->ownMemPos_.push_back(std::uint32_t(i));
-            t->ownMemPC_.push_back(si.pc);
-            t->ownMemEvAddr_.push_back(oi.memAddr);
+            t->ownMemAddr_.push_back(oi.memAddr);
         }
         newRun = oi.taken;
-        fallThrough = si.pc + instBytes;
     }
     t->end_ = std::move(gen);
     t->nBranch_ = t->ownBranchPos_.size();
     t->nRun_ = t->ownRunPos_.size();
     t->nMem_ = t->ownMemPos_.size();
 
-    t->takenWords_ = t->ownTaken_.data();
-    t->nextPC_ = t->ownNextPC_.data();
-    t->memAddr_ = t->ownMemAddr_.data();
-    t->siIdx_ = t->ownSiIdx_.data();
-    t->branchPC_ = t->ownBranchPC_.data();
     t->branchTarget_ = t->ownBranchTarget_.data();
+    t->takenWords_ = t->ownTakenWords_.data();
     t->runPC_ = t->ownRunPC_.data();
-    t->memPC_ = t->ownMemPC_.data();
-    t->memEvAddr_ = t->ownMemEvAddr_.data();
+    t->memAddr_ = t->ownMemAddr_.data();
     t->storeWords_ = t->ownStoreWords_.data();
     t->branchPos_ = t->ownBranchPos_.data();
     t->runPos_ = t->ownRunPos_.data();
     t->memPos_ = t->ownMemPos_.data();
-    t->branchKind_ = t->ownBranchKind_.data();
     return t;
-}
-
-std::size_t
-CompiledTrace::payloadBytes() const
-{
-    return 8 * (takenWordsFor(count_) + 2 * count_ + 2 * nBranch_ +
-                nRun_ + 2 * nMem_ + takenWordsFor(nMem_)) +
-           4 * (count_ + nBranch_ + nRun_ + nMem_) + nBranch_;
 }
 
 void
@@ -265,7 +246,7 @@ CompiledTrace::save(const std::string &path) const
     h.nRun = nRun_;
     h.nMem = nMem_;
 
-    // The sections, in file order, straight from the trace's arrays.
+    // The sections, in file order, straight from the trace's tables.
     struct Section
     {
         const void *data; // may be null when bytes == 0
@@ -276,20 +257,14 @@ CompiledTrace::save(const std::string &path) const
         {end_.condCount.data(), 8 * h.condN},
         {end_.indCount.data(), 8 * h.indN},
         {end_.memCount.data(), 8 * h.memN},
-        {takenWords_, 8 * takenWordsFor(count_)},
-        {nextPC_, 8 * count_},
-        {memAddr_, 8 * count_},
-        {branchPC_, 8 * nBranch_},
         {branchTarget_, 8 * nBranch_},
+        {takenWords_, 8 * bitWordsFor(nBranch_)},
         {runPC_, 8 * nRun_},
-        {memPC_, 8 * nMem_},
-        {memEvAddr_, 8 * nMem_},
-        {storeWords_, 8 * takenWordsFor(nMem_)},
-        {siIdx_, 4 * count_},
+        {memAddr_, 8 * nMem_},
+        {storeWords_, 8 * bitWordsFor(nMem_)},
         {branchPos_, 4 * nBranch_},
         {runPos_, 4 * nRun_},
         {memPos_, 4 * nMem_},
-        {branchKind_, nBranch_},
     };
     Checksum64 sum = headerChecksum(h);
     for (const Section &s : sections)
@@ -348,7 +323,7 @@ CompiledTrace::load(const std::string &path, std::uint64_t expect_key)
                                 what.c_str(), size, headerBytes));
     if (std::memcmp(data, traceMagic, sizeof(traceMagic)) != 0)
         throw ParseError(errorf("%s has a bad magic "
-                                "(not an elfsim-trace-v3 image)",
+                                "(not an elfsim-trace-v4 image)",
                                 what.c_str()));
 
     TraceHeader h;
@@ -361,7 +336,7 @@ CompiledTrace::load(const std::string &path, std::uint64_t expect_key)
 
     // Field sanity before any size arithmetic (caps far above real
     // values keep a corrupt length from overflowing the size check).
-    // Side-table lengths are bounded by the instruction count: every
+    // Event-table lengths are bounded by the instruction count: every
     // event maps to one instruction, and a run needs a first one.
     constexpr std::uint64_t fieldCap = std::uint64_t(1) << 32;
     if (h.count >= fieldCap || h.callDepth > OracleGen::maxCallDepth ||
@@ -371,7 +346,7 @@ CompiledTrace::load(const std::string &path, std::uint64_t expect_key)
     if (h.nBranch > h.count || h.nMem > h.count || h.nRun > h.count ||
         (h.count > 0) != (h.nRun > 0))
         throw ParseError(errorf("%s has implausible "
-                                "side-table lengths", what.c_str()));
+                                "event-table lengths", what.c_str()));
     if (size != expectedFileSize(h))
         throw ParseError(errorf(
             "%s size mismatch (%zu bytes, header "
@@ -410,36 +385,36 @@ CompiledTrace::load(const std::string &path, std::uint64_t expect_key)
     t->nRun_ = h.nRun;
     t->nMem_ = h.nMem;
 
-    t->takenWords_ = u64s;
-    u64s += takenWordsFor(h.count);
-    t->nextPC_ = u64s;
-    u64s += h.count;
-    t->memAddr_ = u64s;
-    u64s += h.count;
-    t->branchPC_ = u64s;
-    u64s += h.nBranch;
     t->branchTarget_ = u64s;
     u64s += h.nBranch;
+    t->takenWords_ = u64s;
+    u64s += bitWordsFor(h.nBranch);
     t->runPC_ = u64s;
     u64s += h.nRun;
-    t->memPC_ = u64s;
-    u64s += h.nMem;
-    t->memEvAddr_ = u64s;
+    t->memAddr_ = u64s;
     u64s += h.nMem;
     t->storeWords_ = u64s;
-    u64s += takenWordsFor(h.nMem);
+    u64s += bitWordsFor(h.nMem);
 
     const std::uint32_t *u32s =
         reinterpret_cast<const std::uint32_t *>(u64s);
-    t->siIdx_ = u32s;
-    u32s += h.count;
     t->branchPos_ = u32s;
     u32s += h.nBranch;
     t->runPos_ = u32s;
     u32s += h.nRun;
     t->memPos_ = u32s;
-    u32s += h.nMem;
-    t->branchKind_ = reinterpret_cast<const std::uint8_t *>(u32s);
+
+    // Structure the readers index by: the seek searches and the event
+    // cursors assume ascending positions inside the prefix, and the
+    // run lookup a first run at 0. A checksum-valid file that breaks
+    // this must never be read out of bounds.
+    if (!positionsAscendBelow(t->branchPos_, h.nBranch, h.count) ||
+        !positionsAscendBelow(t->runPos_, h.nRun, h.count) ||
+        !positionsAscendBelow(t->memPos_, h.nMem, h.count) ||
+        (h.nRun > 0 && t->runPos_[0] != 0))
+        throw ParseError(errorf("%s has a malformed event table "
+                                "(positions out of order or past "
+                                "the prefix)", what.c_str()));
     return t;
 }
 

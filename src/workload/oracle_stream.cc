@@ -92,6 +92,8 @@ OracleStream::OracleStream(const Program &prog, std::size_t window_cap,
       trace(std::move(trace))
 {
     gen.reset(prog);
+    // Position 0 opens run 0, whose PC must be the entry point.
+    tracePC = prog.entryPC();
 }
 
 OracleStream::~OracleStream() = default;
@@ -132,7 +134,9 @@ OracleStream::seekTo(SeqNum next_idx)
     baseIdx = next_idx;
     genCursor = pos;
     tailAdopted = false;
-    if (pos == 0)
+    if (trace)
+        seekTables(pos);
+    else
         gen.reset(prog);
 }
 
@@ -147,13 +151,82 @@ OracleStream::seekTo(SeqNum next_idx, const OracleGen &state)
     baseIdx = next_idx;
     genCursor = pos;
     if (trace && pos <= trace->size()) {
-        // Inside the compiled prefix the arrays are authoritative;
+        // Inside the compiled prefix the tables are authoritative;
         // the generator re-adopts the trace end state at the edge.
         tailAdopted = false;
+        seekTables(pos);
         return;
     }
     gen = state;
     tailAdopted = trace != nullptr;
+}
+
+void
+OracleStream::seekTables(InstCount pos)
+{
+    const CompiledTrace &t = *trace;
+    if (pos == t.size())
+        return; // the next instruction comes from the lazy tail
+    const InstCount r = t.runContaining(pos);
+    tracePC = t.runPC(r) + instsToBytes(pos - t.runPos(r));
+    nextRun = r + 1;
+    nextRunPos = t.runEnd(r);
+    nextBranch = t.firstBranchAtOrAfter(pos);
+    nextMem = t.firstMemAtOrAfter(pos);
+}
+
+OracleInst
+OracleStream::fromTables()
+{
+    const CompiledTrace &t = *trace;
+    const InstCount pos = genCursor;
+    if (pos == nextRunPos) {
+        // A run opens here, at the previous instruction's next PC
+        // (its taken target, or the entry point at position 0).
+        ELFSIM_ASSERT(t.runPC(nextRun) == tracePC,
+                      "compiled trace: run %llu opens at 0x%llx, "
+                      "the stream is at 0x%llx",
+                      (unsigned long long)nextRun,
+                      (unsigned long long)t.runPC(nextRun),
+                      (unsigned long long)tracePC);
+        nextRunPos = t.runEnd(nextRun);
+        ++nextRun;
+    }
+
+    OracleInst oi;
+    oi.si = prog.instAt(tracePC);
+    ELFSIM_ASSERT(oi.si != nullptr,
+                  "compiled trace left the program image at 0x%llx",
+                  (unsigned long long)tracePC);
+    oi.nextPC = oi.si->nextPC();
+    if (oi.si->branch != BranchKind::None) {
+        ELFSIM_ASSERT(nextBranch < t.numBranchEvents() &&
+                          t.branchPos(nextBranch) == pos,
+                      "compiled trace: branch at position %llu has "
+                      "no branch event",
+                      (unsigned long long)pos);
+        oi.taken = t.branchTaken(nextBranch);
+        oi.nextPC = t.branchTarget(nextBranch);
+        ++nextBranch;
+    }
+    if (oi.si->isMemInst()) {
+        ELFSIM_ASSERT(nextMem < t.numMemEvents() &&
+                          t.memPos(nextMem) == pos,
+                      "compiled trace: memory instruction at position "
+                      "%llu has no memory event",
+                      (unsigned long long)pos);
+        oi.memAddr = t.memAddr(nextMem);
+        ++nextMem;
+    }
+    // A run ends exactly at a taken transfer, except at the prefix
+    // end, where either may happen.
+    ELFSIM_ASSERT(oi.taken == (pos + 1 == nextRunPos) ||
+                      pos + 1 == t.size(),
+                  "compiled trace: run boundary and taken transfer "
+                  "disagree at position %llu",
+                  (unsigned long long)pos);
+    tracePC = oi.nextPC;
+    return oi;
 }
 
 void
@@ -165,15 +238,10 @@ OracleStream::generateOne()
 
     if (trace) {
         if (genCursor < trace->size()) {
-            // Hot path with a compiled backing store: four linear
-            // reads from the shared immutable buffer, no spec
-            // evaluation and no hashing.
-            OracleInst oi;
-            oi.si = &prog.instructions()[trace->siIndex(genCursor)];
-            oi.taken = trace->taken(genCursor);
-            oi.nextPC = trace->nextPC(genCursor);
-            oi.memAddr = trace->memAddr(genCursor);
-            window.push(oi);
+            // Hot path with a compiled backing store: cursor reads
+            // from the shared immutable tables, no spec evaluation
+            // and no hashing.
+            window.push(fromTables());
             ++genCursor;
             return;
         }

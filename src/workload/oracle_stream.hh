@@ -15,11 +15,19 @@
  *   - the lazy generator (OracleGen): spec evaluation per instruction,
  *     exactly as the window fills — the reference path;
  *   - a CompiledTrace (workload/compiled_trace.hh): the same stream
- *     materialized once into a flat immutable buffer and shared
- *     read-only by every core simulating the same workload. The hot
- *     path becomes linear reads; past the end of the trace the stream
- *     resumes the lazy generator from the trace's saved end state, so
- *     the two stores are indistinguishable to the consumer.
+ *     compiled once into three immutable event tables (runs, branch
+ *     events, memory events) shared read-only by every core
+ *     simulating the same workload. Inside the prefix the stream
+ *     walks them with one cursor each: the run table gives the PC
+ *     (and so the static instruction), the next branch event the
+ *     outcome and next PC of a branch, the next memory event the
+ *     address of a memory instruction. An always-on assert panics if
+ *     an instruction does not land on its event, so a table that
+ *     disagrees with the program never drifts silently. A seek
+ *     positions the cursors by binary search. Past the end of the
+ *     trace the stream resumes the lazy generator from the trace's
+ *     saved end state, so the two stores are indistinguishable to
+ *     the consumer.
  *
  * The front-end walks this stream while on the correct path; when a
  * prediction disagrees with the oracle outcome the front-end keeps
@@ -160,7 +168,7 @@ class OracleStream
     /**
      * Reposition to @a next_idx resuming lazy generation from
      * @a state (a checkpointed OracleGen). Inside the compiled prefix
-     * the arrays stay authoritative and @a state is ignored.
+     * the tables stay authoritative and @a state is ignored.
      */
     void seekTo(SeqNum next_idx, const OracleGen &state);
 
@@ -185,6 +193,10 @@ class OracleStream
 
   private:
     void generateOne();
+    /** The instruction at genCursor, read from the trace's tables. */
+    OracleInst fromTables();
+    /** Position the table cursors at prefix position @a pos. */
+    void seekTables(InstCount pos);
 
     const Program &prog;
     std::size_t windowCap;
@@ -201,6 +213,17 @@ class OracleStream
     OracleGen gen;
     /** Has gen adopted the trace's end state for the tail? */
     bool tailAdopted = false;
+
+    // Table cursors inside the compiled prefix (see fromTables()).
+    /** PC of the instruction at genCursor. */
+    Addr tracePC = invalidAddr;
+    /** Next run to open, and the position where it opens (the
+     *  prefix size once every run is open). */
+    InstCount nextRun = 0;
+    InstCount nextRunPos = 0;
+    /** First branch / memory event at or after genCursor. */
+    InstCount nextBranch = 0;
+    InstCount nextMem = 0;
 };
 
 } // namespace elfsim

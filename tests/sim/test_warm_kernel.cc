@@ -1,13 +1,14 @@
 /**
  * @file
  * Batch functional-warming kernel identity tests: fast-forwarding
- * over the compiled-trace side tables (sim/warm_kernel.cc) must leave
- * the core in EXACTLY the state the scalar per-instruction loop
+ * over the compiled trace's event tables (sim/warm_kernel.cc) must
+ * leave the core in EXACTLY the state the scalar per-instruction loop
  * produces — verified byte-for-byte on the serialized warm state for
- * every catalog workload, for windows that straddle the compiled
- * prefix end (mixed kernel + scalar), and end-to-end on sampled-run
- * results when an injected warmtab fault degrades the whole run to
- * the scalar path.
+ * every catalog workload (against the scalar loop over the same trace
+ * and over the lazy generator, which shares nothing with the tables),
+ * for windows that straddle the compiled prefix end (mixed kernel +
+ * scalar), and end-to-end on sampled-run results when an injected
+ * warmtab fault switches the whole run to the scalar path.
  */
 
 #include <gtest/gtest.h>
@@ -87,11 +88,12 @@ toJson(const RunResult &r)
 }
 
 /**
- * Fast-forward @a n instructions on a fresh core over @a trace, with
- * the batch kernel either live or disabled via an injected warmtab
- * fault, and return the serialized warm state. The fast-forward is
- * split in two with an intervening quiesce so cursor initialization
- * mid-stream (not just at position 0) is exercised every time.
+ * Fast-forward @a n instructions on a fresh core over @a trace (null:
+ * the lazy generator), with the batch kernel either live or disabled
+ * via an injected warmtab fault, and return the serialized warm
+ * state. The fast-forward is split in two with an intervening quiesce
+ * so cursor initialization mid-stream (not just at position 0) is
+ * exercised every time.
  */
 std::vector<std::uint8_t>
 warmedState(const SimConfig &cfg, const Program &prog,
@@ -128,7 +130,9 @@ warmedState(const SimConfig &cfg, const Program &prog,
 // warm state after a kernel fast-forward is byte-identical to the
 // scalar loop's — TAGE/ITTAGE/bimodal/RAS, both BTB levels, the BTB
 // builder, caches, memory-dependence state, and every cumulative
-// counter, all at once.
+// counter, all at once. The scalar loop over the trace reads the
+// same tables as the kernel, so the kernel is also compared with a
+// core that has no trace at all.
 TEST(WarmKernel, ByteIdenticalToScalarAcrossCatalog)
 {
     // > 5 poll chunks of ffPollInsts, and strictly inside the prefix.
@@ -144,8 +148,11 @@ TEST(WarmKernel, ByteIdenticalToScalarAcrossCatalog)
             const SimConfig cfg = makeConfig(v);
             const auto kernel = warmedState(cfg, p, trace, n, false);
             const auto scalar = warmedState(cfg, p, trace, n, true);
+            const auto lazy = warmedState(cfg, p, nullptr, n, true);
             ASSERT_EQ(kernel, scalar)
                 << w.name << " variant " << int(v);
+            ASSERT_EQ(kernel, lazy)
+                << w.name << " variant " << int(v) << " (no trace)";
         }
     }
 }
@@ -215,7 +222,7 @@ TEST(WarmKernel, NoResumeStateInsidePrefixOnEitherPath)
     EXPECT_EQ(warmBytes(kernel), warmBytes(scalar));
 }
 
-// End-to-end degradation: an injected warmtab fault forces a whole
+// End-to-end switch: an injected warmtab fault forces a whole
 // sampled run onto the scalar path. The run must not fail — and must
 // produce the exact same result JSON as the kernel-backed run, with
 // only the warm.* work-split counters differing.
