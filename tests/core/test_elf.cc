@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
+#include "common/logging.hh"
 #include "core/coupled_predictors.hh"
 #include "core/elf_controller.hh"
 #include "sim/core.hh"
 #include "workload/builders.hh"
+#include "workload/catalog.hh"
 #include "workload/oracle_stream.hh"
 #include "workload/wrong_path.hh"
 
@@ -141,6 +144,52 @@ TEST(ElfController, StallsWithoutPredictorsResyncViaFaq)
     EXPECT_GT(st.switches, 100u);
     // The measurement must match DCF's committed behaviour.
     EXPECT_GT(core.committed(), 59999u);
+}
+
+// With a ROB this small, coupled instructions commit before the
+// catching-up DCF produces their records, so the divergence tracker
+// can pair a survivor that has already retired. Its flush must resume
+// at the next architectural instruction: not behind the committed
+// state (the supply then asked the oracle for a retired index), and
+// not off the architectural path after it (no branch is left in
+// flight to recover, and a wrong-path instruction reaches commit).
+TEST(ElfController, DivergenceFlushNeverResteersBehindCommit)
+{
+    struct Case
+    {
+        const char *workload;
+        FrontendVariant variant;
+        unsigned robEntries;
+    };
+    const Case cases[] = {
+        {"605.mcf", FrontendVariant::UElf, 16},
+        {"srv1.subtest_1", FrontendVariant::UElf, 16},
+        {"473.astar", FrontendVariant::UElf, 16},
+        {"605.mcf", FrontendVariant::UElf, 12},
+        {"605.mcf", FrontendVariant::UElf, 9},
+        {"605.mcf", FrontendVariant::LElf, 9},
+    };
+    ScopedRecoverableErrors recoverable; // a panic fails the case only
+    for (const Case &c : cases) {
+        const WorkloadSpec *w = findWorkload(c.workload);
+        ASSERT_NE(w, nullptr) << c.workload;
+        const Program p = buildWorkload(*w);
+        SimConfig cfg = makeConfig(c.variant);
+        cfg.backend.robEntries = c.robEntries;
+        Core core(cfg, p);
+        const std::string name = std::string(c.workload) + " variant " +
+                                 std::to_string(int(c.variant)) +
+                                 " rob " + std::to_string(c.robEntries);
+        try {
+            for (int k = 0; k < 40; ++k)
+                core.run(1000);
+        } catch (const SimError &e) {
+            ADD_FAILURE() << name << ": " << e.what();
+            continue;
+        }
+        EXPECT_GE(core.committed(), 40000u) << name;
+        EXPECT_GT(core.stats().divergenceFlushes, 0u) << name;
+    }
 }
 
 TEST(ElfController, CheckpointPayloadsEventuallyFill)
