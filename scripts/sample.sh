@@ -8,10 +8,17 @@
 # Builds benchmark/ Release with -g into build-sample/ (-g adds debug
 # information only; the generated code is the benchmark's own), builds
 # the SIGPROF sampler scripts/pc_sampler.c as a preload library, runs
-# elfsim_benchmark on benchmark/specs/SPEC.json RUNS times (default 3)
-# and prints the top N (default 25) source files and source lines by
-# share of samples, each sample charged to its innermost inlined frame
-# (addr2line -f -i -C).
+# elfsim_benchmark RUNS times (default 3) and prints the top N
+# (default 25) source files and source lines by share of samples, each
+# sample charged to its innermost inlined frame (addr2line -f -i -C).
+#
+# WORKLOAD is a BENCHMARK.json workload name or a spec under
+# benchmark/specs/. The two sampled workloads run specs/sampled.json
+# with a cache directory, as benchmark/run.py does: sampled_cold gives
+# every run a fresh empty one (so trace compiles, trace saves and
+# checkpoint writes are profiled), and sampled_warm first fills one
+# with an unprofiled cold run, then profiles runs that map and restore
+# from it. A bare spec name runs without a cache directory.
 #
 # It then prints a per-layer table: each sample is charged to the
 # innermost inlined frame that lies in one of the model's directories
@@ -21,10 +28,11 @@
 # sum to the total. Each layer's share is also given as ns per
 # simulated instruction: the runs' summed wall time over the stream
 # instructions sim_mips counts, times the share. The table is written
-# to build-sample/SPEC.profile.json (schema elfsim-profile-v1).
+# to build-sample/WORKLOAD.profile.json (schema elfsim-profile-v1).
 #
 #   scripts/sample.sh detailed_frontend
 #   scripts/sample.sh detailed_memory 40 5
+#   scripts/sample.sh sampled_cold
 #
 # The sampler asks for one sample per millisecond of CPU time, but the
 # kernel rounds the interval up to its tick: on the 4-vCPU KVM guest of
@@ -34,9 +42,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SPEC="${1:?usage: scripts/sample.sh SPEC [N] [RUNS]}"
+WORKLOAD="${1:?usage: scripts/sample.sh WORKLOAD [N] [RUNS]}"
 N="${2:-25}"
 RUNS="${3:-3}"
+case "$WORKLOAD" in
+    sampled_cold | sampled_warm) SPEC=sampled ;;
+    *) SPEC="$WORKLOAD" ;;
+esac
 SPEC_FILE="$PWD/benchmark/specs/$SPEC.json"
 [ -f "$SPEC_FILE" ] || {
     echo "no such spec: $SPEC_FILE" >&2
@@ -62,14 +74,26 @@ fi
 # run_summaries for the per-layer ns per instruction.
 cd "$BUILD"
 rm -f pc_samples.* run_summaries
+CACHES="$BUILD/caches"
+CACHE_ARGS=()
+case "$WORKLOAD" in
+    sampled_cold | sampled_warm) CACHE_ARGS=(--cache-dir "$CACHES") ;;
+esac
+rm -rf "$CACHES"
+if [ "$WORKLOAD" = sampled_warm ]; then
+    ./elfsim_benchmark --spec "$SPEC_FILE" "${CACHE_ARGS[@]}" \
+        --results "$BUILD/$WORKLOAD.results.json" > /dev/null
+fi
 for _ in $(seq "$RUNS"); do
+    [ "$WORKLOAD" = sampled_cold ] && rm -rf "$CACHES"
     LD_PRELOAD="$BUILD/pc_sampler.so" ./elfsim_benchmark \
-        --spec "$SPEC_FILE" --results "$BUILD/$SPEC.results.json" \
-        >> run_summaries
+        --spec "$SPEC_FILE" "${CACHE_ARGS[@]}" \
+        --results "$BUILD/$WORKLOAD.results.json" >> run_summaries
 done
+rm -rf "$CACHES"
 
 python3 - "$BUILD/elfsim_benchmark" "$(dirname "$BUILD")/" "$N" "$RUNS" \
-    "$SPEC" pc_samples.* <<'EOF'
+    "$WORKLOAD" pc_samples.* <<'EOF'
 import collections
 import json
 import os
@@ -78,7 +102,7 @@ import subprocess
 import sys
 
 exe, root, top, runs = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
-spec = sys.argv[5]
+workload = sys.argv[5]
 exe_addrs = collections.Counter()
 outside = collections.Counter()
 for path in sys.argv[6:]:
@@ -168,8 +192,8 @@ print("  share  samples  ns/inst  layer")
 for r in rows:
     print(f"{100.0 * r['share']:6.1f}% {r['samples']:8d} "
           f"{r['ns_per_inst']:8.1f}  {r['layer']}")
-with open(f"{spec}.profile.json", "w") as f:
-    json.dump({"schema": "elfsim-profile-v1", "spec": spec,
+with open(f"{workload}.profile.json", "w") as f:
+    json.dump({"schema": "elfsim-profile-v1", "spec": workload,
                "runs": int(runs), "samples": total, "wall_s": wall,
                "insts": insts, "ns_per_inst": ns_per_inst,
                "layers": rows}, f, indent=2)

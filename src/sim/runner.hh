@@ -333,11 +333,12 @@ void validateRunOptions(const RunOptions &o);
 
 /**
  * Cap on the compiled-trace prefix a sampled run acquires for the
- * batch warming kernel (instructions). 2^26 insts is roughly 2 GiB
- * of v2 artifact per distinct workload content — large enough to
- * cover the whole stream for every catalog/bench workload in use,
- * small enough to bound cache-directory growth. Streams longer than this warm the
- * tail with the scalar loop (state-identical either way).
+ * batch warming kernel (instructions). 2^26 insts is roughly 0.24 to
+ * 0.41 GiB of v4 artifact per distinct workload content (3.9 to 6.5
+ * bytes per instruction) — large enough to cover the whole stream for
+ * every catalog/bench workload in use, small enough to bound
+ * cache-directory growth. Streams longer than this warm the tail with
+ * the scalar loop (state-identical either way).
  */
 constexpr InstCount maxSampledTraceInsts = InstCount(1) << 26;
 

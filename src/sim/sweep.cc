@@ -255,10 +255,11 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
         if (done[i] || !grid[i].program)
             continue;
         // Sampled cells compile a capped prefix: the batch warming
-        // kernel fast-forwards over the compiled SoA, so the prefix
-        // that covers warmup+measure (bounded by maxSampledTraceInsts
-        // to keep the artifact finite) pays for itself many times
-        // over. Anything past the cap degrades to the scalar path.
+        // kernel fast-forwards over the compiled event tables, so the
+        // prefix that covers warmup+measure (bounded by
+        // maxSampledTraceInsts to keep the artifact finite) pays for
+        // itself many times over. Anything past the cap degrades to
+        // the scalar path.
         const InstCount want =
             grid[i].opts.sampled()
                 ? std::min(grid[i].opts.warmupInsts +
