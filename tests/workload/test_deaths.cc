@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/queue.hh"
+#include "workload/builders.hh"
+#include "workload/compiled_trace.hh"
 #include "workload/oracle_stream.hh"
 #include "workload/program_builder.hh"
 
@@ -60,6 +62,25 @@ TEST(Deaths, OracleRejectsRetiredIndex)
     os.at(10);
     os.retireUpTo(5);
     EXPECT_DEATH(os.at(3), "older than window");
+}
+
+TEST(Deaths, CompiledTraceThatDisagreesWithItsProgramIsLoud)
+{
+    // The stream derives each instruction from the trace's tables and
+    // the program image; tables compiled from another program must
+    // trip the table asserts instead of serving a drifting stream.
+    const Program compiled = microRandomBranchLoop(8, 0.4);
+    const Program served = microSequentialLoop(30, 16);
+    const auto trace = CompiledTrace::compile(compiled, 2000);
+    EXPECT_DEATH(
+        {
+            OracleStream os(served, defaultOracleWindowCap, trace);
+            for (SeqNum i = 1; i <= 2000; ++i) {
+                os.at(i);
+                os.retireUpTo(i);
+            }
+        },
+        "compiled trace");
 }
 
 TEST(Deaths, QueueMisuse)
