@@ -37,7 +37,7 @@ main(int argc, char **argv)
     const ExpandedSweep ex = expandSweep(spec);
 
     SweepRunner runner(bench::specJobs(opt, spec));
-    bench::armRunner(runner, spec);
+    runner.setBaseSeed(spec.baseSeed);
     const std::vector<RunResult> res = runner.run(ex.jobs);
 
     if (!opt.specPath.empty()) {

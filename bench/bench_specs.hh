@@ -2,8 +2,8 @@
  * @file
  * The native SweepSpec of every experiment harness — one builder per
  * figure/table, each producing exactly the grid the bench used to
- * assemble by hand (same expansion order, so result indices, jobKeys
- * and exported bytes are unchanged).
+ * assemble by hand (same expansion order, so result indices, cell
+ * identities and exported bytes are unchanged).
  *
  * Keeping the grids here, as data, is what makes `--dump-spec` exact:
  * the JSON a bench archives next to its results re-runs the identical

@@ -75,7 +75,7 @@ main(int argc, char **argv)
     const ExpandedSweep ex = expandSweep(spec);
 
     SweepRunner runner(bench::specJobs(opt, spec));
-    bench::armRunner(runner, spec);
+    runner.setBaseSeed(spec.baseSeed);
     std::vector<RunResult> res = runner.run(ex.jobs);
     // Sampled rows get their own (workload, variant) identity so the
     // regression checker never compares effective MIPS against a

@@ -45,13 +45,6 @@ struct Options
     std::string jsonPath;        ///< --json target; empty = off
     std::string csvPath;         ///< --csv target; empty = off
 
-    // Fault-tolerance policy (sim/sweep.hh SweepPolicy).
-    double deadlineSeconds = 0;  ///< --deadline; per-job limit, 0 = off
-    double stallSeconds = 0;     ///< --stall; heartbeat limit, 0 = off
-    unsigned maxRetries = 0;     ///< --retries; transient-error retries
-    std::string manifestPath;    ///< --manifest / --resume journal
-    bool resume = false;         ///< --resume: reuse finished cells
-
     std::string traceCacheDir;   ///< --trace-cache artifact directory
     bool noTrace = false;        ///< --no-trace: lazy reference path
 
@@ -113,17 +106,6 @@ printUsage(const char *argv0, std::FILE *to,
         "(elfsim-results-v2)\n"
         "  --csv PATH      write results as CSV (timelines go to "
         "*.timeline.csv)\n"
-        "  --deadline S    cancel any job running longer than S "
-        "seconds (cell -> timeout)\n"
-        "  --stall S       cancel any job whose committed-instruction "
-        "heartbeat\n"
-        "                  stalls for S seconds (cell -> timeout)\n"
-        "  --retries N     re-run a cell up to N extra times on "
-        "transient errors\n"
-        "  --manifest PATH journal finished cells to a JSONL manifest "
-        "(crash-safe)\n"
-        "  --resume PATH   like --manifest, but first reuse the ok "
-        "cells already in it\n"
         "  --trace-cache D persist compiled workload traces as "
         "content-keyed files in D\n"
         "                  (also $ELFSIM_TRACE_CACHE); campaigns "
@@ -170,7 +152,7 @@ printUsage(const char *argv0, std::FILE *to,
         to,
         "  --help          this text\n"
         "exit status: 0 ok, 1 export I/O error, 2 usage error, "
-        "3 failed cells, 130 interrupted\n");
+        "3 failed cells\n");
 }
 
 /**
@@ -199,31 +181,6 @@ parseCount(const char *argv0, const char *flag, const char *text,
         die("value out of range");
     if (*end != '\0')
         die("trailing junk");
-    return v;
-}
-
-/** Strict non-negative seconds parse (same contract as parseCount). */
-inline double
-parseSeconds(const char *argv0, const char *flag, const char *text)
-{
-    const auto die = [&](const char *why) {
-        std::fprintf(stderr,
-                     "%s: %s expects non-negative seconds "
-                     "(%s in '%s')\n",
-                     argv0, flag, why, text);
-        std::exit(2);
-    };
-    if (!*text)
-        die("empty value");
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (errno == ERANGE)
-        die("value out of range");
-    if (*end != '\0')
-        die("trailing junk");
-    if (!(v >= 0) || v > 1e12)
-        die(v < 0 ? "negative value" : "not a finite value");
     return v;
 }
 
@@ -264,21 +221,7 @@ parseOptions(int argc, char **argv, Options defaults = {},
             o.jsonPath = value(i);
         else if (!std::strcmp(argv[i], "--csv"))
             o.csvPath = value(i);
-        else if (!std::strcmp(argv[i], "--deadline"))
-            o.deadlineSeconds =
-                parseSeconds(argv[0], "--deadline", value(i));
-        else if (!std::strcmp(argv[i], "--stall"))
-            o.stallSeconds =
-                parseSeconds(argv[0], "--stall", value(i));
-        else if (!std::strcmp(argv[i], "--retries"))
-            o.maxRetries = unsigned(
-                parseCount(argv[0], "--retries", value(i), UINT_MAX));
-        else if (!std::strcmp(argv[i], "--manifest"))
-            o.manifestPath = value(i);
-        else if (!std::strcmp(argv[i], "--resume")) {
-            o.manifestPath = value(i);
-            o.resume = true;
-        } else if (!std::strcmp(argv[i], "--trace-cache"))
+        else if (!std::strcmp(argv[i], "--trace-cache"))
             o.traceCacheDir = value(i);
         else if (!std::strcmp(argv[i], "--no-trace"))
             o.noTrace = true;
@@ -338,36 +281,21 @@ parseOptions(int argc, char **argv, Options defaults = {},
     return o;
 }
 
-/** The SweepPolicy the fault-tolerance flags describe. */
-inline SweepPolicy
-policyFromOptions(const Options &o)
-{
-    SweepPolicy p;
-    p.deadlineSeconds = o.deadlineSeconds;
-    p.stallSeconds = o.stallSeconds;
-    p.maxRetries = o.maxRetries;
-    p.manifestPath = o.manifestPath;
-    p.resume = o.resume;
-    return p;
-}
-
 /**
  * Resolve the sweep a bench will actually run: its native spec (the
- * bench_specs.hh builder output) with the CLI fault-policy flags
- * folded in — unless `--spec PATH` replaces the whole description
- * (grid, windows AND policy; only execution-side flags like --jobs /
- * --json / --csv / the cache directories still apply). `--dump-spec`
- * then archives whatever was resolved, so the JSON always matches the
- * grid this process is about to run. Load/save problems and invalid
- * specs are usage errors (exit 2) / export errors (exit 1).
+ * bench_specs.hh builder output), unless `--spec PATH` replaces the
+ * whole description (grid and windows; only execution-side flags like
+ * --jobs / --json / --csv / the cache directories still apply).
+ * `--dump-spec` then archives whatever was resolved, so the JSON
+ * always matches the grid this process is about to run. Load/save
+ * problems and invalid specs are usage errors (exit 2) / export
+ * errors (exit 1).
  */
 inline SweepSpec
 finalizeSpec(SweepSpec native, const Options &o, const char *argv0)
 {
     SweepSpec spec = std::move(native);
-    if (o.specPath.empty()) {
-        spec.policy = policyFromOptions(o);
-    } else {
+    if (!o.specPath.empty()) {
         try {
             spec = loadSweepSpec(o.specPath);
             validateSweepSpec(spec);
@@ -388,20 +316,6 @@ finalizeSpec(SweepSpec native, const Options &o, const char *argv0)
         }
     }
     return spec;
-}
-
-/**
- * Arm a runner for a resolved spec — its policy and base seed, plus
- * the SIGINT/SIGTERM handlers so a Ctrl-C mid-sweep degrades to
- * cancelled cells and a partial export instead of losing everything.
- */
-inline void
-armRunner(SweepRunner &runner, const SweepSpec &spec)
-{
-    runner.setPolicy(spec.policy);
-    runner.setBaseSeed(spec.baseSeed);
-    SweepRunner::clearInterrupt();
-    SweepRunner::installSignalHandlers();
 }
 
 /** Thread count for a resolved spec: the CLI flag wins, then the
@@ -455,11 +369,10 @@ exportResults(const Options &o, const SweepRunner &runner)
 }
 
 /**
- * Process exit status for a finished sweep: 130 when the sweep was
- * interrupted (partial results were still exported above), 3 when any
- * cell failed (each one listed on stderr), 0 otherwise — so scripts
- * can distinguish "figure is complete" from "figure has holes"
- * without parsing the JSON.
+ * Process exit status for a finished sweep: 3 when any cell failed
+ * (each one listed on stderr), 0 otherwise — so scripts can
+ * distinguish "figure is complete" from "figure has holes" without
+ * parsing the JSON.
  */
 inline int
 exitCode(const SweepRunner &runner)
@@ -469,16 +382,9 @@ exitCode(const SweepRunner &runner)
         if (r.ok())
             continue;
         ++bad;
-        std::fprintf(stderr, "cell %s/%s %s after %llu attempt(s): %s\n",
-                     r.workload.c_str(), r.variant.c_str(),
-                     jobStatusName(r.status),
-                     (unsigned long long)r.attempts, r.error.c_str());
-    }
-    if (SweepRunner::interruptRequested()) {
-        std::fprintf(stderr,
-                     "interrupted: partial results exported; re-run "
-                     "with --resume to finish\n");
-        return 130;
+        std::fprintf(stderr, "cell %s/%s %s: %s\n", r.workload.c_str(),
+                     r.variant.c_str(), jobStatusName(r.status),
+                     r.error.c_str());
     }
     if (bad) {
         std::fprintf(stderr, "%zu of %zu cells did not complete ok\n",

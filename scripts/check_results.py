@@ -56,7 +56,7 @@ RESULT_NUM_FIELDS = (
 )
 # v2 per-result status (sim/export.hh); non-ok cells carry zeroed
 # metrics and a non-empty "error".
-RESULT_STATUSES = ("ok", "failed", "timeout", "cancelled")
+RESULT_STATUSES = ("ok", "failed")
 TIMELINE_FIELDS = (
     "start_inst", "insts", "cycles", "ipc", "cond_mispredicts",
     "target_mispredicts", "exec_flushes", "mem_order_flushes",
@@ -207,12 +207,12 @@ SPEC_RUN_FIELDS = (
     "sample_period_insts", "sample_length_insts",
     "sample_warmup_insts",
 )
-# Every policy field is optional. "keep_going" is no longer written;
-# archived specs still carry it, and only as true (strict mode is gone).
-SPEC_POLICY_FIELDS = {
-    "keep_going": bool, "deadline_seconds": (int, float),
-    "stall_seconds": (int, float), "max_retries": int,
-    "manifest_path": str, "resume": bool,
+# Sweep policies were removed and the writer no longer emits the
+# block. Archived specs may still carry it; every field is optional
+# and valid only at its old default.
+SPEC_POLICY_DEFAULTS = {
+    "keep_going": True, "deadline_seconds": 0, "stall_seconds": 0,
+    "max_retries": 0, "manifest_path": "", "resume": False,
 }
 # A selector carries exactly one of these keys (plus its modifiers).
 SPEC_SELECTOR_KINDS = ("name", "set", "suite", "micro", "synthetic")
@@ -316,16 +316,13 @@ def check_spec_document(path, doc):
         if not isinstance(policy, dict):
             fail(path, "policy is not an object")
         for k, v in policy.items():
-            want = SPEC_POLICY_FIELDS.get(k)
-            if want is None:
+            if k not in SPEC_POLICY_DEFAULTS:
                 fail(path, f"policy.{k}: unknown field")
+            want = SPEC_POLICY_DEFAULTS[k]
             # bool is an int subtype in Python; keep them distinct.
-            if (not isinstance(v, want) or
-                    (want is int and isinstance(v, bool))):
-                fail(path, f"policy.{k} has the wrong type")
-        if policy.get("keep_going", True) is not True:
-            fail(path, "policy.keep_going: false is no longer supported "
-                       "(strict sweep mode was removed)")
+            if isinstance(v, bool) != isinstance(want, bool) or v != want:
+                fail(path, f"policy.{k} must be {json.dumps(want)} "
+                           "(sweep policies were removed)")
 
     groups = doc.get("groups")
     if groups is not None and ("workloads" in doc or

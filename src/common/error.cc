@@ -5,22 +5,6 @@
 
 namespace elfsim {
 
-const char *
-errorKindName(ErrorKind k)
-{
-    switch (k) {
-      case ErrorKind::Config: return "config";
-      case ErrorKind::Io: return "io";
-      case ErrorKind::Parse: return "parse";
-      case ErrorKind::Internal: return "internal";
-      case ErrorKind::Timeout: return "timeout";
-      case ErrorKind::Cancelled: return "cancelled";
-      case ErrorKind::Transient: return "transient";
-      case ErrorKind::Injected: return "injected";
-    }
-    return "unknown";
-}
-
 std::string
 errorf(const char *fmt, ...)
 {
@@ -46,8 +30,6 @@ jobStatusName(JobStatus s)
     switch (s) {
       case JobStatus::Ok: return "ok";
       case JobStatus::Failed: return "failed";
-      case JobStatus::Timeout: return "timeout";
-      case JobStatus::Cancelled: return "cancelled";
     }
     return "unknown";
 }
@@ -55,27 +37,13 @@ jobStatusName(JobStatus s)
 bool
 parseJobStatus(std::string_view name, JobStatus &out)
 {
-    for (JobStatus s : {JobStatus::Ok, JobStatus::Failed,
-                        JobStatus::Timeout, JobStatus::Cancelled}) {
+    for (JobStatus s : {JobStatus::Ok, JobStatus::Failed}) {
         if (name == jobStatusName(s)) {
             out = s;
             return true;
         }
     }
     return false;
-}
-
-JobStatus
-jobStatusForError(const SimError &e)
-{
-    switch (e.kind()) {
-      case ErrorKind::Timeout:
-        return JobStatus::Timeout;
-      case ErrorKind::Cancelled:
-        return JobStatus::Cancelled;
-      default:
-        return JobStatus::Failed;
-    }
 }
 
 } // namespace elfsim

@@ -6,21 +6,17 @@
  * which is the right behavior for a single run but destroys all
  * completed work when one cell of a 90-job sweep grid goes bad. This
  * header gives every failure a type, so the sweep engine can catch a
- * per-job error, record it as a JobStatus on the cell's RunResult, and
+ * per-job error, record it as a failed cell on its RunResult, and
  * keep the rest of the grid running:
  *
- *   - ConfigError     user error (bad option, bad fault spec)
- *   - IoError         filesystem failure (export target, manifest)
- *   - ParseError      malformed JSON (resume manifests)
+ *   - ConfigError     user error (bad option, bad spec)
+ *   - IoError         filesystem failure (export target, artifact)
+ *   - ParseError      malformed JSON or artifact
  *   - InternalError   simulator invariant violation (recoverable
  *                     panic; see setPanicThrows in logging.hh)
- *   - TimeoutError    watchdog: wall-clock deadline or progress stall
- *   - CancelledError  cooperative cancellation (SIGINT)
- *   - TransientError  retry-eligible failure (bounded retry policy)
- *   - InjectedError   raised by the fault-injection harness
  *
- * JobStatus is the per-cell outcome those errors map onto in the
- * elfsim-results-v2 export schema.
+ * JobStatus is the per-cell outcome in the elfsim-results-v2 export
+ * schema.
  */
 
 #ifndef ELFSIM_COMMON_ERROR_HH
@@ -32,58 +28,24 @@
 
 namespace elfsim {
 
-/** Failure classification carried by every SimError. */
-enum class ErrorKind
-{
-    Config,    ///< user error: bad option / spec / parameter
-    Io,        ///< filesystem or stream failure
-    Parse,     ///< malformed structured input (JSON)
-    Internal,  ///< simulator invariant violation (recoverable panic)
-    Timeout,   ///< watchdog deadline or progress stall
-    Cancelled, ///< cooperative cancellation (interrupt)
-    Transient, ///< retry-eligible failure
-    Injected,  ///< raised by the fault-injection harness
-};
-
-/** Stable lower-case name of an ErrorKind ("config", "timeout", ...). */
-const char *errorKindName(ErrorKind k);
-
 /** Base of the typed error hierarchy. */
 class SimError : public std::runtime_error
 {
   public:
-    SimError(ErrorKind kind, const std::string &msg)
-        : std::runtime_error(msg), errKind(kind)
-    {
-    }
-
-    ErrorKind kind() const { return errKind; }
-
-    /** Eligible for the sweep engine's bounded retry policy? */
-    bool retryable() const { return errKind == ErrorKind::Transient; }
-
-  private:
-    ErrorKind errKind;
+    using std::runtime_error::runtime_error;
 };
 
-#define ELFSIM_DEFINE_ERROR(Name, Kind)                                \
+#define ELFSIM_DEFINE_ERROR(Name)                                      \
     class Name : public SimError                                       \
     {                                                                  \
       public:                                                          \
-        explicit Name(const std::string &msg)                          \
-            : SimError(ErrorKind::Kind, msg)                           \
-        {                                                              \
-        }                                                              \
+        using SimError::SimError;                                      \
     }
 
-ELFSIM_DEFINE_ERROR(ConfigError, Config);
-ELFSIM_DEFINE_ERROR(IoError, Io);
-ELFSIM_DEFINE_ERROR(ParseError, Parse);
-ELFSIM_DEFINE_ERROR(InternalError, Internal);
-ELFSIM_DEFINE_ERROR(TimeoutError, Timeout);
-ELFSIM_DEFINE_ERROR(CancelledError, Cancelled);
-ELFSIM_DEFINE_ERROR(TransientError, Transient);
-ELFSIM_DEFINE_ERROR(InjectedError, Injected);
+ELFSIM_DEFINE_ERROR(ConfigError);
+ELFSIM_DEFINE_ERROR(IoError);
+ELFSIM_DEFINE_ERROR(ParseError);
+ELFSIM_DEFINE_ERROR(InternalError);
 
 #undef ELFSIM_DEFINE_ERROR
 
@@ -96,25 +58,20 @@ std::string errorf(const char *fmt, ...)
 
 /**
  * Outcome of one sweep cell, exported as the "status" field of the
- * elfsim-results-v2 schema. Anything but Ok means the cell's metrics
- * are absent (zeroed) and "error" carries the detail.
+ * elfsim-results-v2 schema. A failed cell's metrics are absent
+ * (zeroed) and "error" carries the detail.
  */
 enum class JobStatus
 {
-    Ok,        ///< completed normally (possibly after retries)
-    Failed,    ///< threw (invariant violation, injected throw, ...)
-    Timeout,   ///< watchdog-cancelled: deadline or progress stall
-    Cancelled, ///< interrupted before/while running (SIGINT)
+    Ok,     ///< completed normally
+    Failed, ///< threw (bad options, invariant violation, ...)
 };
 
-/** Stable schema name of a JobStatus ("ok", "failed", ...). */
+/** Stable schema name of a JobStatus ("ok", "failed"). */
 const char *jobStatusName(JobStatus s);
 
 /** Inverse of jobStatusName; returns false on an unknown name. */
 bool parseJobStatus(std::string_view name, JobStatus &out);
-
-/** Map the error that killed a job to its cell status. */
-JobStatus jobStatusForError(const SimError &e);
 
 } // namespace elfsim
 

@@ -25,8 +25,8 @@ std::string formatDouble(double v);
 
 /**
  * Minimal streaming JSON emitter (objects, arrays, keyed fields) with
- * two-space pretty-printing, or single-line compact output for JSONL
- * sinks (the sweep resume manifest). Purely append-only: the caller
+ * two-space pretty-printing, or single-line compact output (one
+ * record per line). Purely append-only: the caller
  * provides a well-formed begin/key/value/end sequence; nesting depth
  * is tracked only for commas and indentation.
  */

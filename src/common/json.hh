@@ -1,15 +1,16 @@
 /**
  * @file
  * Minimal recursive-descent JSON parser — the read half of the export
- * pipeline (common/export.hh is the write half). Exists so the sweep
- * engine can reload results journaled to a JSONL resume manifest.
+ * pipeline (common/export.hh is the write half). Reads sweep specs
+ * (sim/sweep_spec.hh) and exported results documents
+ * (runResultFromJson in sim/export.hh).
  *
  * Numbers keep their raw token text: asU64() re-parses the exact
  * digits (no 53-bit double truncation of 64-bit counters) and
  * asDouble() goes through strtod, which inverts the writer's
  * shortest-round-trip formatting bit-exactly — so a result that is
- * parsed from a manifest and re-serialized is byte-identical to the
- * original export.
+ * parsed from an export and re-serialized is byte-identical to the
+ * original.
  *
  * All parse and type errors throw ParseError (common/error.hh).
  */

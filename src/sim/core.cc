@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stat_fields.hh"
@@ -433,7 +432,7 @@ Core::squashToCommitted()
 }
 
 void
-Core::fastForward(InstCount n)
+Core::functionalWarm(InstCount n, bool use_kernel)
 {
     ELFSIM_ASSERT(backendUnit->empty() && fetchToDecode->empty(),
                   "fast-forward with in-flight instructions "
@@ -446,17 +445,17 @@ Core::fastForward(InstCount n)
     // Batch warming kernel (sim/warm_kernel.cc): when the window
     // starts inside the compiled prefix, warm as much of it as the
     // prefix covers by iterating the trace's event tables — state-
-    // identical to the scalar loop below, at memory-scan speed. The
-    // 'warmtab' fault site forces the scalar loop, which reads the
-    // same tables one instruction at a time through the oracle
-    // stream; test_warm_kernel compares the two.
+    // identical to the scalar loop below, at memory-scan speed.
+    // fastForwardScalar() skips it, so the scalar loop reads the same
+    // tables one instruction at a time through the oracle stream;
+    // test_warm_kernel compares the two.
     InstCount done = 0;
-    if (const CompiledTrace *tr = oracle->backingTrace()) {
+    if (const CompiledTrace *tr = oracle->backingTrace();
+        tr && use_kernel) {
         const InstCount p0 = lastCommitOracleIdx;
         const InstCount kn =
             p0 < tr->size() ? std::min(n, tr->size() - p0) : 0;
-        if (kn > 0 &&
-            !FaultInjector::instance().shouldPoisonWarmTables()) {
+        if (kn > 0) {
             resumePC = warmKernel(*tr, p0, kn, lastLine);
             done = kn;
         }
@@ -464,17 +463,8 @@ Core::fastForward(InstCount n)
     warmStats_.scalarInsts += n - done;
 
     // Scalar warming for whatever the kernel did not cover (lazy
-    // streams, the tail past the compiled prefix, the warmtab switch).
-    // Long fast-forwards must stay observable: publish the stream
-    // position as the heartbeat and give watchdogs / fault injection
-    // their deterministic hook, like Core::run does. The poll ladder
-    // is call-relative and shared with the kernel: position i polls
-    // iff i is a multiple of ffPollInsts, wherever the prefix ends.
-    ExecContext *exec = currentExecContext();
-
+    // streams, the tail past the compiled prefix, fastForwardScalar).
     for (InstCount i = done; i < n; ++i) {
-        if (exec && (i & (ffPollInsts - 1)) == 0)
-            exec->poll(coreStats.cycles, lastCommitOracleIdx);
         const SeqNum idx = lastCommitOracleIdx + 1;
         const OracleInst &oi = oracle->at(idx);
         const StaticInst &si = *oi.si;
@@ -651,15 +641,6 @@ Core::debugDump() const
 void
 Core::run(InstCount max_insts)
 {
-    // When a sweep worker installed an ExecContext, poll it every so
-    // many cycles: publish the committed-instruction heartbeat, honor
-    // cooperative cancellation (watchdog deadline / stall, SIGINT),
-    // and give the fault injector its deterministic hook. Polling
-    // reads simulator state but never writes it, so a watched run is
-    // cycle-for-cycle identical to an unwatched one.
-    ExecContext *exec = currentExecContext();
-    Cycle nextPoll = coreStats.cycles + runPollCycles;
-
     const InstCount target = committed() + max_insts;
     InstCount lastCommitted = committed();
     Cycle lastProgress = coreStats.cycles;
@@ -667,13 +648,11 @@ Core::run(InstCount max_insts)
         if (!step()) {
             // Nothing acted: every cycle before the next wake is this
             // same idle cycle, so skip them. The skip stops at the
-            // poll and at the progress limit, so both fire on the
-            // cycle they would when ticking.
+            // progress limit, so the panic fires on the cycle it
+            // would when ticking.
             const Cycle wake = nextWake();
-            Cycle until =
+            const Cycle until =
                 std::min(wake - 1, lastProgress + noProgressCycles + 1);
-            if (exec)
-                until = std::min(until, nextPoll);
             if (wake > coreStats.cycles && until > coreStats.cycles)
                 skipIdle(until);
         }
@@ -686,10 +665,6 @@ Core::run(InstCount max_insts)
                          "(workload %s, variant %s)",
                          prog.name().c_str(),
                          variantName(cfg.variant));
-        }
-        if (exec && coreStats.cycles >= nextPoll) {
-            nextPoll = coreStats.cycles + runPollCycles;
-            exec->poll(coreStats.cycles, committed());
         }
     }
 }

@@ -91,33 +91,21 @@ class Core
     void tick();
 
     /**
-     * Run until @a max_insts instructions have committed (or panic
-     * after noProgressCycles cycles without a commit — a deadlock
+     * Run until @a max_insts more instructions have committed: the
+     * target is committed() at entry plus @a max_insts, so repeated
+     * calls resume where the last one stopped. Panics after
+     * noProgressCycles cycles without a commit (a deadlock
      * diagnostic). Every statistic reads as if each cycle were
      * ticked, but after a cycle in which no stage acted the clock
      * jumps to the earliest cycle at which one can act again (see
      * nextWake()), and the per-cycle counters are bulk-added for the
-     * cycles skipped. A skip never passes the ExecContext poll or the
-     * no-progress panic, so both fire on the same cycle as when
-     * ticking.
+     * cycles skipped. A skip never passes the no-progress limit, so
+     * the panic fires on the same cycle as when ticking.
      */
     void run(InstCount max_insts);
 
     /** Cycles without a commit after which run() panics. */
     static constexpr Cycle noProgressCycles = 100000;
-
-    /**
-     * Watchdog/fault-injection poll cadences, one named constant per
-     * execution mode so `--stall` detection latency is predictable:
-     * the detailed loop polls every runPollCycles cycles; both
-     * fast-forward paths (scalar and batch kernel) poll every
-     * ffPollInsts instructions on the same call-relative ladder.
-     * Both values are load-bearing for fault-injection determinism
-     * (armed ticks land on poll points) — change them only with the
-     * fault tests in mind.
-     */
-    static constexpr Cycle runPollCycles = 1024;
-    static constexpr InstCount ffPollInsts = 16384;
 
     Cycle cycles() const { return coreStats.cycles; }
     InstCount committed() const { return backendUnit->stats().committed; }
@@ -185,9 +173,19 @@ class Core
      * updating only the predictors (TAGE/ITTAGE/BTB/RAS, coupled
      * predictors) and the cache hierarchy — no fetch/rename/ROB/IQ
      * timing. Requires a quiesced pipeline (squashToCommitted).
-     * committed() does not advance; consumedInsts() does.
+     * committed() does not advance; consumedInsts() does. The part
+     * of the window inside the compiled prefix runs the batch
+     * warming kernel (sim/warm_kernel.cc), the rest the scalar loop.
      */
-    void fastForward(InstCount n);
+    void fastForward(InstCount n) { functionalWarm(n, true); }
+
+    /**
+     * fastForward() through the scalar per-instruction loop alone,
+     * even inside the compiled prefix: the reference the batch
+     * kernel is tested against (test_warm_kernel). Leaves the same
+     * warm state as fastForward(); only warmStats() tells them apart.
+     */
+    void fastForwardScalar(InstCount n) { functionalWarm(n, false); }
 
     /**
      * Architectural stream position: instructions consumed so far,
@@ -248,6 +246,9 @@ class Core
     void applyRedirect(Redirect r);
     void applyPatches(Redirect &redirect, Cycle now);
     bool historyVisible(const StaticInst &si) const;
+
+    /** fastForward() (@a use_kernel) or fastForwardScalar(). */
+    void functionalWarm(InstCount n, bool use_kernel);
 
     /**
      * Batch functional warming over the compiled trace's event tables

@@ -1,6 +1,5 @@
 #include "sim/export.hh"
 
-#include <istream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -270,61 +269,6 @@ writeThroughputJson(std::ostream &os,
     }
     w.endArray();
     w.endObject();
-}
-
-void
-writeManifestLine(std::ostream &os, const ManifestEntry &e)
-{
-    JsonWriter w(os, /*pretty=*/false);
-    w.beginObject();
-    w.field("manifest", "elfsim-manifest-v1");
-    w.field("index", std::uint64_t(e.index));
-    w.field("key", std::string_view(e.key));
-    w.field("status", jobStatusName(e.result.status));
-    w.key("result");
-    writeRunResult(w, e.result);
-    w.endObject();
-    os << '\n';
-}
-
-std::vector<ManifestEntry>
-readManifest(std::istream &is)
-{
-    std::vector<ManifestEntry> entries;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        ManifestEntry e;
-        try {
-            const json::Value doc = json::parse(line);
-            if (doc.at("manifest").asString() != "elfsim-manifest-v1")
-                throw ParseError("unknown manifest schema");
-            e.index = std::size_t(doc.at("index").asU64());
-            e.key = doc.at("key").asString();
-            e.result = runResultFromJson(doc.at("result"));
-        } catch (const SimError &err) {
-            // A crash mid-append leaves a truncated last line; the
-            // cell it journaled simply re-runs.
-            ELFSIM_WARN("manifest line %zu skipped: %s", lineno,
-                        err.what());
-            continue;
-        }
-        // Last occurrence of an index wins (resumed sweeps append).
-        bool replaced = false;
-        for (ManifestEntry &prev : entries) {
-            if (prev.index == e.index) {
-                prev = std::move(e);
-                replaced = true;
-                break;
-            }
-        }
-        if (!replaced)
-            entries.push_back(std::move(e));
-    }
-    return entries;
 }
 
 void

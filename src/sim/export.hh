@@ -23,24 +23,17 @@
  *     ]
  *   }
  *
- * v1 -> v2: every result gained "status" (ok / failed / timeout /
- * cancelled), "error" (failure detail, empty when ok) and "attempts"
- * (runs of the bounded retry policy, >= 1) — fault-tolerant sweeps
- * degrade gracefully by marking a bad cell instead of aborting, so
- * the schema must distinguish a zeroed failed cell from real data.
+ * v1 -> v2: every result gained "status" (ok / failed), "error"
+ * (failure detail, empty when ok) and "attempts" (always 1; kept so
+ * existing row digests hold) — a sweep marks a cell that threw as
+ * failed instead of aborting, so the schema must distinguish a
+ * zeroed failed cell from real data.
  *
  * The optional "trace" block records the sweep's trace-compilation
  * activity (compiles, cache_hits, cache_misses, bytes_mapped,
  * compile_seconds). Like "timing" it is host-dependent bookkeeping,
  * so the deterministic byte-identity guarantee covers documents
  * written without it (writeResultsJson).
- *
- * The resume manifest (elfsim-manifest-v1) is JSONL: one compact
- * object per completed cell, appended and flushed as cells finish so
- * a killed sweep loses at most the in-flight cells:
- *
- *   {"manifest":"elfsim-manifest-v1","index":N,"key":"...",
- *    "status":"ok","result":{ <writeRunResult object> }}
  */
 
 #ifndef ELFSIM_SIM_EXPORT_HH
@@ -125,28 +118,6 @@ void writeThroughputJson(std::ostream &os,
                          const std::vector<RunResult> &results,
                          const std::vector<double> &job_seconds,
                          const SweepTiming &timing);
-
-// --- crash-safe resume manifest (JSONL) ------------------------------
-
-/** One journaled sweep cell. */
-struct ManifestEntry
-{
-    std::size_t index = 0; ///< submission index in the sweep grid
-    std::string key;       ///< job identity (SweepRunner::jobKey)
-    RunResult result;
-};
-
-/** Append one completed cell as a single compact JSONL line; the
- *  caller flushes (crash safety is per-line). */
-void writeManifestLine(std::ostream &os, const ManifestEntry &e);
-
-/**
- * Read every well-formed manifest line from @a is. Malformed or
- * truncated lines (a crash mid-append) are skipped with a warning —
- * their cells simply re-run. When one index appears on several lines
- * (a resumed sweep appends), the last occurrence wins.
- */
-std::vector<ManifestEntry> readManifest(std::istream &is);
 
 } // namespace elfsim
 

@@ -45,7 +45,7 @@ struct IntervalSample
 
     /**
      * Visit every field as ("name", member) — the single source of
-     * truth the exporters, the manifest loader, and the tests
+     * truth the exporters, the results loader, and the tests
      * enumerate instead of hand-listing fields. @a self is an
      * IntervalSample (const for export, mutable for loading); @a v
      * must accept (const char *, std::uint64_t) and (const char *,
@@ -189,10 +189,10 @@ struct RunResult
     std::uint64_t pendingFlushWaits = 0;
 
     /**
-     * Cell outcome under fault-tolerant sweeps (JobStatus::Ok for a
-     * clean run). When not ok, the metric fields above are zeroed,
-     * `error` carries the failure detail, and `attempts` counts how
-     * many times the bounded retry policy ran the cell.
+     * Cell outcome in a sweep (JobStatus::Ok for a clean run). A
+     * failed cell has the metric fields above zeroed and `error`
+     * carrying the failure detail. `attempts` is always 1; it stays
+     * in every exported row so existing row digests hold.
      */
     JobStatus status = JobStatus::Ok;
     std::string error;
@@ -216,7 +216,7 @@ struct RunResult
     /**
      * Visit every scalar field as ("name", member) in declaration
      * order — the single source of truth for the JSON/CSV exporters,
-     * the bench table formatters, the manifest loader, and
+     * the bench table formatters, the results loader, and
      * test_sweep's determinism check. @a self is a RunResult (const
      * for export, mutable for loading); @a v must accept (const char
      * *, std::string), (const char *, std::uint64_t) and (const char
@@ -262,7 +262,7 @@ struct RunResult
         visitFields(*this, std::forward<V>(v));
     }
 
-    /** Did this cell complete (possibly after retries)? */
+    /** Did this cell complete? */
     bool ok() const { return status == JobStatus::Ok; }
 };
 

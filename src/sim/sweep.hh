@@ -17,13 +17,10 @@
  * submission index — never from thread identity — so the results of a
  * grid do not depend on the number of worker threads.
  *
- * Fault tolerance: a job that panics, throws, hangs or overruns its
- * deadline degrades to a failed cell (RunResult::status != Ok,
- * metrics zeroed, error recorded) and the rest of the grid completes. Transient errors retry up to
- * SweepPolicy::maxRetries extra attempts. A JSONL manifest journals
- * each finished cell as it completes, so a killed sweep resumes with
- * `resume = true` re-running only the unfinished cells — merged
- * output is byte-identical to an uninterrupted run.
+ * Failed cells: a job that throws or panics (a bad option, the
+ * core's no-progress panic, any recoverable invariant violation)
+ * degrades to a failed cell (RunResult::status == Failed, metrics
+ * zeroed, error recorded) and the rest of the grid completes.
  */
 
 #ifndef ELFSIM_SIM_SWEEP_HH
@@ -33,7 +30,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -78,37 +74,10 @@ struct SweepTiming
     }
 };
 
-/** Fault-tolerance policy of a sweep. Per-job errors (including
- *  recoverable panics) always degrade to failed cells; the rest of the
- *  grid completes. */
+/** Kept only because the benchmark driver calls
+ *  SweepRunner::setPolicy(spec.policy); it has no fields. */
 struct SweepPolicy
 {
-    /** Per-job wall-clock limit in seconds; 0 disables. An overrun
-     *  job is cancelled cooperatively and its cell marked timeout. */
-    double deadlineSeconds = 0;
-
-    /** Watchdog stall limit: cancel a job whose committed-instruction
-     *  heartbeat has not advanced for this many seconds; 0 disables.
-     *  Catches hangs long before a generous deadline would. */
-    double stallSeconds = 0;
-
-    /** Extra attempts for cells failing with a TransientError. */
-    unsigned maxRetries = 0;
-
-    /** JSONL journal of completed cells (crash-safe resume); empty
-     *  disables journaling. */
-    std::string manifestPath;
-
-    /** Reuse ok cells recorded in manifestPath (index and jobKey must
-     *  both match) and re-run only the rest. New completions append
-     *  to the manifest. */
-    bool resume = false;
-
-    bool
-    watchdogEnabled() const
-    {
-        return deadlineSeconds > 0 || stallSeconds > 0;
-    }
 };
 
 /** Thread-pooled grid runner with deterministic result merging. */
@@ -127,11 +96,8 @@ class SweepRunner
      */
     void setBaseSeed(std::uint64_t seed) { baseSeed = seed; }
 
-    /** Replace the fault-tolerance policy (defaults: no watchdog, no
-     *  retries, no manifest). */
-    void setPolicy(SweepPolicy p) { pol = std::move(p); }
-
-    const SweepPolicy &policy() const { return pol; }
+    /** No-op, kept for the benchmark driver (see SweepPolicy). */
+    void setPolicy(const SweepPolicy &) {}
 
     /**
      * Run every job and return results indexed by submission order.
@@ -168,31 +134,6 @@ class SweepRunner
 
     /** Cells of the most recent run() that did not complete ok. */
     std::size_t failedCells() const;
-
-    /**
-     * Stable identity of grid cell @a i — workload, variant, window
-     * sizes and the effective RNG seed. A manifest entry is only
-     * reused on resume when both its index and its key match, so a
-     * stale manifest from a different grid never contaminates
-     * results.
-     */
-    std::string jobKey(const SweepJob &job, std::size_t i) const;
-
-    /**
-     * Install SIGINT/SIGTERM handlers that raise a process-wide
-     * interrupt flag. A running sweep notices (watchdog monitor
-     * cancels in-flight jobs; queued jobs degrade to cancelled cells)
-     * and run() returns with partial results, which the bench
-     * harnesses then flush — so a Ctrl-C mid-sweep still exports
-     * everything finished so far and the manifest stays resumable.
-     */
-    static void installSignalHandlers();
-
-    /** Has a SIGINT/SIGTERM arrived since clearInterrupt()? */
-    static bool interruptRequested();
-
-    /** Reset the interrupt flag (tests; start of a new sweep). */
-    static void clearInterrupt();
 
     /**
      * Per-job wall-clock seconds of the most recent run(), in
@@ -233,7 +174,6 @@ class SweepRunner
   private:
     unsigned threads;
     std::uint64_t baseSeed = 0;
-    SweepPolicy pol;
     SweepTiming lastTiming;
     TraceStats lastTraceStats;  ///< TraceCache activity, last run
     CkptStats lastCkptStats;    ///< CheckpointStore activity, last run

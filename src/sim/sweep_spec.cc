@@ -634,48 +634,43 @@ parseRunOptions(const json::Value &v)
     return o;
 }
 
-/** A policy duration, held to the CLI's --deadline/--stall bounds:
- *  finite seconds from 0 to 1e12. A negative value would otherwise
- *  turn the watchdog off without a word. */
-double
-policySeconds(const json::Value &v, const std::string &key)
+/**
+ * An archived spec's "policy" block. Sweep policies were removed; a
+ * block holding only their old defaults (what --dump-spec wrote when
+ * no policy flag was given) still parses. Any other value throws a
+ * ConfigError naming the field.
+ */
+void
+checkRetiredPolicy(const json::Value &v)
 {
-    const double s = v.asDouble();
-    if (!(s >= 0) || s > 1e12)
-        throw ConfigError(errorf(
-            "policy.%s must be seconds from 0 to 1e12 (got %g)",
-            key.c_str(), s));
-    return s;
-}
-
-SweepPolicy
-parsePolicy(const json::Value &v)
-{
-    SweepPolicy p;
-    forEachMember(v, "policy", [&](const std::string &k,
-                                   const json::Value &val) {
+    using Kind = json::Value::Kind;
+    forEachMember(v, "policy", [](const std::string &k,
+                                  const json::Value &val) {
+        const char *want;
+        bool ok;
         if (k == "keep_going") {
-            // Archived specs all carry "keep_going": true; keep reading
-            // them. Strict mode itself is gone.
-            if (!val.asBool())
-                throw ConfigError("policy.keep_going: false is no longer "
-                                  "supported (strict sweep mode was "
-                                  "removed; failed cells always degrade)");
-        } else if (k == "deadline_seconds")
-            p.deadlineSeconds = policySeconds(val, k);
-        else if (k == "stall_seconds")
-            p.stallSeconds = policySeconds(val, k);
-        else if (k == "max_retries")
-            p.maxRetries = numberUnsigned(val, k);
-        else if (k == "manifest_path")
-            p.manifestPath = val.asString();
-        else if (k == "resume")
-            p.resume = val.asBool();
-        else
+            want = "true";
+            ok = val.kind() == Kind::Bool && val.asBool();
+        } else if (k == "resume") {
+            want = "false";
+            ok = val.kind() == Kind::Bool && !val.asBool();
+        } else if (k == "deadline_seconds" || k == "stall_seconds" ||
+                   k == "max_retries") {
+            want = "0";
+            ok = val.kind() == Kind::Number && val.asDouble() == 0;
+        } else if (k == "manifest_path") {
+            want = "\"\"";
+            ok = val.kind() == Kind::String && val.asString().empty();
+        } else {
             return false;
+        }
+        if (!ok)
+            throw ConfigError(errorf(
+                "policy.%s must be %s: sweep policies were removed "
+                "and only their old defaults still parse",
+                k.c_str(), want));
         return true;
     });
-    return p;
 }
 
 CfgParams
@@ -879,7 +874,7 @@ parseSweepSpec(const json::Value &doc)
         else if (k == "run")
             spec.run = parseRunOptions(val);
         else if (k == "policy")
-            spec.policy = parsePolicy(val);
+            checkRetiredPolicy(val);
         else if (k == "groups") {
             groupsUsed = true;
             for (std::size_t i = 0; i < val.size(); ++i)
@@ -943,18 +938,6 @@ writeRunOptions(JsonWriter &w, const RunOptions &o)
             std::uint64_t(o.sampleLengthInsts));
     w.field("sample_warmup_insts",
             std::uint64_t(o.sampleWarmupInsts));
-    w.endObject();
-}
-
-void
-writePolicy(JsonWriter &w, const SweepPolicy &p)
-{
-    w.beginObject();
-    w.field("deadline_seconds", p.deadlineSeconds);
-    w.field("stall_seconds", p.stallSeconds);
-    w.field("max_retries", std::uint64_t(p.maxRetries));
-    w.field("manifest_path", std::string_view(p.manifestPath));
-    w.field("resume", p.resume);
     w.endObject();
 }
 
@@ -1046,8 +1029,6 @@ writeSweepSpec(std::ostream &os, const SweepSpec &spec)
     w.field("base_seed", spec.baseSeed);
     w.key("run");
     writeRunOptions(w, spec.run);
-    w.key("policy");
-    writePolicy(w, spec.policy);
     w.key("groups");
     w.beginArray();
     for (const SweepGroup &g : spec.groups) {

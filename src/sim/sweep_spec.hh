@@ -8,10 +8,10 @@
  * Layering (DESIGN.md "Options -> SweepSpec -> grid"):
  *
  *   bench_util::Options   CLI flags; a thin adapter that fills a
- *                         bench's native SweepSpec (windows, policy)
+ *                         bench's native SweepSpec (windows)
  *   SweepSpec             the declarative description: workload
  *                         selectors x config rows (+ per-group window
- *                         overrides), run options, fault policy
+ *                         overrides), run options
  *   expandSweep()         materializes programs and the SweepJob grid
  *   SweepRunner           executes the grid
  *
@@ -28,7 +28,6 @@
  *     "jobs": 0,                  // sweep threads; 0 = auto
  *     "base_seed": 0,             // SweepRunner::setBaseSeed
  *     "run": { <RunOptions fields> },
- *     "policy": { <SweepPolicy fields> },
  *     "groups": [
  *       {
  *         "workloads": [
@@ -53,6 +52,13 @@
  * Expansion order is group-major, then workload-major, then
  * config-minor — exactly the nested loops the legacy benches ran, so
  * result indices (and jobKeys, and exported bytes) are unchanged.
+ *
+ * An archived spec may still carry a "policy" block from when sweeps
+ * had a fault-tolerance policy. It parses only while every field
+ * holds the old default ("keep_going": true, "deadline_seconds": 0,
+ * "stall_seconds": 0, "max_retries": 0, "manifest_path": "",
+ * "resume": false); any other value is a ConfigError naming the
+ * field. The writer no longer emits it.
  *
  * Errors: malformed JSON or an unknown field throws ParseError;
  * semantic problems (unknown workload/suite/knob, a contradictory
@@ -253,7 +259,7 @@ struct SweepSpec
     unsigned jobs = 0;         ///< sweep threads; 0 = auto
     std::uint64_t baseSeed = 0; ///< SweepRunner::setBaseSeed
     RunOptions run;            ///< default windows for every group
-    SweepPolicy policy;
+    SweepPolicy policy;        ///< empty; see SweepPolicy
     std::vector<SweepGroup> groups;
 };
 
@@ -306,7 +312,7 @@ SweepSpec parseSweepSpec(std::string_view text);
 /** Load a spec from a file; throws IoError when unreadable. */
 SweepSpec loadSweepSpec(const std::string &path);
 
-/** Canonical serialization: always emits every run/policy field, so
+/** Canonical serialization: always emits every run field, so
  *  parse(write(x)) re-serializes byte-identically. */
 void writeSweepSpec(std::ostream &os, const SweepSpec &spec);
 

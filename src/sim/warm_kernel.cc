@@ -23,20 +23,16 @@
  *
  * The two passes touch disjoint state (MemHierarchy vs the predictor/
  * BTB group), and each preserves stream order within its group, so
- * splitting them is state-equivalent to the interleaved scalar loop.
- * Work is chunked on the scalar loop's exact ffPollInsts ladder: the
- * ExecContext poll fires at chunk start with the same (cycles,
- * committed) pair the scalar loop would publish, and a poll that
- * throws leaves the chunk unprocessed — i.e. the same state the
- * scalar loop would hold at that poll point. The hard invariant,
- * enforced catalog-wide by test_warm_kernel: serialized warm state
- * after this kernel is byte-identical to the scalar path.
+ * running each over the whole window in turn is state-equivalent to
+ * the interleaved scalar loop. The hard invariant, enforced
+ * catalog-wide by test_warm_kernel: serialized warm state after this
+ * kernel is byte-identical to the scalar path
+ * (Core::fastForwardScalar).
  */
 
 #include <chrono>
 #include <mutex>
 
-#include "common/fault.hh"
 #include "sim/core.hh"
 #include "workload/compiled_trace.hh"
 
@@ -76,7 +72,7 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     const Addr lineMask = ~(lineBytes - 1);
     const Cycle base = coreStats.cycles;
     const SeqNum idx0 = lastCommitOracleIdx;
-    ExecContext *exec = currentExecContext();
+    const InstCount end = p0 + kn;
 
     // The oracle window may hold instructions generated ahead by the
     // preceding detailed run; the scalar loop would replay them (the
@@ -85,7 +81,7 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     if (!oracle->windowEmpty())
         oracle->retireUpTo(oracle->newest());
 
-    // Table cursors, advanced monotonically across chunks.
+    // Table cursors.
     InstCount r = tr.runContaining(p0);
     InstCount m = tr.firstMemAtOrAfter(p0);
     InstCount b = tr.firstBranchAtOrAfter(p0);
@@ -100,104 +96,92 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     std::uint64_t fetches = 0;
     const InstCount bAtEntry = b;
 
-    InstCount i = 0; // call-relative position (poll ladder)
-    while (i < kn) {
-        if (exec)
-            exec->poll(base + i, idx0 + i);
-        const InstCount c1 = std::min(i + ffPollInsts, kn);
-        const InstCount A0 = p0 + i;
-        const InstCount A1 = p0 + c1;
-
-        // --- cache pass: line transitions merged with mem events ---
-        InstCount pos = A0;
-        while (pos < A1) {
-            const InstCount runEnd = tr.runEnd(r);
-            const InstCount segEnd = std::min(runEnd, A1);
-            const InstCount runPos = tr.runPos(r);
-            const Addr runPC = tr.runPC(r);
-            // Every memory event left in this segment lies in run r.
-            const auto dataAccess = [&](InstCount j) {
-                const InstCount mpos = tr.memPos(j);
-                mem->dataAccess(runPC + instsToBytes(mpos - runPos),
-                                tr.memAddr(j), tr.memIsStore(j),
-                                base + (mpos - p0) + 1);
-            };
-            Addr pc = runPC + instsToBytes(pos - runPos);
-            while (pos < segEnd) {
-                // Next position whose fetch leaves the current line.
-                InstCount nf;
-                const Addr line = pc & lineMask;
-                if (line != last_line)
-                    nf = pos;
-                else
-                    nf = pos + (line + lineBytes - pc) / instBytes;
-                if (nf >= segEnd) {
-                    // No further fetch this segment: drain mem
-                    // events up to the segment end and move on.
-                    while (m < tr.numMemEvents() &&
-                           tr.memPos(m) < segEnd)
-                        dataAccess(m++);
-                    pos = segEnd;
-                    break;
-                }
-                // Mem events strictly before the fetch position
-                // precede it; one *at* the fetch position follows the
-                // fetch (scalar order: instFetch, then dataAccess) —
-                // it drains on the next iteration or at segment end.
-                while (m < tr.numMemEvents() && tr.memPos(m) < nf)
+    // --- cache pass: line transitions merged with mem events --------
+    InstCount pos = p0;
+    while (pos < end) {
+        const InstCount runEnd = tr.runEnd(r);
+        const InstCount segEnd = std::min(runEnd, end);
+        const InstCount runPos = tr.runPos(r);
+        const Addr runPC = tr.runPC(r);
+        // Every memory event left in this segment lies in run r.
+        const auto dataAccess = [&](InstCount j) {
+            const InstCount mpos = tr.memPos(j);
+            mem->dataAccess(runPC + instsToBytes(mpos - runPos),
+                            tr.memAddr(j), tr.memIsStore(j),
+                            base + (mpos - p0) + 1);
+        };
+        Addr pc = runPC + instsToBytes(pos - runPos);
+        while (pos < segEnd) {
+            // Next position whose fetch leaves the current line.
+            InstCount nf;
+            const Addr line = pc & lineMask;
+            if (line != last_line)
+                nf = pos;
+            else
+                nf = pos + (line + lineBytes - pc) / instBytes;
+            if (nf >= segEnd) {
+                // No further fetch this segment: drain mem events up
+                // to the segment end and move on.
+                while (m < tr.numMemEvents() && tr.memPos(m) < segEnd)
                     dataAccess(m++);
-                pc += instsToBytes(nf - pos);
-                pos = nf;
-                mem->instFetch(pc, base + (pos - p0) + 1);
-                last_line = pc & lineMask;
-                ++fetches;
+                pos = segEnd;
+                break;
             }
-            if (pos == runEnd) {
-                // The scalar loop resets its line register after
-                // every taken branch so the target refetches.
-                if (tr.runEndsTaken(r))
-                    last_line = invalidAddr;
-                ++r;
-            }
+            // Mem events strictly before the fetch position precede
+            // it; one *at* the fetch position follows the fetch
+            // (scalar order: instFetch, then dataAccess) — it drains
+            // on the next iteration or at segment end.
+            while (m < tr.numMemEvents() && tr.memPos(m) < nf)
+                dataAccess(m++);
+            pc += instsToBytes(nf - pos);
+            pos = nf;
+            mem->instFetch(pc, base + (pos - p0) + 1);
+            last_line = pc & lineMask;
+            ++fetches;
         }
-
-        // --- branch pass: builder catch-up + commit training --------
-        InstCount gapStart = A0;
-        while (b < tr.numBranchEvents() && tr.branchPos(b) < A1) {
-            const InstCount bpos = tr.branchPos(b);
-            if (bpos > gapStart)
-                builder->retireSequentialRange(gapNextPC,
-                                               bpos - gapStart);
-            const StaticInst *sp =
-                prog.instAt(gapNextPC + instsToBytes(bpos - gapStart));
-            ELFSIM_ASSERT(sp && sp->branch != BranchKind::None,
-                          "branch-pass PC tracking diverged");
-            const StaticInst &si = *sp;
-            const bool taken = tr.branchTaken(b);
-            const Addr target = tr.branchTarget(b);
-            bank->commitBranch(si.pc, si.branch, taken, target,
-                               TagePrediction{}, IttagePrediction{},
-                               historyVisible(si));
-            controller->coupledPredictors().trainCommit(
-                si.pc, si.branch, taken, target, FetchMode::Coupled);
-            if (taken) {
-                btbHier->lookup(target);
-            }
-            builder->retire(si, taken, target);
-            ++b;
-            gapStart = bpos + 1;
-            gapNextPC = target; // recorded next-PC either way
+        if (pos == runEnd) {
+            // The scalar loop resets its line register after every
+            // taken branch so the target refetches.
+            if (tr.runEndsTaken(r))
+                last_line = invalidAddr;
+            ++r;
         }
-        if (A1 > gapStart) {
-            builder->retireSequentialRange(gapNextPC, A1 - gapStart);
-            gapNextPC += instsToBytes(A1 - gapStart);
-        }
-
-        // Chunk done: publish the scalar loop's end-of-chunk state.
-        coreStats.cycles = base + c1;
-        lastCommitOracleIdx = idx0 + c1;
-        i = c1;
     }
+
+    // --- branch pass: builder catch-up + commit training ------------
+    InstCount gapStart = p0;
+    while (b < tr.numBranchEvents() && tr.branchPos(b) < end) {
+        const InstCount bpos = tr.branchPos(b);
+        if (bpos > gapStart)
+            builder->retireSequentialRange(gapNextPC, bpos - gapStart);
+        const StaticInst *sp =
+            prog.instAt(gapNextPC + instsToBytes(bpos - gapStart));
+        ELFSIM_ASSERT(sp && sp->branch != BranchKind::None,
+                      "branch-pass PC tracking diverged");
+        const StaticInst &si = *sp;
+        const bool taken = tr.branchTaken(b);
+        const Addr target = tr.branchTarget(b);
+        bank->commitBranch(si.pc, si.branch, taken, target,
+                           TagePrediction{}, IttagePrediction{},
+                           historyVisible(si));
+        controller->coupledPredictors().trainCommit(
+            si.pc, si.branch, taken, target, FetchMode::Coupled);
+        if (taken) {
+            btbHier->lookup(target);
+        }
+        builder->retire(si, taken, target);
+        ++b;
+        gapStart = bpos + 1;
+        gapNextPC = target; // recorded next-PC either way
+    }
+    if (end > gapStart) {
+        builder->retireSequentialRange(gapNextPC, end - gapStart);
+        gapNextPC += instsToBytes(end - gapStart);
+    }
+
+    // Publish the scalar loop's end-of-window state.
+    coreStats.cycles = base + kn;
+    lastCommitOracleIdx = idx0 + kn;
 
     // Reposition the stream after the warmed window; the next
     // instruction served is idx0 + kn + 1 (from the tables inside

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "common/error.hh"
-#include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 
@@ -158,9 +157,6 @@ CheckpointStore::load(const std::string &name, std::uint64_t key,
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return miss(); // absent: the common cold-cache case
-
-    if (FaultInjector::instance().shouldCorruptCkptRead())
-        return failure("injected corruption reading");
 
     in.seekg(0, std::ios::end);
     const std::streamoff len = in.tellg();

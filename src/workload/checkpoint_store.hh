@@ -15,9 +15,8 @@
  * $ELFSIM_CKPT_CACHE, or CheckpointStore::setDirectory) and share its
  * robustness contract: atomic temp-file + rename writes, and key /
  * size / checksum validation on load. Any load defect — stale key,
- * torn write, injected corruption (the 'ckptcache' fault site) —
- * demotes the artifact to a transparent fast-forward, never to a
- * failed cell.
+ * torn write, a flipped byte — demotes the artifact to a transparent
+ * fast-forward, never to a failed cell.
  *
  * On-disk format ("elfsim-ckpt-v2", little-endian):
  *

@@ -6,7 +6,6 @@
 #include <system_error>
 
 #include "common/error.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
 
 namespace elfsim {
@@ -93,17 +92,13 @@ TraceCache::acquire(const Program &prog, InstCount count)
     }
 
     // On-disk artifact from an earlier process of the campaign. Any
-    // defect — injected corruption, stale key, torn write — demotes
-    // the artifact to a recompile, never to a failure.
+    // defect — a flipped byte, stale key, torn write — demotes the
+    // artifact to a recompile, never to a failure.
     if (!dir.empty()) {
         const std::string path = pathForKey(prog.name(), key);
         std::error_code ec;
         if (std::filesystem::exists(path, ec)) {
             try {
-                if (FaultInjector::instance().shouldCorruptTraceRead())
-                    throw ParseError(errorf(
-                        "injected trace-cache corruption reading '%s'",
-                        path.c_str()));
                 std::shared_ptr<const CompiledTrace> t =
                     CompiledTrace::load(path, key);
                 ++counters.cacheHits;

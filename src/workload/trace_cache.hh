@@ -18,7 +18,9 @@
  * over the header scalars and every section byte) and table structure
  * (see CompiledTrace); any load failure logs a warning and falls back
  * to recompiling, so a poisoned cache can slow a run down but never
- * fail it (the 'tracecache' fault-injection site tests exactly this).
+ * fail it (test_compiled_trace's
+ * TraceCache.PoisonedCacheRecompilesInsteadOfFailing tests exactly
+ * this).
  * A file in a retired format fails the magic check and is recompiled
  * in place.
  *

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/fault.hh"
 #include "common/stat_fields.hh"
 #include "sim/core.hh"
 #include "sim/runner.hh"
@@ -286,41 +285,6 @@ TEST(CoreRunVsTick, EveryCounterMatchesWithDeepPipesAndTinyBtbs)
         cfg.btb.l2.entries = 8;
         cfg.btb.l2.assoc = 8;
         EXPECT_EQ(firstRunTickDifference(cfg, p), "") << variantName(v);
-    }
-}
-
-TEST(CoreRunVsTick, PollFiresOnTheTickedCycles)
-{
-    // The ExecContext poll (and so the fault injector) fires every
-    // runPollCycles cycles; a skip stops at the poll. Values captured
-    // with per-cycle ticking.
-    const Program p = buildWorkload(*findWorkload("605.mcf"));
-    struct Want
-    {
-        std::uint64_t armedTick;
-        Cycle cycle;
-        InstCount committed;
-    };
-    for (FrontendVariant v : {FrontendVariant::Dcf, FrontendVariant::UElf}) {
-        for (const Want &w : {Want{20000, 20480, 2645},
-                              Want{60500, 61440, 7926},
-                              Want{150300, 150528, 19813}}) {
-            FaultSpec f;
-            f.kind = FaultKind::Throw;
-            f.tick = w.armedTick;
-            FaultInjector::instance().arm({f});
-            Core core(makeConfig(v), p);
-            ExecContext ctx;
-            {
-                ScopedExecContext scope(ctx);
-                EXPECT_THROW(core.run(100000), InjectedError);
-            }
-            FaultInjector::instance().disarm();
-            EXPECT_EQ(core.cycles(), w.cycle)
-                << variantName(v) << " tick " << w.armedTick;
-            EXPECT_EQ(core.committed(), w.committed)
-                << variantName(v) << " tick " << w.armedTick;
-        }
     }
 }
 

@@ -4,7 +4,8 @@
  * validates that the machine-readable pipeline (a) round-trips every
  * RunResult field losslessly, (b) is byte-identical across sweep
  * thread counts, (c) captures interval timelines that exactly tile
- * the measurement window without perturbing the simulation.
+ * the measurement window without perturbing the simulation, and (d)
+ * keeps a failed cell's row.
  */
 
 #include <gtest/gtest.h>
@@ -474,3 +475,29 @@ TEST(Export, CsvHasHeaderAndOneRowPerResult)
     EXPECT_EQ(trows, 1 + samples);
 }
 
+// A failed cell keeps its row in the document: status "failed", the
+// error text, attempts 1. The wedged core (a ROB smaller than the
+// fetch width) fails through Core::run's no-progress panic.
+TEST(Export, FailedCellsSurviveTheV2Document)
+{
+    Program a = microRandomBranchLoop(8, 0.4);
+    std::vector<SweepJob> grid = {
+        makeVariantJob(a, FrontendVariant::Dcf, smallWindow()),
+        makeVariantJob(a, FrontendVariant::UElf, smallWindow()),
+    };
+    grid[0].cfg.backend.robEntries = 4;
+    SweepRunner runner(1);
+    runner.run(grid);
+
+    std::ostringstream os;
+    writeSweepJson(os, runner.results(), nullptr);
+    const json::Value doc = json::parse(os.str());
+    EXPECT_EQ(doc.at("schema").asString(), "elfsim-results-v2");
+    const json::Value &failed = doc.at("results")[0];
+    EXPECT_EQ(failed.at("status").asString(), "failed");
+    EXPECT_NE(failed.at("error").asString().find("no forward progress"),
+              std::string::npos);
+    EXPECT_EQ(failed.at("attempts").asU64(), 1u);
+    EXPECT_EQ(failed.at("insts").asU64(), 0u);
+    EXPECT_EQ(doc.at("results")[1].at("status").asString(), "ok");
+}

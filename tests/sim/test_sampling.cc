@@ -3,12 +3,12 @@
  * Sampled-execution tests: the sampled IPC estimate stays within its
  * own reported error bound against a full detailed run across the
  * workload catalog, checkpointed re-runs are byte-identical to cold
- * runs (and actually hit), corrupt or injected-fault checkpoint
- * artifacts fall back to fast-forward transparently, a flip of any
- * one artifact byte past the magic fails the load, bad schedules
- * are rejected up front, a sampled sweep exports identically at any
- * thread count, and the warm-state checkpoint payload is pinned byte
- * for byte.
+ * runs (and actually hit), corrupt checkpoint artifacts (a flipped
+ * payload byte, garbage) fall back to fast-forward transparently, a
+ * flip of any one artifact byte past the magic fails the load, bad
+ * schedules are rejected up front, a sampled sweep exports
+ * identically at any thread count, and the warm-state checkpoint
+ * payload is pinned byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/serialize.hh"
 #include "sim/config.hh"
@@ -49,16 +48,6 @@ constexpr unsigned kCatalogStride = 1;
 #else
 constexpr unsigned kCatalogStride = 1;
 #endif
-
-/** Arm the process-wide injector for one scope (test_fault idiom). */
-struct ArmedFaults
-{
-    explicit ArmedFaults(const std::string &spec)
-    {
-        FaultInjector::instance().arm(FaultInjector::parse(spec));
-    }
-    ~ArmedFaults() { FaultInjector::instance().disarm(); }
-};
 
 /** Point the process-wide checkpoint store at a fresh directory for
  *  one scope; restores the previous configuration on exit. */
@@ -271,12 +260,29 @@ TEST(Sampling, CorruptCheckpointsFallBackToFastForward)
     const RunResult cold = runVariant(p, FrontendVariant::UElf, so);
     ASSERT_GT(cold.sampling.ckptSaves, 0u);
 
-    // (a) Injected read corruption: the 'ckptcache' fault site flips
-    // bytes on every artifact read. Loads fail validation, the run
-    // fast-forwards instead, and the result is unchanged.
+    // (a) One flipped payload byte in every artifact on disk. Each
+    // load fails its checksum, the run fast-forwards instead, and the
+    // result is unchanged.
     {
+        unsigned flipped = 0;
+        for (const auto &e :
+             std::filesystem::recursive_directory_iterator(dir.path()))
+            if (e.is_regular_file()) {
+                // The middle of the file: past the 48-byte header.
+                const std::streamoff at =
+                    std::streamoff(e.file_size() / 2);
+                std::fstream f(e.path(), std::ios::binary |
+                                             std::ios::in |
+                                             std::ios::out);
+                f.seekg(at);
+                const char c = char(f.get());
+                f.seekp(at);
+                f.put(char(c ^ 0x5a));
+                ++flipped;
+            }
+        ASSERT_GT(flipped, 0u);
+
         const CkptStats before = CheckpointStore::instance().stats();
-        ArmedFaults armed("ckptcache:*:0");
         const RunResult got = runVariant(p, FrontendVariant::UElf, so);
         const CkptStats d =
             CheckpointStore::instance().stats().delta(before);

@@ -60,6 +60,51 @@ expectIdentical(const RunResult &x, const RunResult &y)
 
 } // namespace
 
+// Two cells of a six-cell grid cannot run: cell 2's core wedges (a
+// ROB smaller than the fetch width never admits a decode group, so
+// Core::run's no-progress panic fires) and cell 4 asks for a sample
+// length without a sample period (validateRunOptions throws a
+// ConfigError). Each becomes a failed row carrying its own message;
+// every other row is byte-identical to a clean run. The 4-thread run
+// is the failure path under TSan.
+TEST(Sweep, FailedCellsLeaveTheRestOfTheGridIntact)
+{
+    Program a = microRandomBranchLoop(8, 0.4);
+    Program b = microSequentialLoop(30, 16);
+    Program c = microBtbMissChain(512, 6);
+    SweepRunner clean(1);
+    const std::vector<RunResult> expect = clean.run(sixJobGrid(a, b, c));
+    ASSERT_EQ(clean.failedCells(), 0u);
+
+    std::vector<SweepJob> grid = sixJobGrid(a, b, c);
+    grid[2].cfg.backend.robEntries = 4;
+    grid[4].opts.sampleLengthInsts = 1000;
+
+    for (unsigned threads : {1u, 4u}) {
+        SweepRunner runner(threads);
+        const std::vector<RunResult> got = runner.run(grid);
+        ASSERT_EQ(got.size(), grid.size());
+        EXPECT_EQ(runner.failedCells(), 2u) << threads << " threads";
+        EXPECT_NE(got[2].error.find("no forward progress"),
+                  std::string::npos)
+            << got[2].error;
+        EXPECT_NE(got[4].error.find("need a sample period"),
+                  std::string::npos)
+            << got[4].error;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            if (i != 2 && i != 4) {
+                expectIdentical(got[i], expect[i]);
+                continue;
+            }
+            EXPECT_EQ(got[i].status, JobStatus::Failed) << i;
+            EXPECT_EQ(got[i].insts, 0u) << i;
+            EXPECT_EQ(got[i].attempts, 1u) << i;
+            EXPECT_EQ(got[i].workload, expect[i].workload) << i;
+            EXPECT_EQ(got[i].variant, expect[i].variant) << i;
+        }
+    }
+}
+
 TEST(Sweep, ParallelMatchesSerialBitIdentical)
 {
     Program a = microRandomBranchLoop(8, 0.4);

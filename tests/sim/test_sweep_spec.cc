@@ -6,7 +6,7 @@
  * bench migration — spec-vs-legacy grid identity: every bench's
  * bench_specs.hh builder expands to exactly the grid the old
  * hand-rolled loops assembled (same order, same configs, same
- * windows), checked via jobKey + configFingerprint.
+ * windows), checked via each cell's identity + configFingerprint.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <climits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_specs.hh"
@@ -44,23 +45,32 @@ specJson(const SweepSpec &spec)
     return os.str();
 }
 
-/** Identity of one grid cell: everything jobKey covers plus the full
- *  configuration fingerprint (jobKey alone ignores knob overrides). */
+/** Identity of one grid cell: workload, variant, windows, sampling
+ *  schedule, RNG seed and the full configuration fingerprint. */
 std::string
-cellKey(const SweepRunner &r, const SweepJob &j, std::size_t i)
+cellKey(const SweepJob &j)
 {
-    return r.jobKey(j, i) + "|cfg" +
-           std::to_string(configFingerprint(j.cfg));
+    std::string k = j.program->name();
+    k += '|';
+    k += variantName(j.cfg.variant);
+    k += "|w" + std::to_string(j.opts.warmupInsts);
+    k += "|m" + std::to_string(j.opts.measureInsts);
+    k += "|i" + std::to_string(j.opts.intervalInsts);
+    k += "|p" + std::to_string(j.opts.samplePeriodInsts);
+    k += "|l" + std::to_string(j.opts.sampleLengthInsts);
+    k += "|u" + std::to_string(j.opts.sampleWarmupInsts);
+    k += "|s" + std::to_string(j.cfg.rngSeed);
+    k += "|cfg" + std::to_string(configFingerprint(j.cfg));
+    return k;
 }
 
 void
 expectSameGrid(const std::vector<SweepJob> &legacy,
                const std::vector<SweepJob> &fromSpec)
 {
-    SweepRunner r(1);
     ASSERT_EQ(legacy.size(), fromSpec.size());
     for (std::size_t i = 0; i < legacy.size(); ++i)
-        EXPECT_EQ(cellKey(r, legacy[i], i), cellKey(r, fromSpec[i], i))
+        EXPECT_EQ(cellKey(legacy[i]), cellKey(fromSpec[i]))
             << "grid cell " << i;
 }
 
@@ -77,8 +87,6 @@ TEST(SweepSpecJson, CanonicalRoundTripIsByteIdentical)
     spec.name = "round_trip";
     spec.jobs = 3;
     spec.baseSeed = 42;
-    spec.policy.deadlineSeconds = 2.5;
-    spec.policy.maxRetries = 1;
     SweepGroup extra;
     extra.workloads = {
         WorkloadSelector::micro("random_branch_loop", {8, 0.5}),
@@ -131,49 +139,50 @@ TEST(SweepSpecJson, UnknownFieldIsAParseError)
                      "{\"schema\":\"elfsim-sweepspec-v1\","
                      "\"run\":{\"warmup\":1}}"),
                  ParseError);
-    // keep_going is no longer written, but archived specs carry it:
-    // true still parses, false (the removed strict mode) is refused.
-    EXPECT_NO_THROW(parseSweepSpec(
-        "{\"schema\":\"elfsim-sweepspec-v1\","
-        "\"policy\":{\"keep_going\":true}}"));
     EXPECT_THROW(parseSweepSpec(
                      "{\"schema\":\"elfsim-sweepspec-v1\","
-                     "\"policy\":{\"keep_going\":false}}"),
-                 ConfigError);
+                     "\"policy\":{\"retries\":0}}"),
+                 ParseError);
 }
 
-TEST(SweepSpecJson, PolicyOutsideTheCliBoundsRejected)
+TEST(SweepSpecJson, RetiredPolicyParsesOnlyAtItsOldDefaults)
 {
     const auto spec = [](const std::string &policy) {
         return "{\"schema\":\"elfsim-sweepspec-v1\",\"policy\":{" +
                policy + "}}";
     };
-    // The --deadline/--stall/--retries bounds apply to specs too: a
-    // negative duration would switch the watchdog off, and a retry
-    // count past UINT_MAX would wrap to a small one.
-    for (const char *bad :
-         {"\"deadline_seconds\":-5", "\"stall_seconds\":-1",
-          "\"deadline_seconds\":1e13", "\"stall_seconds\":1e400",
-          "\"max_retries\":4294967296", "\"max_retries\":4294967297"})
-        EXPECT_THROW(parseSweepSpec(spec(bad)), ConfigError) << bad;
+    // The block an archived --dump-spec wrote without policy flags.
+    EXPECT_NO_THROW(parseSweepSpec(spec(
+        "\"keep_going\":true,\"deadline_seconds\":0,"
+        "\"stall_seconds\":0,\"max_retries\":0,"
+        "\"manifest_path\":\"\",\"resume\":false")));
 
-    // The error names the field.
-    try {
-        parseSweepSpec(spec("\"stall_seconds\":-1"));
-        ADD_FAILURE() << "negative stall_seconds parsed";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("policy.stall_seconds"),
-                  std::string::npos)
-            << e.what();
+    // Anything else asks for behaviour that no longer exists: a
+    // ConfigError naming the field.
+    for (const auto &[field, bad] :
+         {std::pair<const char *, const char *>{"max_retries", "1"},
+          {"resume", "true"},
+          {"deadline_seconds", "5"},
+          {"manifest_path", "\"x\""},
+          {"stall_seconds", "0.5"},
+          {"keep_going", "false"}}) {
+        const std::string text =
+            spec("\"" + std::string(field) + "\":" + bad);
+        try {
+            parseSweepSpec(text);
+            ADD_FAILURE() << text << " parsed";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("policy.") +
+                                                 field),
+                      std::string::npos)
+                << e.what();
+        }
     }
 
-    // The bounds themselves still parse.
-    const SweepSpec edge = parseSweepSpec(
-        spec("\"deadline_seconds\":1e12,\"stall_seconds\":0,"
-             "\"max_retries\":4294967295"));
-    EXPECT_EQ(edge.policy.deadlineSeconds, 1e12);
-    EXPECT_EQ(edge.policy.stallSeconds, 0.0);
-    EXPECT_EQ(edge.policy.maxRetries, UINT_MAX);
+    // The writer no longer emits the block.
+    EXPECT_EQ(specJson(parseSweepSpec(spec("\"resume\":false")))
+                  .find("policy"),
+              std::string::npos);
 }
 
 TEST(SweepSpecJson, MissingOrWrongSchemaRejected)
@@ -761,8 +770,6 @@ TEST(SweepSpecRun, ExpandedSpecProducesIdenticalResultBytes)
     const ExpandedSweep ex = expandSweep(spec);
 
     SweepRunner a(1), b(2);
-    a.setPolicy(spec.policy);
-    b.setPolicy(spec.policy);
     const std::vector<RunResult> ra = a.run(ex.jobs);
 
     // Re-expand (fresh programs) and run on a different thread count:

@@ -3,22 +3,21 @@
  * Batch functional-warming kernel identity tests: fast-forwarding
  * over the compiled trace's event tables (sim/warm_kernel.cc) must
  * leave the core in EXACTLY the state the scalar per-instruction loop
- * produces — verified byte-for-byte on the serialized warm state for
- * every catalog workload (against the scalar loop over the same trace
- * and over the lazy generator, which shares nothing with the tables),
- * for windows that straddle the compiled prefix end (mixed kernel +
- * scalar), and end-to-end on sampled-run results when an injected
- * warmtab fault switches the whole run to the scalar path.
+ * (Core::fastForwardScalar) produces — verified byte-for-byte on the
+ * serialized warm state for every catalog workload (against the
+ * scalar loop over the same trace and over the lazy generator, which
+ * shares nothing with the tables), for windows that straddle the
+ * compiled prefix end (mixed kernel + scalar), and end-to-end on
+ * sampled-run results against a run with trace compilation disabled,
+ * which warms with the scalar loop over the lazy generator.
  */
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/fault.hh"
 #include "common/serialize.hh"
 #include "sim/config.hh"
 #include "sim/export.hh"
@@ -27,6 +26,7 @@
 #include "workload/catalog.hh"
 #include "workload/checkpoint_store.hh"
 #include "workload/compiled_trace.hh"
+#include "workload/trace_cache.hh"
 
 using namespace elfsim;
 
@@ -46,14 +46,19 @@ constexpr unsigned kCatalogStride = 1;
 constexpr unsigned kCatalogStride = 1;
 #endif
 
-/** Arm the process-wide injector for one scope (test_fault idiom). */
-struct ArmedFaults
+/** Disable trace compilation for one scope: every stream is the
+ *  lazy generator, so fast-forward runs the scalar loop. */
+class ScopedTraceOff
 {
-    explicit ArmedFaults(const std::string &spec)
+  public:
+    ScopedTraceOff() : prev(TraceCache::instance().enabled())
     {
-        FaultInjector::instance().arm(FaultInjector::parse(spec));
+        TraceCache::instance().setEnabled(false);
     }
-    ~ArmedFaults() { FaultInjector::instance().disarm(); }
+    ~ScopedTraceOff() { TraceCache::instance().setEnabled(prev); }
+
+  private:
+    bool prev;
 };
 
 /** Disable the checkpoint store for one scope. */
@@ -89,11 +94,11 @@ toJson(const RunResult &r)
 
 /**
  * Fast-forward @a n instructions on a fresh core over @a trace (null:
- * the lazy generator), with the batch kernel either live or disabled
- * via an injected warmtab fault, and return the serialized warm
- * state. The fast-forward is split in two with an intervening quiesce
- * so cursor initialization mid-stream (not just at position 0) is
- * exercised every time.
+ * the lazy generator), with the batch kernel (fastForward) or the
+ * scalar loop alone (fastForwardScalar), and return the serialized
+ * warm state. The fast-forward is split in two with an intervening
+ * quiesce so cursor initialization mid-stream (not just at position
+ * 0) is exercised every time.
  */
 std::vector<std::uint8_t>
 warmedState(const SimConfig &cfg, const Program &prog,
@@ -101,17 +106,17 @@ warmedState(const SimConfig &cfg, const Program &prog,
             InstCount n, bool force_scalar)
 {
     Core core(cfg, prog, trace);
-    std::optional<ArmedFaults> armed;
-    if (force_scalar)
-        armed.emplace("warmtab:*:0");
-    // Split in two with an intervening quiesce so mid-stream cursor
-    // initialization (not just position 0) is exercised every time.
+    const auto warm = [&](InstCount k) {
+        if (force_scalar)
+            core.fastForwardScalar(k);
+        else
+            core.fastForward(k);
+    };
     const InstCount first = n / 3;
     core.squashToCommitted();
-    core.fastForward(first);
+    warm(first);
     core.squashToCommitted();
-    core.fastForward(n - first);
-    armed.reset();
+    warm(n - first);
     if (force_scalar) {
         EXPECT_EQ(core.warmStats().kernelInsts, 0u);
         EXPECT_EQ(core.warmStats().scalarInsts, n);
@@ -135,7 +140,8 @@ warmedState(const SimConfig &cfg, const Program &prog,
 // core that has no trace at all.
 TEST(WarmKernel, ByteIdenticalToScalarAcrossCatalog)
 {
-    // > 5 poll chunks of ffPollInsts, and strictly inside the prefix.
+    // Long enough to cross many runs and lines, and strictly inside
+    // the prefix.
     const InstCount n = 100000;
     unsigned wi = 0;
     for (const WorkloadSpec &w : workloadCatalog()) {
@@ -176,11 +182,8 @@ TEST(WarmKernel, PrefixStraddleMixesKernelAndScalar)
     EXPECT_EQ(kernel.warmStats().scalarInsts, n - prefix);
 
     Core scalar(cfg, p, trace);
-    {
-        ArmedFaults armed("warmtab:*:0");
-        scalar.squashToCommitted();
-        scalar.fastForward(n);
-    }
+    scalar.squashToCommitted();
+    scalar.fastForwardScalar(n);
     EXPECT_EQ(scalar.warmStats().kernelInsts, 0u);
     EXPECT_EQ(scalar.warmStats().scalarInsts, n);
 
@@ -213,19 +216,17 @@ TEST(WarmKernel, NoResumeStateInsidePrefixOnEitherPath)
     EXPECT_FALSE(kernel.ffResumeStateValid());
 
     Core scalar(cfg, p, trace);
-    {
-        ArmedFaults armed("warmtab:*:0");
-        scalar.squashToCommitted();
-        scalar.fastForward(40000);
-    }
+    scalar.squashToCommitted();
+    scalar.fastForwardScalar(40000);
     EXPECT_FALSE(scalar.ffResumeStateValid());
     EXPECT_EQ(warmBytes(kernel), warmBytes(scalar));
 }
 
-// End-to-end switch: an injected warmtab fault forces a whole
-// sampled run onto the scalar path. The run must not fail — and must
-// produce the exact same result JSON as the kernel-backed run, with
-// only the warm.* work-split counters differing.
+// End-to-end switch: with trace compilation disabled a whole sampled
+// run warms with the scalar loop over the lazy generator. The run
+// must not fail — and must produce the exact same result JSON as the
+// kernel-backed run, with only the warm.* work-split counters
+// differing.
 TEST(WarmKernel, PoisonedSideTablesDegradeToScalarWithIdenticalResult)
 {
     ScopedCkptOff off;
@@ -241,13 +242,13 @@ TEST(WarmKernel, PoisonedSideTablesDegradeToScalarWithIdenticalResult)
     const RunResult a = runVariant(p, FrontendVariant::UElf, so);
     RunResult b;
     {
-        ArmedFaults armed("warmtab:*:0");
+        ScopedTraceOff lazy;
         b = runVariant(p, FrontendVariant::UElf, so);
     }
 
-    // The healthy run used the kernel for every fast-forwarded inst
+    // The traced run used the kernel for every fast-forwarded inst
     // (the whole schedule sits inside the capped compiled prefix);
-    // the poisoned run used none. Both splits must sum to the same
+    // the lazy run used none. Both splits must sum to the same
     // fast-forward total.
     EXPECT_GT(a.sampling.warmFfInsts, 0u);
     EXPECT_EQ(a.sampling.warmKernelInsts, a.sampling.warmFfInsts);

@@ -3,6 +3,9 @@
  * CLI-contract test: every experiment harness (and the examples that
  * share its parser) exits 0 on `--help` and 2 on an unknown flag —
  * the uniform usage-error semantics scripts and run_all.sh rely on.
+ * The removed sweep-policy flags (--deadline, --stall, --retries,
+ * --manifest, --resume) are unknown flags: each exits 2 even when
+ * followed by --help.
  *
  * The binary locations come from the ELFSIM_BENCH_DIR /
  * ELFSIM_EXAMPLES_DIR environment variables, which the ctest
@@ -35,6 +38,10 @@ expectUniformCli(const std::string &dir, const char *name)
     EXPECT_EQ(runTool(path, "--help"), 0) << name << " --help";
     EXPECT_EQ(runTool(path, "--definitely-not-a-flag"), 2)
         << name << " with an unknown flag";
+    for (const char *removed :
+         {"--deadline 1 --help", "--stall 1 --help", "--retries 1 --help",
+          "--manifest x --help", "--resume x --help"})
+        EXPECT_EQ(runTool(path, removed), 2) << name << " " << removed;
 }
 
 std::string

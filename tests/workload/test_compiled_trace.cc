@@ -24,6 +24,7 @@
 #include "common/error.hh"
 #include "common/hash.hh"
 #include "common/random.hh"
+#include "sim/export.hh"
 #include "sim/sweep.hh"
 #include "workload/builders.hh"
 #include "workload/catalog.hh"
@@ -636,6 +637,61 @@ TEST(TraceCache, PersistsAndReloadsArtifacts)
     const auto recompiled = cache.acquire(a, 2500);
     ASSERT_NE(recompiled, nullptr);
     EXPECT_EQ(cache.stats().compiles, 1u);
+}
+
+// A poisoned on-disk cache must degrade to a transparent recompile —
+// slower, never a failed cell, and byte-identical results. Every
+// artifact gets one flipped byte past its header, so each load fails
+// its checksum.
+TEST(TraceCache, PoisonedCacheRecompilesInsteadOfFailing)
+{
+    ScopedCacheDir scoped(tempPath("elfsim_poisoned_tc"));
+    RunOptions o;
+    o.warmupInsts = 20000;
+    o.measureInsts = 30000;
+    Program a = microRandomBranchLoop(8, 0.4);
+    Program b = microSequentialLoop(30, 16);
+    const std::vector<SweepJob> grid = {
+        makeVariantJob(a, FrontendVariant::Dcf, o),
+        makeVariantJob(b, FrontendVariant::UElf, o),
+    };
+    const auto asJson = [](const RunResult &r) {
+        std::ostringstream os;
+        JsonWriter w(os);
+        writeRunResult(w, r);
+        return os.str();
+    };
+
+    // Clean reference sweep; also fills the cache directory.
+    SweepRunner clean(1);
+    const std::vector<RunResult> expect = clean.run(grid);
+    ASSERT_EQ(clean.traceStats().compiles, 2u);
+
+    unsigned flipped = 0;
+    for (const auto &e : std::filesystem::directory_iterator(
+             TraceCache::instance().directory())) {
+        const std::streamoff at = std::streamoff(e.file_size() / 2);
+        std::fstream f(e.path(), std::ios::binary | std::ios::in |
+                                     std::ios::out);
+        f.seekg(at);
+        const char c = char(f.get());
+        f.seekp(at);
+        f.put(char(c ^ 0x5a));
+        ++flipped;
+    }
+    ASSERT_EQ(flipped, 2u);
+
+    // Drop the memo so the next acquisitions read the disk.
+    TraceCache::instance().clearMemory();
+    SweepRunner runner(1);
+    const std::vector<RunResult> got = runner.run(grid);
+    EXPECT_EQ(runner.failedCells(), 0u);
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(asJson(got[i]), asJson(expect[i])) << i;
+    // The corrupt reads were demoted to recompiles, not hits.
+    EXPECT_EQ(runner.traceStats().compiles, 2u);
+    EXPECT_EQ(runner.traceStats().bytesMapped, 0u);
 }
 
 // The tsan preset runs this: four threads race to acquire the same
