@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Line-level host-time profile of one end-to-end benchmark workload
-# that, unlike gprof (scripts/profile.sh), sees inlined code: gprof
-# charges an inlined stage or ring access to the function it was
-# inlined into, while a sampled PC resolves to the innermost inlined
-# source line.
+# that, unlike gprof, sees inlined code: gprof charges an inlined
+# stage or ring access to the function it was inlined into, while a
+# sampled PC resolves to the innermost inlined source line. This is
+# the repository's one profiler; the per-layer table it prints is the
+# one perf changes attach.
 #
 # Builds benchmark/ Release with -g into build-sample/ (-g adds debug
 # information only; the generated code is the benchmark's own), builds
