@@ -8,7 +8,7 @@
  * first-fetch latency directly on an always-mispredicting
  * micro-workload for NoDCF, DCF, and the ELF variants (which exist
  * precisely to hide that difference). The four variants run as a
- * sweep grid, so `--jobs`, `--json`, and `--csv` all apply.
+ * sweep grid, so `--jobs` and `--json` apply.
  */
 
 #include <vector>

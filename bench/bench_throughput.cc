@@ -126,10 +126,6 @@ main(int argc, char **argv)
         writeThroughputJson(os, res, secs, runner.timing());
         std::printf("wrote %s\n", opt.jsonPath.c_str());
     }
-    if (!opt.csvPath.empty()) {
-        runner.writeCsv(opt.csvPath);
-        std::printf("wrote %s\n", opt.csvPath.c_str());
-    }
     bench::printSweepTiming(runner);
     return bench::exitCode(runner);
 }

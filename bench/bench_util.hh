@@ -4,8 +4,8 @@
  * formatting, and machine-readable export. Each bench binary
  * regenerates one table or figure of the paper; rows print as aligned
  * text so paper-vs-measured comparison (EXPERIMENTS.md) is a
- * copy-paste, and `--json` / `--csv` export the same results
- * losslessly for scripts (see sim/export.hh for the schema).
+ * copy-paste, and `--json` exports the same results losslessly for
+ * scripts (see sim/export.hh for the schema).
  */
 
 #ifndef ELFSIM_BENCH_BENCH_UTIL_HH
@@ -40,20 +40,16 @@ struct Options
     InstCount warmupInsts = 100000;
     InstCount measureInsts = 200000;
     bool quick = false;
-    unsigned jobs = 0; ///< sweep threads; 0 = $ELFSIM_JOBS / hardware
-    InstCount intervalInsts = 0; ///< timeline sampling period; 0 = off
+    unsigned jobs = 0; ///< sweep threads; 0 = hardware
     std::string jsonPath;        ///< --json target; empty = off
-    std::string csvPath;         ///< --csv target; empty = off
 
     std::string traceCacheDir;   ///< --trace-cache artifact directory
-    bool noTrace = false;        ///< --no-trace: lazy reference path
 
     // Sampled execution (sim/runner.hh RunOptions sampling fields).
     InstCount samplePeriodInsts = 0; ///< --sample-period; 0 = full run
     InstCount sampleLengthInsts = 0; ///< --sample-length per period
     InstCount sampleWarmupInsts = 0; ///< --sample-warmup per period
     std::string ckptCacheDir;    ///< --ckpt-cache artifact directory
-    bool noCkpt = false;         ///< --no-ckpt: always fast-forward
 
     std::string specPath;     ///< --spec: run this grid instead
     std::string dumpSpecPath; ///< --dump-spec: archive the grid as JSON
@@ -64,7 +60,6 @@ struct Options
         RunOptions o;
         o.warmupInsts = quick ? warmupInsts / 4 : warmupInsts;
         o.measureInsts = quick ? measureInsts / 4 : measureInsts;
-        o.intervalInsts = intervalInsts;
         o.samplePeriodInsts = samplePeriodInsts;
         o.sampleLengthInsts = sampleLengthInsts;
         o.sampleWarmupInsts = sampleWarmupInsts;
@@ -98,22 +93,13 @@ printUsage(const char *argv0, std::FILE *to,
         "  --insts N       measured instructions per run (default "
         "%llu)\n"
         "  --quick         quarter-size windows (smoke run)\n"
-        "  --jobs N        sweep threads (default: $ELFSIM_JOBS, then "
-        "hardware)\n"
-        "  --interval N    capture a timeline sample every N committed "
-        "insts (0 = off)\n"
+        "  --jobs N        sweep threads (default: hardware)\n"
         "  --json PATH     write results + sweep timing as JSON "
         "(elfsim-results-v2)\n"
-        "  --csv PATH      write results as CSV (timelines go to "
-        "*.timeline.csv)\n"
         "  --trace-cache D persist compiled workload traces as "
         "content-keyed files in D\n"
         "                  (also $ELFSIM_TRACE_CACHE); campaigns "
         "share one compile\n"
-        "  --no-trace      disable trace compilation (lazy "
-        "per-instruction generation;\n"
-        "                  also $ELFSIM_TRACE=0) — behaviour-"
-        "identical, just slower\n"
         "  --sample-period N  sampled execution: partition the total "
         "budget into\n"
         "                  periods of N insts, fast-forwarding "
@@ -132,10 +118,6 @@ printUsage(const char *argv0, std::FILE *to,
         "keyed files in D\n"
         "                  (also $ELFSIM_CKPT_CACHE); sampled re-runs "
         "skip fast-forward\n"
-        "  --no-ckpt       disable checkpoint artifacts (also "
-        "$ELFSIM_CKPT=0) —\n"
-        "                  behaviour-identical, just always fast-"
-        "forwards\n"
         "  --spec PATH     run the elfsim-sweepspec-v1 grid in PATH "
         "instead of this\n"
         "                  bench's native grid (output becomes a "
@@ -214,17 +196,10 @@ parseOptions(int argc, char **argv, Options defaults = {},
         else if (!std::strcmp(argv[i], "--jobs"))
             o.jobs = unsigned(
                 parseCount(argv[0], "--jobs", value(i), UINT_MAX));
-        else if (!std::strcmp(argv[i], "--interval"))
-            o.intervalInsts =
-                parseCount(argv[0], "--interval", value(i));
         else if (!std::strcmp(argv[i], "--json"))
             o.jsonPath = value(i);
-        else if (!std::strcmp(argv[i], "--csv"))
-            o.csvPath = value(i);
         else if (!std::strcmp(argv[i], "--trace-cache"))
             o.traceCacheDir = value(i);
-        else if (!std::strcmp(argv[i], "--no-trace"))
-            o.noTrace = true;
         else if (!std::strcmp(argv[i], "--sample-period"))
             o.samplePeriodInsts =
                 parseCount(argv[0], "--sample-period", value(i));
@@ -236,8 +211,6 @@ parseOptions(int argc, char **argv, Options defaults = {},
                 parseCount(argv[0], "--sample-warmup", value(i));
         else if (!std::strcmp(argv[i], "--ckpt-cache"))
             o.ckptCacheDir = value(i);
-        else if (!std::strcmp(argv[i], "--no-ckpt"))
-            o.noCkpt = true;
         else if (!std::strcmp(argv[i], "--spec"))
             o.specPath = value(i);
         else if (!std::strcmp(argv[i], "--dump-spec"))
@@ -268,14 +241,10 @@ parseOptions(int argc, char **argv, Options defaults = {},
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         std::exit(2);
     }
-    // Configure the process-wide trace cache here so every bench gets
-    // the behaviour without per-harness plumbing.
-    if (o.noTrace)
-        TraceCache::instance().setEnabled(false);
+    // Configure the process-wide caches here so every bench gets the
+    // behaviour without per-harness plumbing.
     if (!o.traceCacheDir.empty())
         TraceCache::instance().setDirectory(o.traceCacheDir);
-    if (o.noCkpt)
-        CheckpointStore::instance().setEnabled(false);
     if (!o.ckptCacheDir.empty())
         CheckpointStore::instance().setDirectory(o.ckptCacheDir);
     return o;
@@ -285,7 +254,7 @@ parseOptions(int argc, char **argv, Options defaults = {},
  * Resolve the sweep a bench will actually run: its native spec (the
  * bench_specs.hh builder output), unless `--spec PATH` replaces the
  * whole description (grid and windows; only execution-side flags like
- * --jobs / --json / --csv / the cache directories still apply).
+ * --jobs / --json / the cache directories still apply).
  * `--dump-spec` then archives whatever was resolved, so the JSON
  * always matches the grid this process is about to run. Load/save
  * problems and invalid specs are usage errors (exit 2) / export
@@ -348,8 +317,8 @@ printResultsTable(const std::vector<RunResult> &res,
     std::fflush(stdout);
 }
 
-/** Write the last sweep wherever --json / --csv asked; an unwritable
- *  path is a hard error (exit 1). */
+/** Write the last sweep wherever --json asked; an unwritable path
+ *  is a hard error (exit 1). */
 inline void
 exportResults(const Options &o, const SweepRunner &runner)
 {
@@ -357,10 +326,6 @@ exportResults(const Options &o, const SweepRunner &runner)
         if (!o.jsonPath.empty()) {
             runner.writeJson(o.jsonPath);
             std::printf("wrote %s\n", o.jsonPath.c_str());
-        }
-        if (!o.csvPath.empty()) {
-            runner.writeCsv(o.csvPath);
-            std::printf("wrote %s\n", o.csvPath.c_str());
         }
     } catch (const IoError &e) {
         std::fprintf(stderr, "export failed: %s\n", e.what());
@@ -398,9 +363,8 @@ exitCode(const SweepRunner &runner)
 inline void
 warnNoExport(const Options &o, const char *why)
 {
-    if (!o.jsonPath.empty() || !o.csvPath.empty())
-        std::fprintf(stderr,
-                     "note: --json/--csv ignored here (%s)\n", why);
+    if (!o.jsonPath.empty())
+        std::fprintf(stderr, "note: --json ignored here (%s)\n", why);
     if (!o.specPath.empty() || !o.dumpSpecPath.empty())
         std::fprintf(stderr,
                      "note: --spec/--dump-spec ignored here (%s)\n",

@@ -9,8 +9,8 @@
  *
  * The (footprint × variant) grid is a SweepSpec
  * (bench_specs.hh::serverCapacitySpec); the common bench options
- * apply (--jobs N, --json PATH, --csv PATH, --spec, --dump-spec,
- * --quick, --help).
+ * apply (--jobs N, --json PATH, --spec, --dump-spec, --quick,
+ * --help).
  *
  *   $ ./server_capacity [--jobs N] [--json results.json]
  */

@@ -118,14 +118,15 @@ def check_document(path, doc, allow_failed=0):
         timeline = r.get("timeline")
         if not isinstance(interval, int) or not isinstance(timeline, list):
             fail(path, f"{where}: bad interval_insts/timeline")
+        # Only a sampled run has a timeline (one row per measured
+        # window); every other row, failed cells included, has none.
+        if "sampling" not in r and (interval != 0 or timeline):
+            fail(path, f"{where}: a row without a sampling block needs "
+                       "interval_insts 0 and an empty timeline")
         if not ok:
             # A degraded cell carries no metrics; the tiling
             # invariants below only hold for completed runs.
             continue
-        if interval > 0 and r["insts"] > 0 and not timeline:
-            fail(path, f"{where}: interval sampling on but timeline empty")
-        if interval == 0 and timeline:
-            fail(path, f"{where}: timeline present without interval_insts")
         for j, row in enumerate(timeline):
             for k in TIMELINE_FIELDS:
                 if not isinstance(row.get(k), (int, float)):
@@ -202,6 +203,8 @@ def check_document(path, doc, allow_failed=0):
 
 
 SPEC_SCHEMA = "elfsim-sweepspec-v1"
+# Interval capture was removed and the writer no longer emits
+# run.interval_insts; archived specs may carry it, at 0 only.
 SPEC_RUN_FIELDS = (
     "warmup_insts", "measure_insts", "interval_insts",
     "sample_period_insts", "sample_length_insts",
@@ -226,6 +229,9 @@ def check_spec_run(path, where, run):
             fail(path, f"{where}.{k}: unknown field")
         if not isinstance(v, int) or v < 0:
             fail(path, f"{where}.{k} is not a non-negative integer")
+    if run.get("interval_insts", 0) != 0:
+        fail(path, f"{where}.interval_insts must be 0 (interval "
+                   "capture was removed)")
     period = run.get("sample_period_insts", 0)
     length = run.get("sample_length_insts", 0)
     warmup = run.get("sample_warmup_insts", 0)

@@ -5,11 +5,11 @@
 #   scripts/run_all.sh --quick          # quarter-size windows (smoke)
 #   scripts/run_all.sh --jobs 8         # sweep threads per bench
 #
-# Sweep thread count: --jobs N beats $ELFSIM_JOBS beats nproc.
+# Sweep thread count: --jobs N, else nproc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-JOBS="${ELFSIM_JOBS:-$(nproc 2>/dev/null || echo 1)}"
+JOBS="$(nproc 2>/dev/null || echo 1)"
 EXTRA=()
 while [ $# -gt 0 ]; do
     case "$1" in

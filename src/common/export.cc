@@ -167,51 +167,4 @@ JsonWriter::null()
     return *this;
 }
 
-CsvWriter &
-CsvWriter::cell(std::string_view v)
-{
-    if (!firstCell)
-        out << ",";
-    firstCell = false;
-    if (v.find_first_of(",\"\n\r") != std::string_view::npos) {
-        out << '"';
-        for (const char c : v) {
-            if (c == '"')
-                out << '"';
-            out << c;
-        }
-        out << '"';
-    } else {
-        out << v;
-    }
-    return *this;
-}
-
-CsvWriter &
-CsvWriter::cell(double v)
-{
-    if (!firstCell)
-        out << ",";
-    firstCell = false;
-    out << formatDouble(v);
-    return *this;
-}
-
-CsvWriter &
-CsvWriter::cell(std::uint64_t v)
-{
-    if (!firstCell)
-        out << ",";
-    firstCell = false;
-    out << v;
-    return *this;
-}
-
-void
-CsvWriter::endRow()
-{
-    out << "\n";
-    firstCell = true;
-}
-
 } // namespace elfsim

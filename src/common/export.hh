@@ -1,11 +1,10 @@
 /**
  * @file
- * Machine-readable output sinks: a streaming JSON writer and a CSV
- * writer. Everything the simulator prints as text can also leave
- * through these, losslessly: doubles are formatted with
- * shortest-round-trip precision, so re-parsing an export reproduces
- * the exact bits and a deterministic computation serializes to
- * byte-identical output.
+ * Machine-readable output sink: a streaming JSON writer. Everything
+ * the simulator prints as text can also leave through it, losslessly:
+ * doubles are formatted with shortest-round-trip precision, so
+ * re-parsing an export reproduces the exact bits and a deterministic
+ * computation serializes to byte-identical output.
  */
 
 #ifndef ELFSIM_COMMON_EXPORT_HH
@@ -75,23 +74,6 @@ class JsonWriter
     struct Level { bool first; };
     std::vector<Level> stack;
     bool afterKey = false;
-};
-
-/** Minimal CSV writer (RFC-4180 quoting, one row at a time). */
-class CsvWriter
-{
-  public:
-    explicit CsvWriter(std::ostream &os) : out(os) {}
-
-    CsvWriter &cell(std::string_view v);
-    CsvWriter &cell(const char *v) { return cell(std::string_view(v)); }
-    CsvWriter &cell(double v);
-    CsvWriter &cell(std::uint64_t v);
-    void endRow();
-
-  private:
-    std::ostream &out;
-    bool firstCell = true;
 };
 
 } // namespace elfsim

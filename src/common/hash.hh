@@ -13,6 +13,8 @@
  *     little-endian words. For bulk payloads: the compiled-trace and
  *     checkpoint artifact checksums, which it verifies at memory
  *     bandwidth where byte-wise FNV-1a is about ten times slower.
+ *
+ * artifactPath names the file a content key gives an on-disk artifact.
  */
 
 #ifndef ELFSIM_COMMON_HASH_HH
@@ -23,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <string_view>
 
 namespace elfsim {
@@ -213,6 +216,36 @@ class Checksum64
     unsigned char pend[stripeBytes] = {};   ///< partial stripe
     std::size_t pendLen = 0;
 };
+
+/**
+ * Path of the artifact for content key @a key in @a dir:
+ * "<dir>/<name>-<16 hex digits><ext>". Characters of @a name other
+ * than [A-Za-z0-9._-] become '_', keeping the name shell- and
+ * filesystem-friendly; an empty @a name becomes @a fallback.
+ */
+inline std::string
+artifactPath(const std::string &dir, const std::string &name,
+             std::uint64_t key, const char *ext, const char *fallback)
+{
+    std::string safe;
+    safe.reserve(name.size());
+    for (char c : name) {
+        const bool ok = (c >= 'a' && c <= 'z') ||
+                        (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '-' || c == '_' ||
+                        c == '.';
+        safe.push_back(ok ? c : '_');
+    }
+    if (safe.empty())
+        safe = fallback;
+    static const char digits[] = "0123456789abcdef";
+    std::string hex(16, '0');
+    for (int i = 15; i >= 0; --i) {
+        hex[std::size_t(i)] = digits[key & 0xf];
+        key >>= 4;
+    }
+    return dir + "/" + safe + "-" + hex + ext;
+}
 
 } // namespace elfsim
 

@@ -33,28 +33,6 @@ struct JsonFieldVisitor
     }
 };
 
-/** forEachField visitor appending each value as a CSV cell. */
-struct CsvCellVisitor
-{
-    CsvWriter &w;
-
-    void
-    operator()(const char *, const std::string &v) const
-    {
-        w.cell(std::string_view(v));
-    }
-    void
-    operator()(const char *, double v) const
-    {
-        w.cell(v);
-    }
-    void
-    operator()(const char *, std::uint64_t v) const
-    {
-        w.cell(v);
-    }
-};
-
 /**
  * @a with_host appends host metadata (machine CPU count and the
  * effective thread count the run actually used) — only the throughput
@@ -91,6 +69,13 @@ writeTraceStats(JsonWriter &w, const TraceStats &t)
     w.endObject();
 }
 
+/** A row's "interval_insts": its timeline rows' window length. */
+std::uint64_t
+windowInsts(const RunResult &r)
+{
+    return r.sampled ? r.sampling.lengthInsts : 0;
+}
+
 } // namespace
 
 void
@@ -99,7 +84,7 @@ writeRunResult(JsonWriter &w, const RunResult &r)
     w.beginObject();
     r.forEachField(JsonFieldVisitor{w});
     w.field("status", jobStatusName(r.status));
-    w.field("interval_insts", r.intervalInsts);
+    w.field("interval_insts", windowInsts(r));
     w.key("timeline");
     w.beginArray();
     for (const IntervalSample &s : r.timeline) {
@@ -155,7 +140,6 @@ runResultFromJson(const json::Value &obj)
         throw ParseError(
             errorf("unknown job status '%s'",
                    obj.at("status").asString().c_str()));
-    r.intervalInsts = obj.at("interval_insts").asU64();
     const json::Value &timeline = obj.at("timeline");
     r.timeline.resize(timeline.size());
     for (std::size_t i = 0; i < timeline.size(); ++i)
@@ -166,6 +150,13 @@ runResultFromJson(const json::Value &obj)
         SamplingInfo::visitFields(r.sampling,
                                   JsonFieldLoader{*sampling});
     }
+    const std::uint64_t interval = obj.at("interval_insts").asU64();
+    if (interval != windowInsts(r))
+        throw ParseError(errorf(
+            "interval_insts %llu disagrees with the row's sampling "
+            "block (expected %llu)",
+            static_cast<unsigned long long>(interval),
+            static_cast<unsigned long long>(windowInsts(r))));
     return r;
 }
 
@@ -196,23 +187,6 @@ void
 writeResultsJson(std::ostream &os, const std::vector<RunResult> &results)
 {
     writeSweepJson(os, results);
-}
-
-void
-writeResultsCsv(std::ostream &os, const std::vector<RunResult> &results)
-{
-    CsvWriter w(os);
-    RunResult{}.forEachField(
-        [&w](const char *name, const auto &) { w.cell(name); });
-    w.cell("status").cell("interval_insts").cell("timeline_samples");
-    w.endRow();
-    for (const RunResult &r : results) {
-        r.forEachField(CsvCellVisitor{w});
-        w.cell(jobStatusName(r.status))
-            .cell(r.intervalInsts)
-            .cell(std::uint64_t(r.timeline.size()));
-        w.endRow();
-    }
 }
 
 void
@@ -269,24 +243,6 @@ writeThroughputJson(std::ostream &os,
     }
     w.endArray();
     w.endObject();
-}
-
-void
-writeTimelineCsv(std::ostream &os, const std::vector<RunResult> &results)
-{
-    CsvWriter w(os);
-    w.cell("workload").cell("variant");
-    IntervalSample{}.forEachField(
-        [&w](const char *name, const auto &) { w.cell(name); });
-    w.endRow();
-    for (const RunResult &r : results) {
-        for (const IntervalSample &s : r.timeline) {
-            w.cell(std::string_view(r.workload))
-                .cell(std::string_view(r.variant));
-            s.forEachField(CsvCellVisitor{w});
-            w.endRow();
-        }
-    }
 }
 
 } // namespace elfsim

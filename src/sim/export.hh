@@ -1,9 +1,9 @@
 /**
  * @file
  * Machine-readable export of simulation results: RunResult (summary +
- * interval timeline) and sweep grids as JSON documents or flat CSV
- * tables. Field enumeration comes from RunResult::forEachField /
- * IntervalSample::forEachField, so exporters never drift from the
+ * sampled timeline) and sweep grids as JSON documents. Field
+ * enumeration comes from RunResult::forEachField /
+ * IntervalSample::forEachField, so the exporter never drifts from the
  * structs; doubles serialize with shortest-round-trip precision, so a
  * deterministic sweep exports to byte-identical output regardless of
  * thread count.
@@ -18,10 +18,16 @@
  *       { "workload": ..., "variant": ..., <summary scalars>,
  *         "error": "", "attempts": N, "status": "ok",
  *         "interval_insts": N,
- *         "timeline": [ { <IntervalSample fields> }, ... ] },
+ *         "timeline": [ { <IntervalSample fields> }, ... ],
+ *         "sampling": { ... SamplingInfo ... } },   // sampled only
  *       ...
  *     ]
  *   }
+ *
+ * The timeline holds one row per measured window of a sampled run and
+ * is empty for a full run. "interval_insts" is the length of those
+ * windows (sampling.length_insts), 0 for a full run; it stays in every
+ * row so existing row digests hold.
  *
  * v1 -> v2: every result gained "status" (ok / failed), "error"
  * (failure detail, empty when ok) and "attempts" (always 1; kept so
@@ -57,9 +63,10 @@ namespace elfsim {
 void writeRunResult(JsonWriter &w, const RunResult &r);
 
 /** Rebuild a RunResult from a parsed writeRunResult object; throws
- *  ParseError on missing or ill-typed fields. Round trip is
- *  byte-exact: re-serializing the loaded result reproduces the
- *  original text. */
+ *  ParseError on missing or ill-typed fields, and on an
+ *  "interval_insts" that disagrees with the row's sampling block.
+ *  Round trip is byte-exact: re-serializing the loaded result
+ *  reproduces the original text. */
 RunResult runResultFromJson(const json::Value &obj);
 
 /**
@@ -75,14 +82,6 @@ void writeSweepJson(std::ostream &os,
 
 /** Results-only convenience: writeSweepJson without timing. */
 void writeResultsJson(std::ostream &os,
-                      const std::vector<RunResult> &results);
-
-/** Flat CSV: header from forEachField, one row per result. */
-void writeResultsCsv(std::ostream &os,
-                     const std::vector<RunResult> &results);
-
-/** Timeline CSV: one row per (result, interval sample). */
-void writeTimelineCsv(std::ostream &os,
                       const std::vector<RunResult> &results);
 
 /**

@@ -12,7 +12,7 @@ namespace elfsim {
 
 namespace {
 
-/** Derive one timeline row from a per-interval snapshot delta. */
+/** Derive one timeline row from a measured window's snapshot delta. */
 IntervalSample
 makeSample(const StatSnapshot &d, InstCount startInst)
 {
@@ -192,9 +192,7 @@ runSampled(const Program &prog, const SimConfig &cfg,
     // tail scalar — and a no-op when trace compilation is disabled.
     std::shared_ptr<const CompiledTrace> trace = opts.trace;
     if (!trace)
-        trace = TraceCache::instance().acquire(
-            prog, std::min(opts.warmupInsts + opts.measureInsts,
-                           maxSampledTraceInsts));
+        trace = TraceCache::instance().acquire(prog, opts.traceInsts());
 
     // Two attempts: the second only runs if a checkpoint passed every
     // artifact-level check yet its payload failed mid-restore (layout
@@ -326,10 +324,8 @@ runSampled(const Program &prog, const SimConfig &cfg,
         r.variant = variantName(cfg.variant);
         fillSummary(r, core, acc);
 
-        // One timeline row per measured window, so the tiling
-        // invariants (sum of row insts == r.insts, cycles likewise)
-        // hold exactly as they do for interval capture.
-        r.intervalInsts = L;
+        // One timeline row per measured window: row insts sum to
+        // r.insts, row cycles to r.cycles.
         r.timeline = std::move(timeline);
 
         r.sampled = true;
@@ -366,6 +362,13 @@ runSampled(const Program &prog, const SimConfig &cfg,
 
 } // namespace
 
+InstCount
+RunOptions::traceInsts() const
+{
+    const InstCount all = warmupInsts + measureInsts;
+    return sampled() ? std::min(all, maxSampledTraceInsts) : all;
+}
+
 void
 validateRunOptions(const RunOptions &o)
 {
@@ -396,10 +399,6 @@ validateRunOptions(const RunOptions &o)
                           n(L) + ") exceed the sample period (" + n(P) +
                           "): the detailed window must fit in the "
                           "period");
-    if (o.intervalInsts > 0)
-        throw ConfigError("interval capture and a sample period are "
-                          "mutually exclusive (a sampled run's "
-                          "timeline is its measured windows)");
     if ((o.warmupInsts + o.measureInsts) / P == 0)
         throw ConfigError("total instruction budget (" +
                           n(o.warmupInsts + o.measureInsts) +
@@ -420,8 +419,7 @@ runSimulation(const Program &prog, const SimConfig &cfg,
     // stream-identical by construction.
     std::shared_ptr<const CompiledTrace> trace = opts.trace;
     if (!trace)
-        trace = TraceCache::instance().acquire(
-            prog, opts.warmupInsts + opts.measureInsts);
+        trace = TraceCache::instance().acquire(prog, opts.traceInsts());
     Core core(cfg, prog, std::move(trace));
 
     // Warmup: predictors, BTB, and caches train; stats that matter
@@ -429,37 +427,13 @@ runSimulation(const Program &prog, const SimConfig &cfg,
     core.run(opts.warmupInsts);
     const StatSnapshot warm = StatSnapshot::capture(core);
 
-    std::vector<IntervalSample> timeline;
-    if (opts.intervalInsts > 0 && opts.measureInsts > 0) {
-        // Tick the same absolute instruction target as the one-shot
-        // path below, pausing every intervalInsts commits to snapshot
-        // a delta row. Core::run is resumable, so the chunked run is
-        // cycle-for-cycle identical to the unsampled one.
-        const InstCount target = core.committed() + opts.measureInsts;
-        StatSnapshot prev = warm;
-        while (core.committed() < target) {
-            const InstCount chunk = std::min<InstCount>(
-                opts.intervalInsts, target - core.committed());
-            core.run(chunk);
-            const StatSnapshot now = StatSnapshot::capture(core);
-            timeline.push_back(
-                makeSample(now.delta(prev), prev.backend.committed -
-                                                warm.backend.committed));
-            prev = now;
-        }
-    } else {
-        core.run(opts.measureInsts);
-    }
+    core.run(opts.measureInsts);
     const StatSnapshot d = StatSnapshot::capture(core).delta(warm);
 
     RunResult r;
     r.workload = prog.name();
     r.variant = variantName(cfg.variant);
     fillSummary(r, core, d);
-
-    r.intervalInsts = opts.intervalInsts;
-    r.timeline = std::move(timeline);
-
     return r;
 }
 

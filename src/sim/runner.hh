@@ -20,17 +20,16 @@
 namespace elfsim {
 
 /**
- * One row of the interval timeline: the measurement-window deltas
- * accumulated over one sampling period of `RunOptions::intervalInsts`
- * committed instructions. Explains *when* within a run cycles went —
- * e.g. coupled-mode occupancy right after flush bursts (the paper's
- * Figure 8 phenomenon, resolved over time).
+ * One row of a sampled run's timeline: the deltas of one measured
+ * window. Explains *when* within a run cycles went — e.g. coupled-mode
+ * occupancy right after flush bursts (the paper's Figure 8
+ * phenomenon, resolved over time).
  */
 struct IntervalSample
 {
-    InstCount startInst = 0; ///< insts committed in the measurement
-                             ///< window before this interval began
-    InstCount insts = 0;     ///< insts committed in this interval
+    InstCount startInst = 0; ///< stream position of the window's
+                             ///< first measured instruction
+    InstCount insts = 0;     ///< insts committed in this window
     Cycle cycles = 0;
     double ipc = 0;
 
@@ -40,7 +39,7 @@ struct IntervalSample
     std::uint64_t memOrderFlushes = 0;
     std::uint64_t decodeResteers = 0;
     std::uint64_t divergenceFlushes = 0;
-    double coupledFrac = 0;  ///< fraction of this interval's commits
+    double coupledFrac = 0;  ///< fraction of this window's commits
                              ///< fetched in coupled mode
 
     /**
@@ -198,30 +197,29 @@ struct RunResult
     std::string error;
     std::uint64_t attempts = 1;
 
-    /** Sampling period the timeline was captured with (0 = off). */
-    InstCount intervalInsts = 0;
-    /** Per-interval delta rows; empty unless intervalInsts > 0. */
+    /** One row per measured window of a sampled run; empty for a
+     *  full run. */
     std::vector<IntervalSample> timeline;
 
     /**
      * True when this result came from a sampled run: the summary
      * scalars cover only the measured windows, the timeline holds one
-     * row per window (startInst = absolute stream position), and
-     * `sampling` carries the whole-run extrapolation. Serialized
-     * separately from visitFields, like `timeline`.
+     * row per window, and `sampling` carries the whole-run
+     * extrapolation. Serialized separately from visitFields, like
+     * `timeline`.
      */
     bool sampled = false;
     SamplingInfo sampling;
 
     /**
      * Visit every scalar field as ("name", member) in declaration
-     * order — the single source of truth for the JSON/CSV exporters,
+     * order — the single source of truth for the JSON exporter,
      * the bench table formatters, the results loader, and
      * test_sweep's determinism check. @a self is a RunResult (const
      * for export, mutable for loading); @a v must accept (const char
      * *, std::string), (const char *, std::uint64_t) and (const char
      * *, double) — references when @a self is non-const. `status`,
-     * `intervalInsts` and `timeline` are serialized separately (see
+     * `timeline` and `sampling` are serialized separately (see
      * sim/export.hh) since they are not summary scalars.
      */
     template <typename Self, typename V>
@@ -273,15 +271,6 @@ struct RunOptions
     InstCount measureInsts = 500000;
 
     /**
-     * Capture an IntervalSample every this many committed
-     * instructions of the measurement window (the last interval may
-     * be shorter). 0 (default) disables timeline capture. Sampling
-     * does not perturb the simulation: the core ticks through the
-     * exact same sequence either way.
-     */
-    InstCount intervalInsts = 0;
-
-    /**
      * Sampled execution (SMARTS-style, without stream rewind): > 0
      * partitions the total budget (warmupInsts + measureInsts) into
      * periods of this many instructions. Each period fast-forwards
@@ -289,10 +278,9 @@ struct RunOptions
      * runs `sampleWarmupInsts` detailed unmeasured instructions, then
      * measures `sampleLengthInsts` detailed instructions. Summary
      * stats cover the measured windows; RunResult::sampling carries
-     * the whole-run extrapolation and its error bound. Mutually
-     * exclusive with intervalInsts. Warm-state checkpoints are
-     * saved/restored through CheckpointStore when it is usable, so
-     * re-runs skip the fast-forward entirely.
+     * the whole-run extrapolation and its error bound. Warm-state
+     * checkpoints are saved/restored through CheckpointStore when it
+     * is usable, so re-runs skip the fast-forward entirely.
      */
     InstCount samplePeriodInsts = 0;
     /** Measured detailed window per period; required > 0 when
@@ -307,16 +295,22 @@ struct RunOptions
     bool sampled() const { return samplePeriodInsts > 0; }
 
     /**
+     * Instructions of compiled trace this run acquires: the whole
+     * budget, capped at maxSampledTraceInsts for a sampled run. The
+     * batch warming kernel fast-forwards over the compiled prefix,
+     * and the cap keeps the artifact finite; a sampled stream past it
+     * warms its tail with the scalar loop.
+     */
+    InstCount traceInsts() const;
+
+    /**
      * Compiled architectural trace to back the oracle stream with
      * (callers holding one — the sweep engine — pass it so every cell
      * of a workload shares the same buffer). When null, runSimulation
      * asks the process-wide TraceCache, which compiles the stream
      * once per distinct program and is a no-op when trace compilation
-     * is disabled. Behaviour-neutral in all cases. Sampled runs ask
-     * for at most the first maxSampledTraceInsts instructions (a full
-     * 100M-instruction stream would cost gigabytes); the batch
-     * warming kernel covers the compiled prefix and the scalar loop
-     * the lazy tail.
+     * is disabled. Behaviour-neutral in all cases. The runner and
+     * the sweep engine acquire traceInsts() instructions.
      */
     std::shared_ptr<const CompiledTrace> trace;
 };
@@ -324,10 +318,10 @@ struct RunOptions
 /**
  * The one copy of the run-shape rules: a sampling schedule must have
  * a measured window, fit its detailed window in the period and its
- * period in the instruction budget, and exclude interval capture;
- * sample length/warmup need a period. Throws ConfigError naming the
- * broken rule. The runner, the sweep-spec validator and the bench
- * command line all check through this.
+ * period in the instruction budget; sample length/warmup need a
+ * period. Throws ConfigError naming the broken rule. The runner, the
+ * sweep-spec validator and the bench command line all check through
+ * this.
  */
 void validateRunOptions(const RunOptions &o);
 

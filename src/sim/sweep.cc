@@ -1,19 +1,15 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <atomic>
 #include <chrono>
-#include <climits>
-#include <cstdlib>
 #include <fstream>
 #include <numeric>
+#include <thread>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stat_fields.hh"
-#include "common/thread_pool.hh"
 #include "sim/export.hh"
 
 namespace elfsim {
@@ -58,21 +54,7 @@ SweepRunner::resolveJobs(unsigned requested)
 {
     if (requested)
         return requested;
-    if (const char *env = std::getenv("ELFSIM_JOBS")) {
-        // The --jobs rules: the whole string is a decimal from 1 to
-        // UINT_MAX. A sign, trailing junk or overflow must never turn
-        // into a silently wrapped or truncated thread count.
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long n = std::strtoull(env, &end, 10);
-        if (std::isdigit(static_cast<unsigned char>(*env)) &&
-            *end == '\0' && errno != ERANGE && n >= 1 && n <= UINT_MAX)
-            return static_cast<unsigned>(n);
-        ELFSIM_WARN("ELFSIM_JOBS='%s' is not a thread count from 1 to "
-                    "%u; using hardware concurrency",
-                    env, UINT_MAX);
-    }
-    return ThreadPool::hardwareThreads();
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 SweepRunner::SweepRunner(unsigned threads)
@@ -109,22 +91,11 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
     for (std::size_t i = 0; i < grid.size(); ++i) {
         if (!grid[i].program)
             continue;
-        // Sampled cells compile a capped prefix: the batch warming
-        // kernel fast-forwards over the compiled event tables, so the
-        // prefix that covers warmup+measure (bounded by
-        // maxSampledTraceInsts to keep the artifact finite) pays for
-        // itself many times over. Anything past the cap degrades to
-        // the scalar path.
-        const InstCount want =
-            grid[i].opts.sampled()
-                ? std::min(grid[i].opts.warmupInsts +
-                               grid[i].opts.measureInsts,
-                           maxSampledTraceInsts)
-                : grid[i].opts.warmupInsts + grid[i].opts.measureInsts;
         traces[i] = grid[i].opts.trace
                         ? grid[i].opts.trace
                         : TraceCache::instance().acquire(
-                              *grid[i].program, want);
+                              *grid[i].program,
+                              grid[i].opts.traceInsts());
     }
 
     const auto sweepStart = std::chrono::steady_clock::now();
@@ -145,14 +116,22 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
         jobSeconds[i] = secondsSince(jobStart);
     };
 
-    if (threads <= 1 || grid.size() <= 1) {
-        for (std::size_t i = 0; i < grid.size(); ++i)
+    // Workers take cells in index order from one counter; the calling
+    // thread is one of them. One thread or one cell starts no helper:
+    // the serial reference path. The helpers join when the block
+    // ends, also when starting one throws.
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+        for (std::size_t i = next++; i < grid.size(); i = next++)
             runOne(i);
-    } else {
-        ThreadPool pool(threads);
-        for (std::size_t i = 0; i < grid.size(); ++i)
-            pool.submit([&runOne, i] { runOne(i); });
-        pool.wait();
+    };
+    {
+        const std::size_t workers =
+            std::min<std::size_t>(threads, grid.size());
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1; t < workers; ++t)
+            helpers.emplace_back(worker);
+        worker();
     }
 
     lastTraceStats = TraceCache::instance().stats().delta(traceStart);
@@ -172,49 +151,14 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
     return results;
 }
 
-namespace {
-
-std::ofstream
-openOrDie(const std::string &path)
+void
+SweepRunner::writeJson(const std::string &path) const
 {
     std::ofstream os(path);
     if (!os)
         throw IoError(
             errorf("cannot open '%s' for writing", path.c_str()));
-    return os;
-}
-
-} // namespace
-
-void
-SweepRunner::writeJson(const std::string &path) const
-{
-    std::ofstream os = openOrDie(path);
     writeSweepJson(os, lastResults, &lastTiming, &lastTraceStats);
-}
-
-void
-SweepRunner::writeCsv(const std::string &path) const
-{
-    std::ofstream os = openOrDie(path);
-    writeResultsCsv(os, lastResults);
-
-    bool anyTimeline = false;
-    for (const RunResult &r : lastResults)
-        anyTimeline = anyTimeline || !r.timeline.empty();
-    if (!anyTimeline)
-        return;
-
-    std::string tpath = path;
-    const std::string suffix = ".csv";
-    if (tpath.size() >= suffix.size() &&
-        tpath.compare(tpath.size() - suffix.size(), suffix.size(),
-                      suffix) == 0) {
-        tpath.resize(tpath.size() - suffix.size());
-    }
-    tpath += ".timeline.csv";
-    std::ofstream ts = openOrDie(tpath);
-    writeTimelineCsv(ts, lastResults);
 }
 
 void

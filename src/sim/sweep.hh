@@ -1,15 +1,15 @@
 /**
  * @file
  * Parallel sweep engine: runs a grid of independent (workload,
- * variant) simulation jobs on a work-stealing thread pool and merges
- * the results back in submission order, so parallel output is
- * bit-identical to a serial run of the same grid.
+ * variant) simulation jobs on plain worker threads that take cells in
+ * index order from one shared counter, and stores each result at its
+ * cell's index, so parallel output is bit-identical to a serial run of
+ * the same grid.
  *
  * Every figure of the paper is such a sweep; the per-figure bench
  * harnesses build a grid, hand it to a SweepRunner, and format the
- * merged results. Thread count comes from (in priority order) the
- * explicit constructor argument / `--jobs N`, the `ELFSIM_JOBS`
- * environment variable, then hardware concurrency.
+ * merged results. The thread count is the constructor argument
+ * (`--jobs N`), or hardware concurrency when that is 0.
  *
  * Determinism: each Core owns all of its state (the audit found no
  * global mutable simulator state; predictor allocation RNGs are
@@ -80,11 +80,11 @@ struct SweepPolicy
 {
 };
 
-/** Thread-pooled grid runner with deterministic result merging. */
+/** Multi-threaded grid runner with deterministic result merging. */
 class SweepRunner
 {
   public:
-    /** @a threads = 0 resolves via ELFSIM_JOBS, then hardware. */
+    /** @a threads = 0 means one per hardware thread. */
     explicit SweepRunner(unsigned threads = 0);
 
     /**
@@ -101,8 +101,9 @@ class SweepRunner
 
     /**
      * Run every job and return results indexed by submission order.
-     * With 1 thread (or a 1-job grid) the jobs run inline on the
-     * calling thread — the serial reference path.
+     * The calling thread works too, beside min(threads, jobs) - 1
+     * helper threads; with 1 thread (or a 1-job grid) the jobs run
+     * inline on the calling thread — the serial reference path.
      *
      * Before the per-job timers start, each distinct (program
      * content, instruction budget) pair in the grid has its compiled
@@ -152,23 +153,14 @@ class SweepRunner
     void writeJson(const std::string &path) const;
 
     /**
-     * Write the last run's results as a flat CSV table. If any
-     * result carries an interval timeline, the per-interval rows go
-     * to a sibling file with ".timeline.csv" substituted for the
-     * ".csv" suffix (appended if the path has none).
-     */
-    void writeCsv(const std::string &path) const;
-
-    /**
      * Dump the per-sweep timing summary (jobs, threads, wall-clock,
      * aggregate simulated cycles/sec, realized speedup) through the
      * stats machinery.
      */
     void printTimingSummary(std::ostream &os) const;
 
-    /** Resolve a thread count: @a requested, else $ELFSIM_JOBS, else
-     *  hardware concurrency; never less than 1. An $ELFSIM_JOBS that
-     *  is not a decimal from 1 to UINT_MAX warns and is ignored. */
+    /** Resolve a thread count: @a requested, else hardware
+     *  concurrency; never less than 1. */
     static unsigned resolveJobs(unsigned requested = 0);
 
   private:

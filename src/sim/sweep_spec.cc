@@ -619,9 +619,15 @@ parseRunOptions(const json::Value &v)
             o.warmupInsts = numberU64(val, k);
         else if (k == "measure_insts")
             o.measureInsts = numberU64(val, k);
-        else if (k == "interval_insts")
-            o.intervalInsts = numberU64(val, k);
-        else if (k == "sample_period_insts")
+        else if (k == "interval_insts") {
+            // Interval capture was removed; the 0 that every archived
+            // --dump-spec wrote still parses.
+            if (val.kind() != json::Value::Kind::Number ||
+                val.asDouble() != 0)
+                throw ConfigError("run.interval_insts must be 0: "
+                                  "interval capture was removed and "
+                                  "only its old default still parses");
+        } else if (k == "sample_period_insts")
             o.samplePeriodInsts = numberU64(val, k);
         else if (k == "sample_length_insts")
             o.sampleLengthInsts = numberU64(val, k);
@@ -931,7 +937,6 @@ writeRunOptions(JsonWriter &w, const RunOptions &o)
     w.beginObject();
     w.field("warmup_insts", std::uint64_t(o.warmupInsts));
     w.field("measure_insts", std::uint64_t(o.measureInsts));
-    w.field("interval_insts", std::uint64_t(o.intervalInsts));
     w.field("sample_period_insts",
             std::uint64_t(o.samplePeriodInsts));
     w.field("sample_length_insts",

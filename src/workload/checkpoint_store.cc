@@ -34,34 +34,6 @@ contentChecksum(std::uint64_t key, std::uint64_t position,
     return sum.value();
 }
 
-/** Keep artifact file names shell- and filesystem-friendly. */
-std::string
-sanitizedName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                        c == '.';
-        out.push_back(ok ? c : '_');
-    }
-    return out.empty() ? std::string("ckpt") : out;
-}
-
-std::string
-hexKey(std::uint64_t key)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[std::size_t(i)] = digits[key & 0xf];
-        key >>= 4;
-    }
-    return out;
-}
-
 } // namespace
 
 CheckpointStore::CheckpointStore()
@@ -69,11 +41,6 @@ CheckpointStore::CheckpointStore()
     if (const char *env = std::getenv("ELFSIM_CKPT_CACHE")) {
         if (*env)
             dir = env;
-    }
-    if (const char *env = std::getenv("ELFSIM_CKPT")) {
-        const std::string v = env;
-        if (v == "0" || v == "off" || v == "false")
-            on = false;
     }
 }
 
@@ -106,8 +73,7 @@ std::string
 CheckpointStore::pathForKey(const std::string &name,
                             std::uint64_t key) const
 {
-    return dir + "/" + sanitizedName(name) + "-" + hexKey(key) +
-           ".eckpt";
+    return artifactPath(dir, name, key, ".eckpt", "ckpt");
 }
 
 std::string

@@ -84,7 +84,7 @@ class CheckpointStore
 {
   public:
     /** The process-wide store, configured from $ELFSIM_CKPT_CACHE
-     *  (directory) and $ELFSIM_CKPT (0/off disables) on first use. */
+     *  (directory) on first use. */
     static CheckpointStore &instance();
 
     /**
@@ -145,7 +145,7 @@ class CheckpointStore
     void clearStats();
 
   private:
-    /** Reads $ELFSIM_CKPT_CACHE / $ELFSIM_CKPT (see instance()). */
+    /** Reads $ELFSIM_CKPT_CACHE (see instance()). */
     CheckpointStore();
 
     std::string pathForKey(const std::string &name,

@@ -6,52 +6,16 @@
 #include <system_error>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace elfsim {
-
-namespace {
-
-/** Keep cache file names shell- and filesystem-friendly. */
-std::string
-sanitizedName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                        c == '.';
-        out.push_back(ok ? c : '_');
-    }
-    return out.empty() ? std::string("trace") : out;
-}
-
-std::string
-hexKey(std::uint64_t key)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[std::size_t(i)] = digits[key & 0xf];
-        key >>= 4;
-    }
-    return out;
-}
-
-} // namespace
 
 TraceCache::TraceCache()
 {
     if (const char *env = std::getenv("ELFSIM_TRACE_CACHE")) {
         if (*env)
             dir = env;
-    }
-    if (const char *env = std::getenv("ELFSIM_TRACE")) {
-        const std::string v = env;
-        if (v == "0" || v == "off" || v == "false")
-            on = false;
     }
 }
 
@@ -65,8 +29,7 @@ TraceCache::instance()
 std::string
 TraceCache::pathForKey(const std::string &name, std::uint64_t key) const
 {
-    return dir + "/" + sanitizedName(name) + "-" + hexKey(key) +
-           ".etrace";
+    return artifactPath(dir, name, key, ".etrace", "trace");
 }
 
 std::string

@@ -24,10 +24,10 @@
  * A file in a retired format fails the magic check and is recompiled
  * in place.
  *
- * Tracing defaults to ON (in-memory memoization only). Set
- * $ELFSIM_TRACE=0 (or 'off') or call setEnabled(false) to force every
- * stream back to lazy per-instruction generation — the reference path
- * the compiled stream is tested against.
+ * Tracing defaults to ON (in-memory memoization only).
+ * setEnabled(false) forces every stream back to lazy per-instruction
+ * generation — the reference path the compiled stream is tested
+ * against.
  */
 
 #ifndef ELFSIM_WORKLOAD_TRACE_CACHE_HH
@@ -79,7 +79,7 @@ class TraceCache
 {
   public:
     /** The process-wide cache, configured from $ELFSIM_TRACE_CACHE
-     *  (directory) and $ELFSIM_TRACE (0/off disables) on first use. */
+     *  (directory) on first use. */
     static TraceCache &instance();
 
     /**
@@ -115,7 +115,7 @@ class TraceCache
     void clearMemory();
 
   private:
-    /** Reads $ELFSIM_TRACE_CACHE / $ELFSIM_TRACE (see instance()). */
+    /** Reads $ELFSIM_TRACE_CACHE (see instance()). */
     TraceCache();
 
     std::string pathForKey(const std::string &name,

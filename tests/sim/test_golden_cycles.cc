@@ -361,7 +361,7 @@ struct ScopedTraceEnable
 };
 
 // The default path: oracle streams backed by compiled traces (the
-// TraceCache is on unless $ELFSIM_TRACE disables it).
+// TraceCache is on by default).
 TEST(GoldenCycles, EveryVariantMatchesPreOptimizationCounts)
 {
     ScopedTraceEnable traces(true);

@@ -143,10 +143,6 @@ TEST(Sampling, RejectsContradictorySchedules)
     EXPECT_THROW(runVariant(p, FrontendVariant::UElf,
                             sampledOpts(100000, 0, 2000, 500)),
                  ConfigError);
-    // Interval timeline capture is mutually exclusive with sampling.
-    RunOptions o = sampledOpts(100000, 10000, 2000, 500);
-    o.intervalInsts = 1000;
-    EXPECT_THROW(runVariant(p, FrontendVariant::UElf, o), ConfigError);
 }
 
 TEST(Sampling, SampledIpcWithinReportedBoundAcrossCatalog)
@@ -193,7 +189,6 @@ TEST(Sampling, SampledIpcWithinReportedBoundAcrossCatalog)
                   s.sampling.windows * s.sampling.periodInsts)
             << w.name;
         EXPECT_EQ(s.sampling.measuredInsts, s.insts) << w.name;
-        EXPECT_EQ(s.intervalInsts, s.sampling.lengthInsts) << w.name;
         EXPECT_EQ(s.timeline.size(), s.sampling.windows) << w.name;
         EXPECT_GE(s.sampling.estTotalCycles, double(s.cycles))
             << w.name;

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <climits>
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "sim/export.hh"
 #include "sim/sweep.hh"
 #include "workload/builders.hh"
@@ -143,6 +144,42 @@ TEST(Sweep, PerJobSeedsAreThreadCountInvariant)
         expectIdentical(rs[i], rp[i]);
 }
 
+// The edges of the worker loop: more threads than cells, a runner
+// reused for a smaller grid, and an empty grid, which must start no
+// helper (a helper count of threads - 1 must not be taken from a
+// zero cell count).
+TEST(Sweep, WorkerLoopCoversEveryCellAtTheGridEdges)
+{
+    Program a = microRandomBranchLoop(8, 0.4);
+    Program b = microSequentialLoop(30, 16);
+    Program c = microBtbMissChain(512, 6);
+    const std::vector<SweepJob> grid = sixJobGrid(a, b, c);
+
+    SweepRunner serial(1);
+    const std::vector<RunResult> expect = serial.run(grid);
+
+    SweepRunner wide(8);
+    const std::vector<RunResult> got = wide.run(grid);
+    ASSERT_EQ(got.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        expectIdentical(got[i], expect[i]);
+    EXPECT_EQ(wide.timing().jobs, 6u);
+    EXPECT_EQ(wide.timing().threads, 8u);
+
+    const std::vector<SweepJob> two = {grid[5], grid[0]};
+    const std::vector<RunResult> again = wide.run(two);
+    ASSERT_EQ(again.size(), 2u);
+    expectIdentical(again[0], expect[5]);
+    expectIdentical(again[1], expect[0]);
+    EXPECT_EQ(wide.timing().jobs, 2u);
+
+    SweepRunner idle(4);
+    EXPECT_TRUE(idle.run({}).empty());
+    EXPECT_TRUE(idle.results().empty());
+    EXPECT_EQ(idle.timing().jobs, 0u);
+    EXPECT_EQ(idle.failedCells(), 0u);
+}
+
 TEST(Sweep, ResultsMergeInSubmissionOrder)
 {
     Program a = microRandomBranchLoop(8, 0.4);
@@ -188,34 +225,17 @@ TEST(Sweep, TimingSummaryPopulated)
 
 TEST(Sweep, ResolveJobsPrecedence)
 {
-    // Explicit request wins.
+    // An explicit request (--jobs N) wins.
     EXPECT_EQ(SweepRunner::resolveJobs(3), 3u);
+    EXPECT_EQ(SweepRunner(3).threadCount(), 3u);
 
-    // Then the environment variable.
-    ::setenv("ELFSIM_JOBS", "5", 1);
-    EXPECT_EQ(SweepRunner::resolveJobs(0), 5u);
-    EXPECT_EQ(SweepRunner(0).threadCount(), 5u);
-
-    // Garbage / unset falls back to hardware concurrency (>= 1).
-    ::setenv("ELFSIM_JOBS", "zero", 1);
-    EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
-
-    // The --jobs rules: a whole-string decimal from 1 to UINT_MAX.
-    // A sign, trailing junk or overflow falls back to the hardware
-    // count instead of wrapping or truncating.
-    ::setenv("ELFSIM_JOBS", "4294967295", 1);
-    EXPECT_EQ(SweepRunner::resolveJobs(0), UINT_MAX);
-    const unsigned hw = ThreadPool::hardwareThreads();
-    for (const char *bad : {"zero", "0", "-1", "+3", " 3", "3abc", "",
-                            "4294967296", "4294967297",
-                            "99999999999999999999999"}) {
-        ::setenv("ELFSIM_JOBS", bad, 1);
-        EXPECT_EQ(SweepRunner::resolveJobs(0), hw)
-            << "ELFSIM_JOBS='" << bad << "'";
-    }
-
+    // Otherwise one thread per hardware thread, at least one. The
+    // environment is not read: ELFSIM_JOBS is not a setting.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    ::setenv("ELFSIM_JOBS", std::to_string(hw + 1).c_str(), 1);
+    EXPECT_EQ(SweepRunner::resolveJobs(0), hw);
+    EXPECT_EQ(SweepRunner(0).threadCount(), hw);
     ::unsetenv("ELFSIM_JOBS");
-    EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
 }
 
 TEST(Sweep, SeededSweepStillDeterministicAcrossRepeats)

@@ -55,7 +55,6 @@ cellKey(const SweepJob &j)
     k += variantName(j.cfg.variant);
     k += "|w" + std::to_string(j.opts.warmupInsts);
     k += "|m" + std::to_string(j.opts.measureInsts);
-    k += "|i" + std::to_string(j.opts.intervalInsts);
     k += "|p" + std::to_string(j.opts.samplePeriodInsts);
     k += "|l" + std::to_string(j.opts.sampleLengthInsts);
     k += "|u" + std::to_string(j.opts.sampleWarmupInsts);
@@ -183,6 +182,43 @@ TEST(SweepSpecJson, RetiredPolicyParsesOnlyAtItsOldDefaults)
     EXPECT_EQ(specJson(parseSweepSpec(spec("\"resume\":false")))
                   .find("policy"),
               std::string::npos);
+}
+
+TEST(SweepSpecJson, RetiredIntervalParsesOnlyAtZero)
+{
+    const auto spec = [](const char *top, const char *group) {
+        return std::string("{\"schema\":\"elfsim-sweepspec-v1\","
+                           "\"run\":") +
+               top +
+               ",\"groups\":[{\"workloads\":[{\"name\":\"641.leela\"}],"
+               "\"configs\":[{\"variant\":\"DCF\"}],\"run\":" +
+               group + "}]}";
+    };
+    const char *zero = "{\"interval_insts\":0}";
+    const char *nonzero = "{\"interval_insts\":5000}";
+
+    // What every archived --dump-spec wrote, top level and in a
+    // group's run.
+    const SweepSpec s = parseSweepSpec(spec(zero, zero));
+    ASSERT_EQ(s.groups.size(), 1u);
+    EXPECT_TRUE(s.groups[0].hasRun);
+
+    // A non-zero value asks for interval capture, which no longer
+    // exists: a ConfigError naming the field, from either place.
+    for (const std::string &text :
+         {spec(nonzero, "{}"), spec("{}", nonzero)}) {
+        try {
+            parseSweepSpec(text);
+            ADD_FAILURE() << text << " parsed";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("run.interval_insts"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The writer no longer emits the field.
+    EXPECT_EQ(specJson(s).find("interval_insts"), std::string::npos);
 }
 
 TEST(SweepSpecJson, MissingOrWrongSchemaRejected)

@@ -3,9 +3,10 @@
  * CLI-contract test: every experiment harness (and the examples that
  * share its parser) exits 0 on `--help` and 2 on an unknown flag —
  * the uniform usage-error semantics scripts and run_all.sh rely on.
- * The removed sweep-policy flags (--deadline, --stall, --retries,
- * --manifest, --resume) are unknown flags: each exits 2 even when
- * followed by --help.
+ * Removed flags (the sweep-policy --deadline, --stall, --retries,
+ * --manifest and --resume; --csv, --interval, --no-trace and
+ * --no-ckpt) are unknown flags: each exits 2 even when followed by
+ * --help.
  *
  * The binary locations come from the ELFSIM_BENCH_DIR /
  * ELFSIM_EXAMPLES_DIR environment variables, which the ctest
@@ -40,7 +41,9 @@ expectUniformCli(const std::string &dir, const char *name)
         << name << " with an unknown flag";
     for (const char *removed :
          {"--deadline 1 --help", "--stall 1 --help", "--retries 1 --help",
-          "--manifest x --help", "--resume x --help"})
+          "--manifest x --help", "--resume x --help", "--csv x --help",
+          "--interval 1 --help", "--no-trace --help",
+          "--no-ckpt --help"})
         EXPECT_EQ(runTool(path, removed), 2) << name << " " << removed;
 }
 
