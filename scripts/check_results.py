@@ -21,10 +21,6 @@ Usage:
         geomean simulated MIPS regressed more than 10% versus the
         committed baseline document.
 
-    scripts/check_results.py --spec FILE [FILE ...]
-        Schema-check elfsim-sweepspec-v1 documents (a bench's
-        --dump-spec archive).
-
 Exits non-zero on the first violation. Stdlib only.
 """
 
@@ -202,172 +198,6 @@ def check_document(path, doc, allow_failed=0):
           f"{n_timelines} with timelines{note})")
 
 
-SPEC_SCHEMA = "elfsim-sweepspec-v1"
-# Interval capture was removed and the writer no longer emits
-# run.interval_insts; archived specs may carry it, at 0 only.
-SPEC_RUN_FIELDS = (
-    "warmup_insts", "measure_insts", "interval_insts",
-    "sample_period_insts", "sample_length_insts",
-    "sample_warmup_insts",
-)
-# Sweep policies were removed and the writer no longer emits the
-# block. Archived specs may still carry it; every field is optional
-# and valid only at its old default.
-SPEC_POLICY_DEFAULTS = {
-    "keep_going": True, "deadline_seconds": 0, "stall_seconds": 0,
-    "max_retries": 0, "manifest_path": "", "resume": False,
-}
-# A selector carries exactly one of these keys (plus its modifiers).
-SPEC_SELECTOR_KINDS = ("name", "set", "suite", "micro", "synthetic")
-
-
-def check_spec_run(path, where, run):
-    if not isinstance(run, dict):
-        fail(path, f"{where} is not an object")
-    for k, v in run.items():
-        if k not in SPEC_RUN_FIELDS:
-            fail(path, f"{where}.{k}: unknown field")
-        if not isinstance(v, int) or v < 0:
-            fail(path, f"{where}.{k} is not a non-negative integer")
-    if run.get("interval_insts", 0) != 0:
-        fail(path, f"{where}.interval_insts must be 0 (interval "
-                   "capture was removed)")
-    period = run.get("sample_period_insts", 0)
-    length = run.get("sample_length_insts", 0)
-    warmup = run.get("sample_warmup_insts", 0)
-    if period > 0 and (length == 0 or warmup + length > period):
-        fail(path, f"{where}: sampling schedule does not fit its "
-                   "period")
-    if period == 0 and (length or warmup):
-        fail(path, f"{where}: sample length/warmup without a period")
-
-
-def check_spec_selector(path, where, sel):
-    if not isinstance(sel, dict):
-        fail(path, f"{where} is not an object")
-    kinds = [k for k in SPEC_SELECTOR_KINDS if k in sel]
-    if len(kinds) != 1:
-        fail(path, f"{where}: need exactly one of "
-                   f"{SPEC_SELECTOR_KINDS}, got {kinds}")
-    kind = kinds[0]
-    if not isinstance(sel[kind], str) or not sel[kind]:
-        fail(path, f"{where}.{kind} is not a non-empty string")
-    allowed = {kind}
-    if kind == "set":
-        allowed.add("stride")
-    elif kind == "micro":
-        allowed.add("args")
-    elif kind == "synthetic":
-        allowed.update(("params", "seed"))
-    for k in sel:
-        if k not in allowed:
-            fail(path, f"{where}.{k}: unknown field for a "
-                       f"'{kind}' selector")
-    if "stride" in sel and (not isinstance(sel["stride"], int) or
-                            sel["stride"] < 1):
-        fail(path, f"{where}.stride is not a positive integer")
-    if kind == "micro":
-        args = sel.get("args")
-        if (not isinstance(args, list) or
-                not all(isinstance(a, (int, float)) for a in args)):
-            fail(path, f"{where}.args missing or not a number array")
-    if kind == "synthetic":
-        params = sel.get("params")
-        if not isinstance(params, dict):
-            fail(path, f"{where}.params missing or not an object")
-        for k, v in params.items():
-            if not isinstance(v, (int, float)):
-                fail(path, f"{where}.params.{k} is not a number")
-        if "seed" in sel and not isinstance(sel["seed"], int):
-            fail(path, f"{where}.seed is not an integer")
-
-
-def check_spec_config(path, where, cfg):
-    if not isinstance(cfg, dict):
-        fail(path, f"{where} is not an object")
-    if not isinstance(cfg.get("variant"), str):
-        fail(path, f"{where}.variant missing or not a string")
-    for k in cfg:
-        if k not in ("variant", "label", "overrides"):
-            fail(path, f"{where}.{k}: unknown field")
-    if "label" in cfg and not isinstance(cfg["label"], str):
-        fail(path, f"{where}.label is not a string")
-    overrides = cfg.get("overrides", {})
-    if not isinstance(overrides, dict):
-        fail(path, f"{where}.overrides is not an object")
-    for k, v in overrides.items():
-        if not isinstance(v, (bool, int, float, str)):
-            fail(path, f"{where}.overrides.{k} is not a scalar")
-
-
-def check_spec_document(path, doc):
-    if not isinstance(doc, dict):
-        fail(path, "top level is not an object")
-    if doc.get("schema") != SPEC_SCHEMA:
-        fail(path, f"schema is {doc.get('schema')!r}, "
-                   f"expected {SPEC_SCHEMA!r}")
-    for k in doc:
-        if k not in ("schema", "name", "jobs", "base_seed", "run",
-                     "policy", "groups", "workloads", "configs"):
-            fail(path, f"{k}: unknown top-level field")
-    if "name" in doc and not isinstance(doc["name"], str):
-        fail(path, "name is not a string")
-    for k in ("jobs", "base_seed"):
-        if k in doc and (not isinstance(doc[k], int) or doc[k] < 0):
-            fail(path, f"{k} is not a non-negative integer")
-    if "run" in doc:
-        check_spec_run(path, "run", doc["run"])
-    if "policy" in doc:
-        policy = doc["policy"]
-        if not isinstance(policy, dict):
-            fail(path, "policy is not an object")
-        for k, v in policy.items():
-            if k not in SPEC_POLICY_DEFAULTS:
-                fail(path, f"policy.{k}: unknown field")
-            want = SPEC_POLICY_DEFAULTS[k]
-            # bool is an int subtype in Python; keep them distinct.
-            if isinstance(v, bool) != isinstance(want, bool) or v != want:
-                fail(path, f"policy.{k} must be {json.dumps(want)} "
-                           "(sweep policies were removed)")
-
-    groups = doc.get("groups")
-    if groups is not None and ("workloads" in doc or
-                               "configs" in doc):
-        fail(path, "spec mixes top-level workloads/configs with "
-                   "explicit groups")
-    if groups is None:
-        # Shorthand: top-level workloads/configs form one group.
-        groups = [{k: doc[k] for k in ("workloads", "configs")
-                   if k in doc}]
-    if not isinstance(groups, list) or not groups:
-        fail(path, "missing or empty 'groups'")
-    n_workloads = n_configs = 0
-    for gi, g in enumerate(groups):
-        where = f"groups[{gi}]"
-        if not isinstance(g, dict):
-            fail(path, f"{where} is not an object")
-        for k in g:
-            if k not in ("workloads", "configs", "run"):
-                fail(path, f"{where}.{k}: unknown field")
-        workloads = g.get("workloads")
-        configs = g.get("configs")
-        if not isinstance(workloads, list) or not workloads:
-            fail(path, f"{where}: missing or empty 'workloads'")
-        if not isinstance(configs, list) or not configs:
-            fail(path, f"{where}: missing or empty 'configs'")
-        for i, sel in enumerate(workloads):
-            check_spec_selector(path, f"{where}.workloads[{i}]", sel)
-        for i, cfg in enumerate(configs):
-            check_spec_config(path, f"{where}.configs[{i}]", cfg)
-        if "run" in g:
-            check_spec_run(path, f"{where}.run", g["run"])
-        n_workloads += len(workloads)
-        n_configs += len(configs)
-    print(f"{path}: OK (sweepspec {doc.get('name', '')!r}, "
-          f"{len(groups)} groups, {n_workloads} workload selectors x "
-          f"{n_configs} config rows)")
-
-
 def check_throughput_document(path, doc):
     if not isinstance(doc, dict):
         fail(path, "top level is not an object")
@@ -452,9 +282,6 @@ def main():
     ap.add_argument("--throughput", action="store_true",
                     help="validate elfsim-throughput-v1 documents "
                          "instead of results documents")
-    ap.add_argument("--spec", action="store_true",
-                    help="validate elfsim-sweepspec-v1 documents "
-                         "instead of results documents")
     ap.add_argument("--baseline", metavar="BASE",
                     help="with --throughput: fail on a >10%% geomean "
                          "MIPS regression versus this baseline")
@@ -465,13 +292,8 @@ def main():
 
     if args.baseline and not args.throughput:
         ap.error("--baseline requires --throughput")
-    if sum((args.throughput, args.spec, args.compare)) > 1:
-        ap.error("--throughput/--spec/--compare are mutually exclusive")
-
-    if args.spec:
-        for path in args.files:
-            check_spec_document(path, load(path))
-        return
+    if args.throughput and args.compare:
+        ap.error("--throughput and --compare are mutually exclusive")
 
     if args.throughput:
         for path in args.files:

@@ -56,7 +56,6 @@ remove_partial() {
 trap 'remove_partial; echo "interrupted" >&2; exit 130' INT TERM
 
 ARTIFACTS=()
-SPECS=()
 FAILED=()
 for b in build/bench/*; do
     [ -x "$b" ] && [ -f "$b" ] || continue
@@ -95,7 +94,8 @@ for b in build/bench/*; do
         *)
             # --dump-spec archives the exact declarative grid next to
             # the results: the pair re-runs bit-identically later via
-            # `--spec FILE`.
+            # `--spec FILE`. test_sweep_spec checks that every bench's
+            # grid reads back to the same bytes and validates.
             CURRENT_ARTIFACT="$RESULTS/$name.json"
             "$b" --jobs "$JOBS" --json "$RESULTS/$name.json" \
                  --dump-spec "$RESULTS/$name.spec.json" \
@@ -103,7 +103,6 @@ for b in build/bench/*; do
                  ${EXTRA[@]+"${EXTRA[@]}"} || status=$?
             if [ "$status" -eq 0 ]; then
                 ARTIFACTS+=("$RESULTS/$name.json")
-                SPECS+=("$RESULTS/$name.spec.json")
             fi
             CURRENT_ARTIFACT=""
             ;;
@@ -126,11 +125,6 @@ if [ ${#ARTIFACTS[@]} -gt 0 ]; then
     echo "######## schema check"
     python3 scripts/check_results.py "${ARTIFACTS[@]}" \
         || FAILED+=("schema check")
-fi
-if [ ${#SPECS[@]} -gt 0 ]; then
-    echo "######## sweepspec check"
-    python3 scripts/check_results.py --spec "${SPECS[@]}" \
-        || FAILED+=("sweepspec check")
 fi
 
 if [ ${#FAILED[@]} -gt 0 ]; then

@@ -2,7 +2,7 @@
  * @file
  * Structured simulation errors.
  *
- * The fatal()/panic() reporting in logging.hh kills the whole process,
+ * The panic() reporting in logging.hh kills the whole process,
  * which is the right behavior for a single run but destroys all
  * completed work when one cell of a 90-job sweep grid goes bad. This
  * header gives every failure a type, so the sweep engine can catch a

@@ -92,37 +92,11 @@ panicImpl(const char *file, int line, const char *fmt, ...)
 }
 
 void
-fatalImpl(const char *file, int line, const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    if (panicThrowsFlag) {
-        std::string msg = vformat("fatal", file, line, fmt, args);
-        va_end(args);
-        throw ConfigError(msg);
-    }
-    vreport("fatal", file, line, fmt, args);
-    va_end(args);
-    dumpBacktrace();
-    std::fflush(stderr);
-    std::exit(1);
-}
-
-void
 warnImpl(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
     vreport("warn", nullptr, 0, fmt, args);
-    va_end(args);
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", nullptr, 0, fmt, args);
     va_end(args);
 }
 

@@ -1,18 +1,18 @@
 /**
  * @file
- * Error/status reporting helpers, following the gem5 fatal/panic split.
+ * Error/status reporting helpers.
  *
- * panic() is for simulator bugs (aborts); fatal() is for user errors
- * (clean exit); warn()/inform() print status without stopping.
+ * panic() is for simulator bugs (aborts); warn() prints status without
+ * stopping. User errors are typed exceptions (common/error.hh).
  *
  * Recoverable mode: a sweep worker running an isolated grid cell can
  * enable the thread-local "throws" mode (setPanicThrows), after which
- * panic() raises InternalError and fatal() raises ConfigError instead
- * of killing the process — the sweep engine catches the exception,
- * marks the one cell failed, and the rest of the grid survives. When
- * the mode is off (the default, and everywhere outside sweep jobs)
- * both still terminate, now after flushing and printing a best-effort
- * backtrace so CI logs of non-recoverable crashes are diagnosable.
+ * panic() raises InternalError instead of killing the process — the
+ * sweep engine catches the exception, marks the one cell failed, and
+ * the rest of the grid survives. When the mode is off (the default,
+ * and everywhere outside sweep jobs) panic() still aborts, after
+ * flushing and printing a best-effort backtrace so CI logs of
+ * non-recoverable crashes are diagnosable.
  */
 
 #ifndef ELFSIM_COMMON_LOGGING_HH
@@ -51,27 +51,15 @@ class ScopedRecoverableErrors
  *  In recoverable mode, throws InternalError instead. */
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt, ...);
 
-/** Print a formatted message and exit(1); use for user errors.
- *  In recoverable mode, throws ConfigError instead. */
-[[noreturn]] void fatalImpl(const char *file, int line, const char *fmt, ...);
-
 /** Print a formatted warning to stderr. */
 void warnImpl(const char *fmt, ...);
-
-/** Print a formatted informational message to stderr. */
-void informImpl(const char *fmt, ...);
 
 } // namespace elfsim
 
 #define ELFSIM_PANIC(...) \
     ::elfsim::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 
-#define ELFSIM_FATAL(...) \
-    ::elfsim::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-
 #define ELFSIM_WARN(...) ::elfsim::warnImpl(__VA_ARGS__)
-
-#define ELFSIM_INFORM(...) ::elfsim::informImpl(__VA_ARGS__)
 
 /** Panic with a formatted message if a simulator invariant fails. */
 #define ELFSIM_ASSERT(cond, ...)                                          \

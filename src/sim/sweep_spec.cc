@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -17,7 +18,7 @@ namespace {
 
 constexpr const char *kSchema = "elfsim-sweepspec-v1";
 
-// --- enum names -------------------------------------------------------
+// --- variant names ----------------------------------------------------
 
 const FrontendVariant kVariants[] = {
     FrontendVariant::NoDcf,  FrontendVariant::Dcf,
@@ -25,54 +26,6 @@ const FrontendVariant kVariants[] = {
     FrontendVariant::IndElf, FrontendVariant::CondElf,
     FrontendVariant::UElf,
 };
-
-const char *
-payloadPolicyName(PayloadPolicy p)
-{
-    switch (p) {
-      case PayloadPolicy::FaqFill: return "faq_fill";
-      case PayloadPolicy::RobHead: return "rob_head";
-      case PayloadPolicy::Ideal: return "ideal";
-    }
-    return "?";
-}
-
-bool
-parsePayloadPolicy(std::string_view name, PayloadPolicy &out)
-{
-    for (PayloadPolicy p : {PayloadPolicy::FaqFill,
-                            PayloadPolicy::RobHead,
-                            PayloadPolicy::Ideal}) {
-        if (name == payloadPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-condKindName(CoupledCondKind k)
-{
-    switch (k) {
-      case CoupledCondKind::Bimodal: return "bimodal";
-      case CoupledCondKind::Gshare: return "gshare";
-    }
-    return "?";
-}
-
-bool
-parseCondKind(std::string_view name, CoupledCondKind &out)
-{
-    for (CoupledCondKind k :
-         {CoupledCondKind::Bimodal, CoupledCondKind::Gshare}) {
-        if (name == condKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
 
 // --- CfgParams field enumeration -------------------------------------
 
@@ -116,43 +69,121 @@ visitCfgParams(Self &self, V &&v)
     v("dep_chain_frac", self.depChainFrac);
 }
 
-// --- typed-value helpers ----------------------------------------------
+// --- knob values ------------------------------------------------------
 
-std::uint64_t
-wantU64(const std::string &key, const SpecValue &v)
+/** Throw the ConfigError for knob @a key, which @a why. */
+[[noreturn]] void
+badKnob(const char *key, const std::string &why)
 {
-    if (v.kind != SpecValue::Kind::U64)
-        throw ConfigError(errorf(
-            "knob '%s' expects a non-negative integer", key.c_str()));
-    return v.u;
+    throw ConfigError(errorf("knob '%s' %s", key, why.c_str()));
 }
 
-unsigned
-wantUnsigned(const std::string &key, const SpecValue &v)
+/** The spelling of one value of a named knob. */
+template <typename E>
+struct KnobName
 {
-    const std::uint64_t x = wantU64(key, v);
-    if (x > 0xffffffffull)
-        throw ConfigError(
-            errorf("knob '%s' value out of range", key.c_str()));
-    return static_cast<unsigned>(x);
-}
+    const char *name;
+    E value;
+};
 
-bool
-wantFlag(const std::string &key, const SpecValue &v)
-{
-    if (v.kind != SpecValue::Kind::Flag)
-        throw ConfigError(
-            errorf("knob '%s' expects true/false", key.c_str()));
-    return v.b;
-}
+const KnobName<PayloadPolicy> payloadPolicyNames[] = {
+    {"faq_fill", PayloadPolicy::FaqFill},
+    {"rob_head", PayloadPolicy::RobHead},
+    {"ideal", PayloadPolicy::Ideal},
+};
 
-const std::string &
-wantText(const std::string &key, const SpecValue &v)
+const KnobName<CoupledCondKind> condKindNames[] = {
+    {"bimodal", CoupledCondKind::Bimodal},
+    {"gshare", CoupledCondKind::Gshare},
+};
+
+template <typename E, std::size_t N>
+E
+knobByName(const char *key, const SpecValue &v,
+           const KnobName<E> (&names)[N])
 {
     if (v.kind != SpecValue::Kind::Text)
-        throw ConfigError(
-            errorf("knob '%s' expects a string", key.c_str()));
-    return v.s;
+        badKnob(key, "expects a string");
+    std::string known;
+    for (const KnobName<E> &n : names) {
+        if (v.s == n.name)
+            return n.value;
+        known += known.empty() ? "" : ", ";
+        known += n.name;
+    }
+    badKnob(key, "expects one of " + known + " (got '" + v.s + "')");
+}
+
+/** Store @a v in knob @a key's member @a m; throw unless @a v has the
+ *  member's type. */
+void
+setKnob(const char *key, std::uint64_t &m, const SpecValue &v)
+{
+    if (v.kind != SpecValue::Kind::U64)
+        badKnob(key, "expects a non-negative integer");
+    m = v.u;
+}
+
+void
+setKnob(const char *key, unsigned &m, const SpecValue &v)
+{
+    std::uint64_t x = 0;
+    setKnob(key, x, v);
+    if (x > UINT_MAX)
+        badKnob(key, errorf("must be at most %u", UINT_MAX));
+    m = static_cast<unsigned>(x);
+}
+
+void
+setKnob(const char *key, bool &m, const SpecValue &v)
+{
+    if (v.kind != SpecValue::Kind::Flag)
+        badKnob(key, "expects true/false");
+    m = v.b;
+}
+
+void
+setKnob(const char *key, PayloadPolicy &m, const SpecValue &v)
+{
+    m = knobByName(key, v, payloadPolicyNames);
+}
+
+void
+setKnob(const char *key, CoupledCondKind &m, const SpecValue &v)
+{
+    m = knobByName(key, v, condKindNames);
+}
+
+/**
+ * The value rules of a spec's config row: every knob at least its
+ * visitKnobs minimum, plus the rules no single minimum expresses. A
+ * value outside them would divide by zero, trip an internal assertion
+ * or wedge every cell.
+ */
+void
+checkSpecConfig(const SimConfig &cfg)
+{
+    visitKnobs(cfg, [](const char *key, const auto &value, unsigned min) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+            if (value < min)
+                badKnob(key, errorf("must be at least %u", min));
+        }
+    });
+    const std::pair<const char *, const BtbLevelParams *> btbLevels[] = {
+        {"btb.l0.assoc", &cfg.btb.l0},
+        {"btb.l1.assoc", &cfg.btb.l1},
+        {"btb.l2.assoc", &cfg.btb.l2}};
+    for (const auto &[key, btb] : btbLevels) {
+        if (btb->assoc != 0 && btb->entries % btb->assoc != 0)
+            badKnob(key, "must divide the level's entries (or be 0: "
+                         "fully associative)");
+    }
+    if (cfg.coupledPreds.bimodal.counterBits > 16)
+        badKnob("coupled.bimodal_counter_bits", "must be at most 16");
+    // Fetch waits for a whole group of free fetch-buffer slots.
+    if (cfg.fetch.width > cfg.fetchBufferEntries)
+        badKnob("fetch.width", "must not exceed fetch_buffer_entries");
 }
 
 } // namespace
@@ -172,126 +203,17 @@ parseVariantName(std::string_view name, FrontendVariant &out)
 void
 applySimKnob(SimConfig &cfg, const std::string &key, const SpecValue &v)
 {
-    // Pipeline / decoupling geometry.
-    if (key == "bp1_to_fe")
-        cfg.bp1ToFe = wantU64(key, v);
-    else if (key == "faq_entries")
-        cfg.faqEntries = wantUnsigned(key, v);
-    else if (key == "checkpoint_entries")
-        cfg.checkpointEntries = wantUnsigned(key, v);
-    else if (key == "fetch_buffer_entries")
-        cfg.fetchBufferEntries = wantUnsigned(key, v);
-    else if (key == "max_inst_prefetch")
-        cfg.maxInstPrefetch = wantUnsigned(key, v);
-    else if (key == "fetch.width")
-        cfg.fetch.width = wantUnsigned(key, v);
-    else if (key == "fetch.fetch_to_decode")
-        cfg.fetch.fetchToDecode = wantU64(key, v);
-    // BTB hierarchy geometry.
-    else if (key == "btb.l0.entries")
-        cfg.btb.l0.entries = wantUnsigned(key, v);
-    else if (key == "btb.l0.assoc")
-        cfg.btb.l0.assoc = wantUnsigned(key, v);
-    else if (key == "btb.l0.latency")
-        cfg.btb.l0.latency = wantU64(key, v);
-    else if (key == "btb.l1.entries")
-        cfg.btb.l1.entries = wantUnsigned(key, v);
-    else if (key == "btb.l1.assoc")
-        cfg.btb.l1.assoc = wantUnsigned(key, v);
-    else if (key == "btb.l1.latency")
-        cfg.btb.l1.latency = wantU64(key, v);
-    else if (key == "btb.l2.entries")
-        cfg.btb.l2.entries = wantUnsigned(key, v);
-    else if (key == "btb.l2.assoc")
-        cfg.btb.l2.assoc = wantUnsigned(key, v);
-    else if (key == "btb.l2.latency")
-        cfg.btb.l2.latency = wantU64(key, v);
-    // ELF machinery.
-    else if (key == "divergence.vec_entries")
-        cfg.divergence.vecEntries = wantUnsigned(key, v);
-    else if (key == "divergence.target_entries")
-        cfg.divergence.targetEntries = wantUnsigned(key, v);
-    else if (key == "coupled.bimodal_entries")
-        cfg.coupledPreds.bimodal.entries = wantUnsigned(key, v);
-    else if (key == "coupled.bimodal_counter_bits")
-        cfg.coupledPreds.bimodal.counterBits = wantUnsigned(key, v);
-    else if (key == "coupled.ras_entries")
-        cfg.coupledPreds.rasEntries = wantUnsigned(key, v);
-    else if (key == "coupled.cond_kind") {
-        if (!parseCondKind(wantText(key, v),
-                           cfg.coupledPreds.condKind))
-            throw ConfigError(errorf(
-                "knob '%s': unknown predictor kind '%s' "
-                "(bimodal, gshare)",
-                key.c_str(), v.s.c_str()));
-    } else if (key == "payload_policy") {
-        if (!parsePayloadPolicy(wantText(key, v), cfg.payloadPolicy))
-            throw ConfigError(errorf(
-                "knob '%s': unknown policy '%s' "
-                "(faq_fill, rob_head, ideal)",
-                key.c_str(), v.s.c_str()));
-    } else if (key == "cond_elf_require_saturation")
-        cfg.condElfRequireSaturation = wantFlag(key, v);
-    else if (key == "decode_btb_fill")
-        cfg.decodeBtbFill = wantFlag(key, v);
-    else if (key == "rng_seed")
-        cfg.rngSeed = wantU64(key, v);
-    else
+    bool known = false;
+    visitKnobs(cfg, [&](const char *name, auto &member, unsigned) {
+        if (!known && key == name) {
+            setKnob(name, member, v);
+            known = true;
+        }
+    });
+    if (!known)
         throw ConfigError(
             errorf("unknown SimConfig knob '%s'", key.c_str()));
 }
-
-namespace {
-
-/** Throw the ConfigError for knob @a key, which is @a why. */
-[[noreturn]] void
-badKnob(const char *key, const char *why)
-{
-    throw ConfigError(errorf("knob '%s' %s", key, why));
-}
-
-/**
- * The value rules of a spec's config row. applySimKnob checks only
- * each value's type; a value outside these ranges would divide by
- * zero, trip an internal assertion or wedge every cell.
- */
-void
-checkSpecConfig(const SimConfig &cfg)
-{
-    const std::pair<const char *, const BtbLevelParams *> btbLevels[] = {
-        {"btb.l0", &cfg.btb.l0},
-        {"btb.l1", &cfg.btb.l1},
-        {"btb.l2", &cfg.btb.l2}};
-    for (const auto &[level, btb] : btbLevels) {
-        const std::string entries = std::string(level) + ".entries";
-        const std::string assoc = std::string(level) + ".assoc";
-        if (btb->entries == 0)
-            badKnob(entries.c_str(), "must be at least 1");
-        if (btb->assoc != 0 && btb->entries % btb->assoc != 0)
-            badKnob(assoc.c_str(),
-                    "must divide the level's entries (or be 0: fully "
-                    "associative)");
-    }
-    const std::pair<const char *, unsigned> sizes[] = {
-        {"faq_entries", cfg.faqEntries},
-        {"checkpoint_entries", cfg.checkpointEntries},
-        {"fetch_buffer_entries", cfg.fetchBufferEntries},
-        {"divergence.vec_entries", cfg.divergence.vecEntries},
-        {"coupled.bimodal_entries", cfg.coupledPreds.bimodal.entries},
-        {"fetch.width", cfg.fetch.width}};
-    for (const auto &[key, value] : sizes) {
-        if (value == 0)
-            badKnob(key, "must be at least 1");
-    }
-    const unsigned bits = cfg.coupledPreds.bimodal.counterBits;
-    if (bits < 1 || bits > 16)
-        badKnob("coupled.bimodal_counter_bits", "must be 1..16");
-    // Fetch waits for a whole group of free fetch-buffer slots.
-    if (cfg.fetch.width > cfg.fetchBufferEntries)
-        badKnob("fetch.width", "must not exceed fetch_buffer_entries");
-}
-
-} // namespace
 
 SimConfig
 makeSpecConfig(const ConfigSpec &c)
@@ -317,152 +239,93 @@ checkRunOptions(const RunOptions &o, const std::string &where)
 }
 
 /**
- * Largest micro-program a spec may build, in static instructions:
- * 4 MiB of code, 16x the largest catalog program and past every BTB
- * and I-cache level but the L3.
+ * Largest program a selector may build, in static instructions (a
+ * synthetic program's indirect-call targets count too): 4 MiB of
+ * code, 16x the largest catalog program and past every BTB and
+ * I-cache level but the L3.
  */
-constexpr double maxMicroInsts = 1 << 20;
+constexpr double maxSelectorInsts = 1 << 20;
 
-/** A micro-program generator a spec may name. */
-struct MicroGenerator
-{
-    const char *name;
-    const char *arg[2];
-    double min0;      ///< smallest first argument
-    bool probability; ///< second argument is a probability
-    double (*insts)(double, double);  ///< static program size
-    Program (*build)(double, double); ///< on checked arguments
-};
+/** The one micro-program generator a spec may name: Figure 3's
+ *  random-branch loop, three blocks of block_len + 1 instructions. */
+constexpr const char *kMicro = "random_branch_loop";
 
-const MicroGenerator microGenerators[] = {
-    {"random_branch_loop", {"block_len", "taken_prob"}, 0, true,
-     [](double len, double) { return 3 * (len + 1); },
-     [](double len, double p) {
-         return microRandomBranchLoop(unsigned(len), p);
-     }},
-    {"taken_chain", {"n_blocks", "block_len"}, 1, false,
-     [](double n, double len) { return n * (len + 1); },
-     [](double n, double len) {
-         return microTakenChain(unsigned(n), unsigned(len));
-     }},
-    {"sequential_loop", {"body_insts", "period"}, 0, false,
-     [](double body, double) { return body + 2; },
-     [](double body, double period) {
-         return microSequentialLoop(unsigned(body), unsigned(period));
-     }},
-    {"recursion", {"depth", "leaf_len"}, 0, false,
-     [](double, double leaf) { return leaf + 10; },
-     [](double depth, double leaf) {
-         return microRecursion(unsigned(depth), unsigned(leaf));
-     }},
-    {"btb_miss_chain", {"n_blocks", "block_len"}, 1, false,
-     [](double n, double len) { return n * (len + 1); },
-     [](double n, double len) {
-         return microBtbMissChain(unsigned(n), unsigned(len));
-     }},
-};
-
-const MicroGenerator *
-findMicro(const std::string &name)
-{
-    for (const MicroGenerator &g : microGenerators)
-        if (name == g.name)
-            return &g;
-    return nullptr;
-}
-
-/** Resolve a selector to the programs it names (build order is the
- *  catalog/declaration order, matching the legacy bench loops). */
-std::vector<Program>
-buildSelector(const WorkloadSelector &s)
-{
-    std::vector<Program> out;
-    switch (s.kind) {
-      case WorkloadSelector::Kind::Name: {
-        const WorkloadSpec *w = findWorkload(s.name);
-        if (!w)
-            throw ConfigError(errorf("unknown workload '%s'",
-                                     s.name.c_str()));
-        out.push_back(buildWorkload(*w));
-        break;
-      }
-      case WorkloadSelector::Kind::Set: {
-        const unsigned stride = s.stride ? s.stride : 1;
-        if (s.name == "catalog") {
-            unsigned i = 0;
-            for (const WorkloadSpec &w : workloadCatalog())
-                if (i++ % stride == 0)
-                    out.push_back(buildWorkload(w));
-        } else if (s.name == "elf_relevant") {
-            unsigned i = 0;
-            for (const std::string &n : elfRelevantWorkloads())
-                if (i++ % stride == 0)
-                    out.push_back(buildWorkload(*findWorkload(n)));
-        } else {
-            throw ConfigError(errorf(
-                "unknown workload set '%s' (catalog, elf_relevant)",
-                s.name.c_str()));
-        }
-        break;
-      }
-      case WorkloadSelector::Kind::Suite: {
-        const std::vector<std::string> names = suiteWorkloads(s.name);
-        if (names.empty())
-            throw ConfigError(
-                errorf("unknown suite '%s'", s.name.c_str()));
-        for (const std::string &n : names)
-            out.push_back(buildWorkload(*findWorkload(n)));
-        break;
-      }
-      case WorkloadSelector::Kind::Micro:
-        // checkMicro has accepted the generator and its arguments.
-        out.push_back(findMicro(s.name)->build(s.args[0], s.args[1]));
-        break;
-      case WorkloadSelector::Kind::Synthetic:
-        out.push_back(generateCfg(s.params, s.seed, s.name));
-        break;
-    }
-    return out;
-}
-
-/** A micro selector names a known generator and gives it two
- *  arguments it accepts: whole numbers (taken_prob a probability)
- *  that build at most maxMicroInsts instructions. */
+/** A micro selector names kMicro and gives it a whole block_len and a
+ *  taken_prob in [0, 1] that build at most maxSelectorInsts
+ *  instructions. */
 void
 checkMicro(const WorkloadSelector &s)
 {
-    const MicroGenerator *g = findMicro(s.name);
-    if (!g)
-        throw ConfigError(
-            errorf("unknown micro generator '%s'", s.name.c_str()));
+    if (s.name != kMicro)
+        throw ConfigError(errorf("unknown micro generator '%s' (%s)",
+                                 s.name.c_str(), kMicro));
     if (s.args.size() != 2)
-        throw ConfigError(errorf("micro generator '%s' expects 2 args "
-                                 "(%s, %s)", g->name, g->arg[0],
-                                 g->arg[1]));
-    for (std::size_t i = 0; i < 2; ++i) {
-        const double a = s.args[i];
-        if (i == 1 && g->probability) {
-            if (!(a >= 0 && a <= 1))
-                throw ConfigError(errorf(
-                    "micro '%s': %s must lie in [0, 1] (got %g)",
-                    g->name, g->arg[i], a));
-            continue;
-        }
-        const double lo = i == 0 ? g->min0 : 0;
-        if (!(a >= lo && a <= UINT_MAX && a == std::floor(a)))
-            throw ConfigError(errorf(
-                "micro '%s': %s must be a whole number from %g to %u "
-                "(got %g)", g->name, g->arg[i], lo, UINT_MAX, a));
-    }
-    const double insts = g->insts(s.args[0], s.args[1]);
-    if (insts > maxMicroInsts)
+        throw ConfigError(errorf("micro '%s' expects 2 args (block_len, "
+                                 "taken_prob)", kMicro));
+    const double len = s.args[0], prob = s.args[1];
+    if (!(len >= 0 && len == std::floor(len)))
+        throw ConfigError(errorf("micro '%s': block_len must be a whole "
+                                 "number (got %g)", kMicro, len));
+    if (!(prob >= 0 && prob <= 1))
+        throw ConfigError(errorf("micro '%s': taken_prob must lie in "
+                                 "[0, 1] (got %g)", kMicro, prob));
+    const double insts = 3 * (len + 1);
+    if (insts > maxSelectorInsts)
         throw ConfigError(errorf(
             "micro '%s' would build %g static instructions (at most "
-            "%g)", g->name, insts, maxMicroInsts));
+            "%.0f)", kMicro, insts, maxSelectorInsts));
 }
 
-/** Selector-only validation: everything buildSelector would reject,
- *  minus the cost of building the programs. */
+/** generateCfg's preconditions, and maxSelectorInsts, for a synthetic
+ *  selector. */
+void
+checkSynthetic(const WorkloadSelector &s)
+{
+    if (s.name.empty())
+        throw ConfigError("synthetic workload needs a non-empty name");
+    const auto bad = [&s](const std::string &why) {
+        throw ConfigError(
+            errorf("synthetic '%s': %s", s.name.c_str(), why.c_str()));
+    };
+    const CfgParams &p = s.params;
+    if (p.numFuncs < 1)
+        bad("num_funcs must be at least 1");
+    if (p.blocksPerFunc < 2)
+        bad("blocks_per_func must be at least 2");
+    if (p.indirectFanout < 1)
+        bad("indirect_fanout must be at least 1");
+    // generateCfg draws from each range with Rng::below(max - min + 1),
+    // which divides by zero when that count is 0.
+    const std::tuple<const char *, unsigned, const char *, unsigned>
+        ranges[] = {
+            {"insts_per_block_min", p.instsPerBlockMin,
+             "insts_per_block_max", p.instsPerBlockMax},
+            {"loop_period_min", p.loopPeriodMin, "loop_period_max",
+             p.loopPeriodMax},
+            {"pattern_len_min", p.patternLenMin, "pattern_len_max",
+             p.patternLenMax}};
+    for (const auto &[lo, min, hi, max] : ranges) {
+        if (min > max)
+            bad(errorf("%s (%u) exceeds %s (%u)", lo, min, hi, max));
+        if (max - min == UINT_MAX)
+            bad(errorf("%s..%s must not span all 2^32 values", lo, hi));
+    }
+    // A function has at most blocks_per_func + 7 blocks (segments of
+    // five, a recursion guard, an epilogue and its share of main's
+    // call ring); a block at most six instructions past its body and,
+    // ending in an indirect call, indirect_fanout targets.
+    const double size = double(p.numFuncs) *
+                        (double(p.blocksPerFunc) + 7) *
+                        (double(p.instsPerBlockMax) + 6 +
+                         double(p.indirectFanout));
+    if (size > maxSelectorInsts)
+        bad(errorf("num_funcs x (blocks_per_func + 7) x "
+                   "(insts_per_block_max + 6 + indirect_fanout) is %g "
+                   "(at most %.0f)", size, maxSelectorInsts));
+}
+
+/** Everything buildSelector needs of a selector, checked without
+ *  building its programs. */
 void
 checkSelector(const WorkloadSelector &s)
 {
@@ -477,37 +340,53 @@ checkSelector(const WorkloadSelector &s)
             throw ConfigError(errorf(
                 "unknown workload set '%s' (catalog, elf_relevant)",
                 s.name.c_str()));
-        break;
-      case WorkloadSelector::Kind::Suite:
-        if (suiteWorkloads(s.name).empty())
-            throw ConfigError(
-                errorf("unknown suite '%s'", s.name.c_str()));
+        if (s.stride == 0)
+            throw ConfigError(errorf(
+                "workload set '%s': stride must be at least 1",
+                s.name.c_str()));
         break;
       case WorkloadSelector::Kind::Micro:
         checkMicro(s);
         break;
-      case WorkloadSelector::Kind::Synthetic: {
-        if (s.name.empty())
-            throw ConfigError(
-                "synthetic workload needs a non-empty name");
-        // generateCfg's preconditions.
-        const CfgParams &p = s.params;
-        const char *n = s.name.c_str();
-        if (p.numFuncs < 1)
-            throw ConfigError(errorf(
-                "synthetic '%s': num_funcs must be at least 1", n));
-        if (p.blocksPerFunc < 2)
-            throw ConfigError(errorf(
-                "synthetic '%s': blocks_per_func must be at least 2",
-                n));
-        if (p.instsPerBlockMin > p.instsPerBlockMax)
-            throw ConfigError(errorf(
-                "synthetic '%s': insts_per_block_min (%u) exceeds "
-                "insts_per_block_max (%u)", n, p.instsPerBlockMin,
-                p.instsPerBlockMax));
+      case WorkloadSelector::Kind::Synthetic:
+        checkSynthetic(s);
+        break;
+    }
+}
+
+/** Resolve a selector checkSelector has accepted to the programs it
+ *  names (build order is the catalog/declaration order, matching the
+ *  legacy bench loops). */
+std::vector<Program>
+buildSelector(const WorkloadSelector &s)
+{
+    std::vector<Program> out;
+    switch (s.kind) {
+      case WorkloadSelector::Kind::Name:
+        out.push_back(buildWorkload(*findWorkload(s.name)));
+        break;
+      case WorkloadSelector::Kind::Set: {
+        unsigned i = 0;
+        if (s.name == "catalog") {
+            for (const WorkloadSpec &w : workloadCatalog())
+                if (i++ % s.stride == 0)
+                    out.push_back(buildWorkload(w));
+        } else {
+            for (const std::string &n : elfRelevantWorkloads())
+                if (i++ % s.stride == 0)
+                    out.push_back(buildWorkload(*findWorkload(n)));
+        }
         break;
       }
+      case WorkloadSelector::Kind::Micro:
+        out.push_back(microRandomBranchLoop(unsigned(s.args[0]),
+                                            s.args[1]));
+        break;
+      case WorkloadSelector::Kind::Synthetic:
+        out.push_back(generateCfg(s.params, s.seed, s.name));
+        break;
     }
+    return out;
 }
 
 } // namespace
@@ -713,7 +592,7 @@ parseSelector(const json::Value &v)
         if (kindSeen)
             throw ParseError(
                 "workload selector names more than one of "
-                "name/set/suite/micro/synthetic");
+                "name/set/micro/synthetic");
         kindSeen = true;
         s.kind = k;
         s.name = name;
@@ -726,8 +605,6 @@ parseSelector(const json::Value &v)
             setKind(WorkloadSelector::Kind::Name, val.asString());
         else if (k == "set")
             setKind(WorkloadSelector::Kind::Set, val.asString());
-        else if (k == "suite")
-            setKind(WorkloadSelector::Kind::Suite, val.asString());
         else if (k == "micro")
             setKind(WorkloadSelector::Kind::Micro, val.asString());
         else if (k == "synthetic")
@@ -752,12 +629,12 @@ parseSelector(const json::Value &v)
     });
     if (!kindSeen)
         throw ParseError("workload selector needs one of "
-                         "name/set/suite/micro/synthetic");
+                         "name/set/micro/synthetic");
     // Auxiliary fields are per-kind; a stray one on the wrong kind is
     // a spec mistake the no-silent-ignore contract must surface
-    // (e.g. "stride" on a "suite" selector would otherwise quietly
-    // select the full suite). Checked after the loop because JSON
-    // member order may put them before the kind key.
+    // (e.g. "stride" on a "name" selector would otherwise be quietly
+    // dropped). Checked after the loop because JSON member order may
+    // put them before the kind key.
     const auto rejectForeign = [&](bool seen, const char *field,
                                    WorkloadSelector::Kind only,
                                    const char *kindName) {
@@ -774,29 +651,24 @@ parseSelector(const json::Value &v)
                   WorkloadSelector::Kind::Synthetic, "synthetic");
     rejectForeign(paramsSeen, "params",
                   WorkloadSelector::Kind::Synthetic, "synthetic");
-    if (s.stride == 0)
-        s.stride = 1;
     return s;
 }
 
 SpecValue
 parseSpecValue(const std::string &key, const json::Value &v)
 {
-    switch (v.kind()) {
-      case json::Value::Kind::Bool:
+    if (v.kind() == json::Value::Kind::Bool)
         return SpecValue::ofFlag(v.asBool());
-      case json::Value::Kind::String:
+    if (v.kind() == json::Value::Kind::String)
         return SpecValue::ofText(v.asString());
-      case json::Value::Kind::Number:
-        try {
-            return SpecValue::ofU64(v.asU64());
-        } catch (const ParseError &) {
-            return SpecValue::ofReal(v.asDouble());
-        }
-      default:
-        throw ParseError(errorf(
-            "override '%s' must be a number, boolean or string",
-            key.c_str()));
+    try {
+        return SpecValue::ofU64(v.asU64());
+    } catch (const ParseError &) {
+        // Not a number, or one with a sign, a fraction or past 2^64:
+        // no knob takes it.
+        throw ParseError(errorf("override '%s' must be a non-negative "
+                                "integer, true/false or a string",
+                                key.c_str()));
     }
 }
 
@@ -857,12 +729,6 @@ parseSweepSpec(const json::Value &doc)
 {
     SweepSpec spec;
     bool schemaSeen = false;
-    // Top-level "workloads"/"configs" are accepted as an implicit
-    // single group (hand-written request convenience); the canonical
-    // writer always emits "groups".
-    SweepGroup shorthand;
-    bool shorthandUsed = false;
-    bool groupsUsed = false;
     forEachMember(doc, "spec", [&](const std::string &k,
                                    const json::Value &val) {
         if (k == "schema") {
@@ -882,17 +748,8 @@ parseSweepSpec(const json::Value &doc)
         else if (k == "policy")
             checkRetiredPolicy(val);
         else if (k == "groups") {
-            groupsUsed = true;
             for (std::size_t i = 0; i < val.size(); ++i)
                 spec.groups.push_back(parseGroup(val[i]));
-        } else if (k == "workloads") {
-            shorthandUsed = true;
-            for (std::size_t i = 0; i < val.size(); ++i)
-                shorthand.workloads.push_back(parseSelector(val[i]));
-        } else if (k == "configs") {
-            shorthandUsed = true;
-            for (std::size_t i = 0; i < val.size(); ++i)
-                shorthand.configs.push_back(parseConfig(val[i]));
         } else
             return false;
         return true;
@@ -900,12 +757,6 @@ parseSweepSpec(const json::Value &doc)
     if (!schemaSeen)
         throw ParseError(
             errorf("spec is missing \"schema\": \"%s\"", kSchema));
-    if (shorthandUsed) {
-        if (groupsUsed)
-            throw ParseError("spec mixes top-level workloads/configs "
-                             "with explicit groups");
-        spec.groups.push_back(std::move(shorthand));
-    }
     return spec;
 }
 
@@ -958,9 +809,6 @@ writeSelector(JsonWriter &w, const WorkloadSelector &s)
         w.field("set", std::string_view(s.name));
         w.field("stride", std::uint64_t(s.stride));
         break;
-      case WorkloadSelector::Kind::Suite:
-        w.field("suite", std::string_view(s.name));
-        break;
       case WorkloadSelector::Kind::Micro:
         w.field("micro", std::string_view(s.name));
         w.key("args");
@@ -1004,9 +852,6 @@ writeConfig(JsonWriter &w, const ConfigSpec &c)
             switch (v.kind) {
               case SpecValue::Kind::U64:
                 w.value(v.u);
-                break;
-              case SpecValue::Kind::Real:
-                w.value(v.d);
                 break;
               case SpecValue::Kind::Flag:
                 w.value(v.b);

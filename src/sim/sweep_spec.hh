@@ -5,7 +5,7 @@
  * schema, and expanded into the exact std::vector<SweepJob> the bench
  * harnesses used to assemble by hand.
  *
- * Layering (DESIGN.md "Options -> SweepSpec -> grid"):
+ * Layering (DESIGN.md "Sweep layering"):
  *
  *   bench_util::Options   CLI flags; a thin adapter that fills a
  *                         bench's native SweepSpec (windows)
@@ -20,7 +20,9 @@
  * field), so a grid can be archived beside its results and re-run
  * bit-identically later.
  *
- * JSON schema (validated by scripts/check_results.py --spec):
+ * JSON schema. The reader accepts what the bench builders
+ * (bench/bench_specs.hh) and the benchmark specs write, plus the two
+ * retired forms described below:
  *
  *   {
  *     "schema": "elfsim-sweepspec-v1",
@@ -33,16 +35,15 @@
  *         "workloads": [
  *           {"name": "641.leela"},              // one catalog entry
  *           {"set": "catalog", "stride": 3},    // catalog / elf_relevant
- *           {"suite": "2K17 INT"},              // one catalog suite
- *           {"micro": "random_branch_loop",     // directed micro-program
- *            "args": [8, 0.5]},
+ *           {"micro": "random_branch_loop",     // Figure 3's micro-loop
+ *            "args": [8, 0.5]},                 // block_len, taken_prob
  *           {"synthetic": "server_sweep",       // raw CFG generator
  *            "seed": 24129, "params": { <CfgParams fields> }}
  *         ],
  *         "configs": [
  *           {"variant": "DCF"},
  *           {"variant": "DCF", "label": "deep BP1->FE",
- *            "overrides": {"bp1_to_fe": 8}}
+ *            "overrides": {"bp1_to_fe": 8}}     // keys: visitKnobs
  *         ],
  *         "run": { ... }          // optional group-level override
  *       }
@@ -58,12 +59,15 @@
  * holds the old default ("keep_going": true, "deadline_seconds": 0,
  * "stall_seconds": 0, "max_retries": 0, "manifest_path": "",
  * "resume": false); any other value is a ConfigError naming the
- * field. The writer no longer emits it.
+ * field. The writer no longer emits it. Likewise a "run" block may
+ * carry "interval_insts", from when detailed runs captured intervals,
+ * at 0 only.
  *
- * Errors: malformed JSON or an unknown field throws ParseError;
- * semantic problems (unknown workload/suite/knob, a contradictory
- * sampling schedule) throw ConfigError. The CLI maps both to the
- * uniform usage-error exit status 2.
+ * Errors: malformed JSON, an unknown field or an override value that
+ * is not a whole number, boolean or string throws ParseError;
+ * semantic problems (unknown workload/knob, a knob value the model
+ * cannot run, a contradictory sampling schedule) throw ConfigError.
+ * The CLI maps both to the uniform usage-error exit status 2.
  */
 
 #ifndef ELFSIM_SIM_SWEEP_SPEC_HH
@@ -90,16 +94,15 @@ struct WorkloadSelector
     {
         Name,      ///< one catalog entry by name
         Set,       ///< "catalog" or "elf_relevant", with a stride
-        Suite,     ///< every catalog entry of one suite
         Micro,     ///< a directed micro-program generator
         Synthetic, ///< raw CfgParams through generateCfg
     };
 
     Kind kind = Kind::Name;
-    /** Catalog name / set name / suite name / micro generator name /
-     *  synthetic program name, per kind. */
+    /** Catalog name / set name / micro generator name / synthetic
+     *  program name, per kind. */
     std::string name;
-    unsigned stride = 1;         ///< Set only: every Nth entry
+    unsigned stride = 1;         ///< Set only: every Nth entry (>= 1)
     std::vector<double> args;    ///< Micro only: generator arguments
     CfgParams params;            ///< Synthetic only
     std::uint64_t seed = 1;      ///< Synthetic only
@@ -119,7 +122,7 @@ struct WorkloadSelector
         WorkloadSelector s;
         s.kind = Kind::Set;
         s.name = std::move(setName);
-        s.stride = stride ? stride : 1;
+        s.stride = stride;
         return s;
     }
 
@@ -149,11 +152,10 @@ struct WorkloadSelector
 /** Typed value of one SimConfig knob override. */
 struct SpecValue
 {
-    enum class Kind { U64, Real, Flag, Text };
+    enum class Kind { U64, Flag, Text };
 
     Kind kind = Kind::U64;
     std::uint64_t u = 0;
-    double d = 0;
     bool b = false;
     std::string s;
 
@@ -163,15 +165,6 @@ struct SpecValue
         SpecValue x;
         x.kind = Kind::U64;
         x.u = v;
-        return x;
-    }
-
-    static SpecValue
-    ofReal(double v)
-    {
-        SpecValue x;
-        x.kind = Kind::Real;
-        x.d = v;
         return x;
     }
 
@@ -212,13 +205,6 @@ struct ConfigSpec
     setU64(std::string key, std::uint64_t v)
     {
         overrides.emplace_back(std::move(key), SpecValue::ofU64(v));
-        return *this;
-    }
-
-    ConfigSpec &
-    setReal(std::string key, double v)
-    {
-        overrides.emplace_back(std::move(key), SpecValue::ofReal(v));
         return *this;
     }
 
@@ -273,26 +259,73 @@ struct ExpandedSweep
     std::vector<std::string> labels;
 };
 
+/**
+ * Visit every SimConfig knob a config row may override, as ("key",
+ * member, min) — the single source of truth for the override keys
+ * (applySimKnob) and their lower bounds (makeSpecConfig). @a min is
+ * the smallest value the model can run; flags and names take 0.
+ * @a cfg is a SimConfig, const or not; @a v must accept a member of
+ * type unsigned, std::uint64_t, bool, PayloadPolicy and
+ * CoupledCondKind.
+ */
+template <typename Self, typename V>
+void
+visitKnobs(Self &cfg, V &&v)
+{
+    // Pipeline / decoupling geometry.
+    v("bp1_to_fe", cfg.bp1ToFe, 0u);
+    v("faq_entries", cfg.faqEntries, 1u);
+    v("checkpoint_entries", cfg.checkpointEntries, 1u);
+    v("fetch_buffer_entries", cfg.fetchBufferEntries, 1u);
+    v("max_inst_prefetch", cfg.maxInstPrefetch, 0u);
+    v("fetch.width", cfg.fetch.width, 1u);
+    v("fetch.fetch_to_decode", cfg.fetch.fetchToDecode, 0u);
+    // BTB hierarchy geometry (assoc 0 = fully associative).
+    v("btb.l0.entries", cfg.btb.l0.entries, 1u);
+    v("btb.l0.assoc", cfg.btb.l0.assoc, 0u);
+    v("btb.l0.latency", cfg.btb.l0.latency, 0u);
+    v("btb.l1.entries", cfg.btb.l1.entries, 1u);
+    v("btb.l1.assoc", cfg.btb.l1.assoc, 0u);
+    v("btb.l1.latency", cfg.btb.l1.latency, 0u);
+    v("btb.l2.entries", cfg.btb.l2.entries, 1u);
+    v("btb.l2.assoc", cfg.btb.l2.assoc, 0u);
+    v("btb.l2.latency", cfg.btb.l2.latency, 0u);
+    // ELF machinery.
+    v("divergence.vec_entries", cfg.divergence.vecEntries, 1u);
+    v("divergence.target_entries", cfg.divergence.targetEntries, 0u);
+    v("coupled.bimodal_entries", cfg.coupledPreds.bimodal.entries, 1u);
+    v("coupled.bimodal_counter_bits",
+      cfg.coupledPreds.bimodal.counterBits, 1u);
+    v("coupled.ras_entries", cfg.coupledPreds.rasEntries, 0u);
+    v("coupled.cond_kind", cfg.coupledPreds.condKind, 0u);
+    v("payload_policy", cfg.payloadPolicy, 0u);
+    v("cond_elf_require_saturation", cfg.condElfRequireSaturation, 0u);
+    // Extensions and seeding.
+    v("decode_btb_fill", cfg.decodeBtbFill, 0u);
+    v("rng_seed", cfg.rngSeed, 0u);
+}
+
 /** Build a SimConfig from a config row; throws ConfigError, naming
  *  the knob, on an unknown knob key, a type-mismatched value, or a
- *  value the model cannot run: a zero-sized queue, BTB level or
- *  coupled bimodal, a BTB assoc that does not divide its entries, a
- *  bimodal counter width outside 1..16, or a fetch width of 0 or
- *  above fetch_buffer_entries. */
+ *  value the model cannot run: one below its visitKnobs minimum, a
+ *  BTB assoc that does not divide its entries, a bimodal counter
+ *  width above 16, or a fetch width above fetch_buffer_entries. */
 SimConfig makeSpecConfig(const ConfigSpec &c);
 
 /**
- * Apply one named knob override to @a cfg. The registry covers every
- * knob the experiment harnesses sweep (decoupling depth, FAQ/BTB
- * geometry, coupled predictor sizes, payload policy, divergence
- * capacity, extensions, rng seed); see sweep_spec.cc for the full
- * key list. Throws ConfigError on unknown keys or ill-typed values.
+ * Apply one named knob override to @a cfg: a whole number for a
+ * numeric knob, true/false for a flag, and for payload_policy and
+ * coupled.cond_kind one of their names. Throws ConfigError on an
+ * unknown key or an ill-typed value; the range rules are
+ * makeSpecConfig's.
  */
 void applySimKnob(SimConfig &cfg, const std::string &key,
                   const SpecValue &v);
 
 /** Semantic validation (sampling schedule contradictions, empty
- *  groups, unknown workloads); throws ConfigError. */
+ *  groups, unknown workloads, selectors that would not build or would
+ *  build too large a program, config rows makeSpecConfig rejects);
+ *  throws ConfigError. */
 void validateSweepSpec(const SweepSpec &spec);
 
 /**

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -61,6 +63,18 @@ cellKey(const SweepJob &j)
     k += "|s" + std::to_string(j.cfg.rngSeed);
     k += "|cfg" + std::to_string(configFingerprint(j.cfg));
     return k;
+}
+
+/** A one-group spec document: @a top (leading top-level fields, each
+ *  followed by a comma), then @a selector crossed with @a config. */
+std::string
+groupSpec(const std::string &selector,
+          const std::string &config = "{\"variant\":\"DCF\"}",
+          const std::string &top = "")
+{
+    return "{\"schema\":\"elfsim-sweepspec-v1\"," + top +
+           "\"groups\":[{\"workloads\":[" + selector +
+           "],\"configs\":[" + config + "]}]}";
 }
 
 void
@@ -113,35 +127,53 @@ TEST(SweepSpecJson, ParsedSpecExpandsToTheSameGrid)
     expectSameGrid(expandSweep(spec).jobs, expandSweep(parsed).jobs);
 }
 
-TEST(SweepSpecJson, ShorthandWorkloadsConfigsFormOneGroup)
+// Every grid a bench runs, and archives with --dump-spec, reads back
+// to the same bytes and passes validation.
+TEST(SweepSpecJson, EveryBenchSpecRoundTripsAndValidates)
 {
-    const SweepSpec s = parseSweepSpec(
-        "{\"schema\":\"elfsim-sweepspec-v1\","
-        "\"workloads\":[{\"name\":\"641.leela\"}],"
-        "\"configs\":[{\"variant\":\"DCF\"}]}");
-    ASSERT_EQ(s.groups.size(), 1u);
-    EXPECT_EQ(s.groups[0].workloads.size(), 1u);
-    EXPECT_EQ(s.groups[0].configs.size(), 1u);
+    const RunOptions o = smallWindow();
+    for (const SweepSpec &spec :
+         {bench::fig3Spec(o), bench::fig6Spec(o), bench::fig7Spec(o),
+          bench::fig8Spec(o), bench::fig9Spec(o),
+          bench::ablationDcfSpec(o), bench::ablationElfSpec(o),
+          bench::throughputSpec(o, 1, false, false),
+          bench::throughputSpec(o, 1, true, false),
+          bench::serverCapacitySpec(o)}) {
+        const std::string once = specJson(spec);
+        const SweepSpec parsed = parseSweepSpec(once);
+        EXPECT_EQ(specJson(parsed), once) << spec.name;
+        EXPECT_NO_THROW(validateSweepSpec(parsed)) << spec.name;
+    }
 }
 
 // ---------------------------------------------------------------------
 // Rejection
 // ---------------------------------------------------------------------
 
+// An unknown field is a ParseError naming it. Among them are the forms
+// no bench writes: a suite selector and top-level workloads/configs.
 TEST(SweepSpecJson, UnknownFieldIsAParseError)
 {
-    EXPECT_THROW(parseSweepSpec(
-                     "{\"schema\":\"elfsim-sweepspec-v1\","
-                     "\"wrkloads\":[]}"),
-                 ParseError);
-    EXPECT_THROW(parseSweepSpec(
-                     "{\"schema\":\"elfsim-sweepspec-v1\","
-                     "\"run\":{\"warmup\":1}}"),
-                 ParseError);
-    EXPECT_THROW(parseSweepSpec(
-                     "{\"schema\":\"elfsim-sweepspec-v1\","
-                     "\"policy\":{\"retries\":0}}"),
-                 ParseError);
+    const std::string head = "{\"schema\":\"elfsim-sweepspec-v1\",";
+    for (const auto &[text, field] :
+         {std::pair<std::string, const char *>{
+              head + "\"wrkloads\":[]}", "wrkloads"},
+          {head + "\"run\":{\"warmup\":1}}", "warmup"},
+          {head + "\"policy\":{\"retries\":0}}", "retries"},
+          {groupSpec("{\"suite\":\"2K17 INT\"}"), "suite"},
+          {head + "\"workloads\":[{\"name\":\"641.leela\"}],"
+                  "\"configs\":[{\"variant\":\"DCF\"}]}",
+           "workloads"},
+          {head + "\"configs\":[{\"variant\":\"DCF\"}]}", "configs"}}) {
+        try {
+            parseSweepSpec(text);
+            ADD_FAILURE() << "parsed: " << text;
+        } catch (const ParseError &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SweepSpecJson, RetiredPolicyParsesOnlyAtItsOldDefaults)
@@ -230,47 +262,29 @@ TEST(SweepSpecJson, MissingOrWrongSchemaRejected)
 
 TEST(SweepSpecJson, KindForeignSelectorFieldsRejected)
 {
-    const auto spec = [](const char *selector) {
-        return std::string("{\"schema\":\"elfsim-sweepspec-v1\","
-                           "\"workloads\":[") +
-               selector +
-               "],\"configs\":[{\"variant\":\"DCF\"}]}";
-    };
     // stride is set-only, args micro-only, seed/params
     // synthetic-only; anywhere else they would be silently ignored.
-    EXPECT_THROW(parseSweepSpec(spec(
+    EXPECT_THROW(parseSweepSpec(groupSpec(
                      "{\"name\":\"641.leela\",\"stride\":3}")),
                  ParseError);
-    EXPECT_THROW(parseSweepSpec(spec(
-                     "{\"suite\":\"spec2017\",\"stride\":3}")),
-                 ParseError);
-    EXPECT_THROW(parseSweepSpec(spec(
+    EXPECT_THROW(parseSweepSpec(groupSpec(
                      "{\"name\":\"641.leela\",\"args\":[1,2]}")),
                  ParseError);
-    EXPECT_THROW(parseSweepSpec(spec(
+    EXPECT_THROW(parseSweepSpec(groupSpec(
                      "{\"name\":\"641.leela\",\"seed\":7}")),
                  ParseError);
-    EXPECT_THROW(parseSweepSpec(spec(
+    EXPECT_THROW(parseSweepSpec(groupSpec(
                      "{\"set\":\"catalog\",\"params\":{}}")),
                  ParseError);
     // Field order must not matter: aux field before the kind key.
-    EXPECT_THROW(parseSweepSpec(spec(
+    EXPECT_THROW(parseSweepSpec(groupSpec(
                      "{\"stride\":3,\"name\":\"641.leela\"}")),
                  ParseError);
     // The legitimate pairings still parse.
-    EXPECT_NO_THROW(parseSweepSpec(spec(
+    EXPECT_NO_THROW(parseSweepSpec(groupSpec(
         "{\"set\":\"catalog\",\"stride\":3}")));
-    EXPECT_NO_THROW(parseSweepSpec(spec(
+    EXPECT_NO_THROW(parseSweepSpec(groupSpec(
         "{\"synthetic\":\"s\",\"seed\":7,\"params\":{}}")));
-}
-
-TEST(SweepSpecJson, ShorthandMixedWithGroupsRejected)
-{
-    EXPECT_THROW(
-        parseSweepSpec("{\"schema\":\"elfsim-sweepspec-v1\","
-                       "\"groups\":[],"
-                       "\"workloads\":[{\"name\":\"641.leela\"}]}"),
-        ParseError);
 }
 
 TEST(SweepSpecValidate, ContradictorySamplingRejected)
@@ -302,6 +316,17 @@ TEST(SweepSpecValidate, EmptyAndUnknownPiecesRejected)
     spec = bench::fig3Spec(smallWindow());
     spec.groups[0].configs[0].setU64("no_such_knob", 1);
     EXPECT_THROW(validateSweepSpec(spec), ConfigError);
+
+    // "stride": 0 used to be read as 1 and archived that way.
+    spec = parseSweepSpec(
+        groupSpec("{\"set\":\"catalog\",\"stride\":0}"));
+    try {
+        validateSweepSpec(spec);
+        ADD_FAILURE() << "stride 0 validated";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("stride"), std::string::npos)
+            << e.what();
+    }
 }
 
 namespace {
@@ -322,38 +347,35 @@ selectorError(const WorkloadSelector &s)
 
 } // namespace
 
-// Bad micro arguments used to abort in the generators (bad_alloc, the
-// builder's "need at least one block" panic) or build something other
-// than asked (2.5 blocks -> 2; a taken probability above 1). The
-// validator rejects each one, naming the generator, before any
-// program is built.
+// Bad micro arguments used to abort in the generator (bad_alloc) or
+// build something other than asked (2.5 instructions -> 2; a taken
+// probability above 1). The validator rejects each one, naming the
+// generator, before any program is built.
 TEST(SweepSpecValidate, BadMicroArgumentsRejected)
 {
+    const char *loop = "random_branch_loop";
     const std::vector<WorkloadSelector> bad = {
-        WorkloadSelector::micro("taken_chain", {-1, 8}),
-        WorkloadSelector::micro("taken_chain", {4294967295.0, 1}),
-        WorkloadSelector::micro("taken_chain", {0, 8}),
-        WorkloadSelector::micro("taken_chain", {1e30, 8}),
-        WorkloadSelector::micro("taken_chain", {2.5, 8}),
-        WorkloadSelector::micro("btb_miss_chain", {1 << 20, 8}),
-        WorkloadSelector::micro("sequential_loop", {30, -16}),
-        WorkloadSelector::micro("recursion", {8.5, 4}),
-        WorkloadSelector::micro("random_branch_loop", {8, 1.5}),
-        WorkloadSelector::micro("random_branch_loop", {8, -0.25}),
+        WorkloadSelector::micro(loop, {-1, 0.5}),
+        WorkloadSelector::micro(loop, {2.5, 0.5}),
+        WorkloadSelector::micro(loop, {1e30, 0.5}),
+        WorkloadSelector::micro(loop, {349525, 0.5}),
+        WorkloadSelector::micro(loop, {8, 1.5}),
+        WorkloadSelector::micro(loop, {8, -0.25}),
+        WorkloadSelector::micro(loop, {8}),
+        WorkloadSelector::micro("taken_chain", {4, 6}),
     };
     for (const WorkloadSelector &s : bad) {
         const std::string err = selectorError(s);
         EXPECT_NE(err.find(s.name), std::string::npos)
-            << s.name << " [" << s.args[0] << ", " << s.args[1]
-            << "]: '" << err << "'";
+            << s.name << " [" << s.args[0] << "]: '" << err << "'";
     }
 
+    // 349524 builds 3 x 349525 instructions, just under the bound.
     for (const WorkloadSelector &s :
-         {WorkloadSelector::micro("taken_chain", {1, 0}),
-          WorkloadSelector::micro("btb_miss_chain", {4096, 4}),
-          WorkloadSelector::micro("random_branch_loop", {8, 1}),
-          WorkloadSelector::micro("recursion", {4294967295.0, 4})})
-        EXPECT_EQ(selectorError(s), "") << s.name;
+         {WorkloadSelector::micro(loop, {8, 1}),
+          WorkloadSelector::micro(loop, {0, 0}),
+          WorkloadSelector::micro(loop, {349524, 0.5})})
+        EXPECT_EQ(selectorError(s), "") << s.args[0];
 }
 
 namespace {
@@ -393,24 +415,24 @@ TEST(SweepSpecValidate, UnrunnableKnobValuesRejected)
         const char *knob;
         std::uint64_t value;
     };
+    std::vector<Bad> bad;
+    // Every knob one below its visitKnobs minimum...
+    const SimConfig any;
+    visitKnobs(any, [&](const char *key, const auto &, unsigned min) {
+        if (min > 0)
+            bad.push_back({key, min - 1});
+    });
+    ASSERT_FALSE(bad.empty());
+    // ...and each rule between knobs.
+    for (const Bad &b : {Bad{"btb.l0.assoc", 5}, Bad{"btb.l1.assoc", 3},
+                         Bad{"btb.l2.assoc", 3},
+                         Bad{"coupled.bimodal_counter_bits", 17},
+                         Bad{"fetch.width", 32}})
+        bad.push_back(b);
     for (FrontendVariant v : {FrontendVariant::NoDcf, FrontendVariant::Dcf,
                               FrontendVariant::LElf,
                               FrontendVariant::UElf}) {
-        for (const Bad &b : {Bad{"btb.l0.entries", 0},
-                             Bad{"btb.l1.entries", 0},
-                             Bad{"btb.l2.entries", 0},
-                             Bad{"btb.l0.assoc", 5},
-                             Bad{"btb.l1.assoc", 3},
-                             Bad{"btb.l2.assoc", 3},
-                             Bad{"coupled.bimodal_entries", 0},
-                             Bad{"coupled.bimodal_counter_bits", 0},
-                             Bad{"coupled.bimodal_counter_bits", 17},
-                             Bad{"faq_entries", 0},
-                             Bad{"checkpoint_entries", 0},
-                             Bad{"fetch_buffer_entries", 0},
-                             Bad{"divergence.vec_entries", 0},
-                             Bad{"fetch.width", 0},
-                             Bad{"fetch.width", 32}}) {
+        for (const Bad &b : bad) {
             const std::string err = knobError(v, {{b.knob, b.value}});
             EXPECT_NE(err.find(b.knob), std::string::npos)
                 << variantName(v) << " " << b.knob << " = " << b.value
@@ -438,39 +460,84 @@ TEST(SweepSpecValidate, UnrunnableKnobValuesRejected)
               "");
 }
 
+// Synthetic params that generateCfg cannot build from. Empty or
+// 2^32-wide draw ranges killed the process with SIGFPE, an indirect
+// call with no targets aborted, and a huge program exhausted memory,
+// all while expanding the spec, outside any cell. The validator
+// rejects each one, naming the param.
 TEST(SweepSpecValidate, SyntheticPreconditionsRejected)
 {
-    const auto synth = [](void (*edit)(CfgParams &)) {
-        CfgParams p;
-        edit(p);
-        return WorkloadSelector::synthetic("synth", p, 1);
+    struct Bad
+    {
+        const char *param;
+        void (*edit)(CfgParams &);
     };
-    for (const WorkloadSelector &s :
-         {synth([](CfgParams &p) { p.numFuncs = 0; }),
-          synth([](CfgParams &p) { p.blocksPerFunc = 1; }),
-          synth([](CfgParams &p) {
-              p.instsPerBlockMin = 9;
-              p.instsPerBlockMax = 8;
-          })}) {
-        const std::string err = selectorError(s);
+    for (const Bad &b : {
+             Bad{"num_funcs", [](CfgParams &p) { p.numFuncs = 0; }},
+             Bad{"blocks_per_func",
+                 [](CfgParams &p) { p.blocksPerFunc = 1; }},
+             Bad{"insts_per_block_min",
+                 [](CfgParams &p) {
+                     p.instsPerBlockMin = 9;
+                     p.instsPerBlockMax = 8;
+                 }},
+             Bad{"insts_per_block_max",
+                 [](CfgParams &p) {
+                     p.instsPerBlockMin = 0;
+                     p.instsPerBlockMax = UINT_MAX;
+                 }},
+             Bad{"loop_period_min",
+                 [](CfgParams &p) {
+                     p.loopPeriodMin = 5;
+                     p.loopPeriodMax = 4;
+                 }},
+             Bad{"loop_period_max",
+                 [](CfgParams &p) {
+                     p.loopPeriodMin = 0;
+                     p.loopPeriodMax = UINT_MAX;
+                 }},
+             Bad{"pattern_len_min",
+                 [](CfgParams &p) {
+                     p.patternLenMin = 9;
+                     p.patternLenMax = 8;
+                 }},
+             Bad{"indirect_fanout",
+                 [](CfgParams &p) {
+                     p.indirectFanout = 0;
+                     p.indirectCallFrac = 1;
+                     p.callBlockProb = 1;
+                 }},
+             Bad{"num_funcs", [](CfgParams &p) { p.numFuncs = UINT_MAX; }},
+             Bad{"blocks_per_func",
+                 [](CfgParams &p) { p.blocksPerFunc = UINT_MAX; }},
+             Bad{"indirect_fanout",
+                 [](CfgParams &p) { p.indirectFanout = UINT_MAX; }}}) {
+        CfgParams p;
+        b.edit(p);
+        const std::string err =
+            selectorError(WorkloadSelector::synthetic("synth", p, 1));
         EXPECT_NE(err.find("synth"), std::string::npos) << err;
+        EXPECT_NE(err.find(b.param), std::string::npos) << err;
     }
-    EXPECT_EQ(selectorError(synth([](CfgParams &) {})), "");
+    EXPECT_EQ(selectorError(WorkloadSelector::synthetic("synth", {}, 1)),
+              "");
+    // The largest program a bench builds stays valid.
+    const SweepSpec server = bench::serverCapacitySpec(smallWindow());
+    for (const WorkloadSelector &s : server.groups[0].workloads)
+        EXPECT_EQ(selectorError(s), "") << s.params.numFuncs;
 }
 
 // A count past UINT_MAX used to wrap silently: "stride":2^32 selected
 // the whole set, "jobs":2^32+1 ran one thread.
 TEST(SweepSpecJson, CountsPastUintMaxRejected)
 {
-    const std::string head = "{\"schema\":\"elfsim-sweepspec-v1\",";
-    const std::string cfg = "\"configs\":[{\"variant\":\"DCF\"}]}";
+    const std::string dcf = "{\"variant\":\"DCF\"}";
     for (const std::string &bad :
-         {head + "\"jobs\":4294967297,\"workloads\":[{\"name\":"
-                 "\"641.leela\"}]," + cfg,
-          head + "\"workloads\":[{\"set\":\"catalog\","
-                 "\"stride\":4294967296}]," + cfg,
-          head + "\"workloads\":[{\"synthetic\":\"s\",\"params\":"
-                 "{\"num_funcs\":4294967297}}]," + cfg}) {
+         {groupSpec("{\"name\":\"641.leela\"}", dcf,
+                    "\"jobs\":4294967297,"),
+          groupSpec("{\"set\":\"catalog\",\"stride\":4294967296}"),
+          groupSpec("{\"synthetic\":\"s\",\"params\":"
+                    "{\"num_funcs\":4294967297}}")}) {
         try {
             parseSweepSpec(bad);
             ADD_FAILURE() << "parsed: " << bad;
@@ -481,8 +548,8 @@ TEST(SweepSpecJson, CountsPastUintMaxRejected)
         }
     }
     const SweepSpec edge = parseSweepSpec(
-        head + "\"jobs\":4294967295,\"workloads\":[{\"set\":"
-               "\"catalog\",\"stride\":4294967295}]," + cfg);
+        groupSpec("{\"set\":\"catalog\",\"stride\":4294967295}", dcf,
+                  "\"jobs\":4294967295,"));
     EXPECT_EQ(edge.jobs, UINT_MAX);
     EXPECT_EQ(edge.groups[0].workloads[0].stride, UINT_MAX);
 }
@@ -491,23 +558,40 @@ TEST(SweepSpecJson, CountsPastUintMaxRejected)
 // Knob registry
 // ---------------------------------------------------------------------
 
+// Every key visitKnobs lists takes a value of its type through
+// applySimKnob, and that value lands in the key's member and nowhere
+// else. A knob added to the list is covered here without an edit.
 TEST(SimKnobs, RegistryAppliesOverrides)
 {
-    SimConfig cfg = makeConfig(FrontendVariant::Dcf);
-    applySimKnob(cfg, "bp1_to_fe", SpecValue::ofU64(7));
-    EXPECT_EQ(cfg.bp1ToFe, 7u);
-    applySimKnob(cfg, "faq_entries", SpecValue::ofU64(4));
-    EXPECT_EQ(cfg.faqEntries, 4u);
-    applySimKnob(cfg, "btb.l0.entries", SpecValue::ofU64(96));
-    EXPECT_EQ(cfg.btb.l0.entries, 96u);
-    applySimKnob(cfg, "payload_policy", SpecValue::ofText("ideal"));
-    EXPECT_EQ(cfg.payloadPolicy, PayloadPolicy::Ideal);
-    applySimKnob(cfg, "cond_elf_require_saturation",
-                 SpecValue::ofFlag(false));
-    EXPECT_FALSE(cfg.condElfRequireSaturation);
-    applySimKnob(cfg, "coupled.cond_kind",
-                 SpecValue::ofText("gshare"));
-    EXPECT_EQ(cfg.coupledPreds.condKind, CoupledCondKind::Gshare);
+    const SimConfig base = makeConfig(FrontendVariant::Dcf);
+    SimConfig cfg = base;
+    std::set<std::string> keys;
+    visitKnobs(cfg, [&](const char *key, auto &member, unsigned) {
+        EXPECT_TRUE(keys.insert(key).second) << "duplicate key " << key;
+        using T = std::decay_t<decltype(member)>;
+        const T before = member;
+        T want;
+        SpecValue v;
+        if constexpr (std::is_same_v<T, bool>) {
+            want = !before;
+            v = SpecValue::ofFlag(want);
+        } else if constexpr (std::is_same_v<T, PayloadPolicy>) {
+            want = PayloadPolicy::Ideal;
+            v = SpecValue::ofText("ideal");
+        } else if constexpr (std::is_same_v<T, CoupledCondKind>) {
+            want = CoupledCondKind::Gshare;
+            v = SpecValue::ofText("gshare");
+        } else {
+            want = before + 7;
+            v = SpecValue::ofU64(want);
+        }
+        ASSERT_NE(before, want) << key;
+        applySimKnob(cfg, key, v);
+        EXPECT_EQ(member, want) << key;
+        EXPECT_NE(configFingerprint(cfg), configFingerprint(base)) << key;
+        member = before;
+        EXPECT_EQ(configFingerprint(cfg), configFingerprint(base)) << key;
+    });
 }
 
 TEST(SimKnobs, UnknownKeyAndWrongTypeThrow)
@@ -519,12 +603,29 @@ TEST(SimKnobs, UnknownKeyAndWrongTypeThrow)
         applySimKnob(cfg, "bp1_to_fe", SpecValue::ofText("deep")),
         ConfigError);
     EXPECT_THROW(
-        applySimKnob(cfg, "bp1_to_fe", SpecValue::ofReal(2.5)),
+        applySimKnob(cfg, "decode_btb_fill", SpecValue::ofU64(1)),
         ConfigError);
     EXPECT_THROW(
         applySimKnob(cfg, "payload_policy",
                      SpecValue::ofText("no_such_policy")),
         ConfigError);
+    // No knob takes a fraction or a negative number: the reader
+    // refuses one, naming the knob.
+    for (const auto &[knob, value] :
+         {std::pair<const char *, const char *>{"bp1_to_fe", "2.5"},
+          {"faq_entries", "-4"}}) {
+        const std::string text = groupSpec(
+            "{\"name\":\"641.leela\"}",
+            "{\"variant\":\"DCF\",\"overrides\":{\"" +
+                std::string(knob) + "\":" + value + "}}");
+        try {
+            parseSweepSpec(text);
+            ADD_FAILURE() << "parsed: " << text;
+        } catch (const ParseError &e) {
+            EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
