@@ -168,14 +168,6 @@ ablationElfSpec(const RunOptions &run)
     rows.push_back(ConfigSpec(FrontendVariant::UElf,
                               "deep FAQ (128 entries)")
                        .setU64("faq_entries", 128));
-    rows.push_back(
-        ConfigSpec(FrontendVariant::UElf,
-                   "extension: gshare coupled predictor")
-            .setText("coupled.cond_kind", "gshare"));
-    rows.push_back(
-        ConfigSpec(FrontendVariant::UElf,
-                   "extension: decode-time BTB fill (Boomerang)")
-            .setFlag("decode_btb_fill", true));
     return oneGroupSpec("ablation_elf", run,
                         {WorkloadSelector::byName("641.leela")},
                         std::move(rows));

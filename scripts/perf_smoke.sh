@@ -4,8 +4,7 @@
 # >10% geomean-MIPS regression gate against the committed
 # BENCH_throughput.json (matched on the common rows).
 #
-#   scripts/perf_smoke.sh           # uses ./build (default preset)
-#   BUILD=build-native scripts/perf_smoke.sh   # host-tuned binaries
+#   scripts/perf_smoke.sh           # uses ./build, or $BUILD
 #
 # Full windows (not --quick) keep per-run MIPS comparable with the
 # baseline; a marginal pass here still deserves a full

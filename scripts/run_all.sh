@@ -72,8 +72,7 @@ for b in build/bench/*; do
             # Simulator-speed gate: separate schema + regression
             # check against the committed baseline. Run single-job so
             # per-run wall clocks are not distorted by oversubscription
-            # (scripts/perf_smoke.sh is the quick variant; build the
-            # release-native preset for host-tuned numbers).
+            # (scripts/perf_smoke.sh is the quick variant).
             CURRENT_ARTIFACT="$RESULTS/$name.json"
             "$b" --jobs 1 --sampled --json "$RESULTS/$name.json" \
                  --trace-cache "$TRACE_CACHE" \

@@ -18,26 +18,9 @@ variantName(FrontendVariant v)
 }
 
 CoupledPredictors::CoupledPredictors(const CoupledPredictorParams &params)
-    : condKind(params.condKind), bimodalPred(params.bimodal),
-      gsharePred(params.gshare), btcPred(params.btc),
+    : bimodalPred(params.bimodal), btcPred(params.btc),
       rasStack(params.rasEntries)
 {
-}
-
-bool
-CoupledPredictors::condPredict(Addr pc) const
-{
-    return condKind == CoupledCondKind::Gshare
-               ? gsharePred.predict(pc)
-               : bimodalPred.predict(pc);
-}
-
-bool
-CoupledPredictors::condSaturated(Addr pc) const
-{
-    return condKind == CoupledCondKind::Gshare
-               ? gsharePred.saturated(pc)
-               : bimodalPred.saturated(pc);
 }
 
 void
@@ -48,12 +31,9 @@ CoupledPredictors::trainCommit(Addr pc, BranchKind kind, bool taken,
     // branches that are seldom fetched in coupled mode (paper IV-D3).
     if (mode != FetchMode::Coupled)
         return;
-    if (kind == BranchKind::CondDirect) {
-        if (condKind == CoupledCondKind::Gshare)
-            gsharePred.update(pc, taken);
-        else
-            bimodalPred.update(pc, taken);
-    } else if (kind == BranchKind::IndirectJump ||
+    if (kind == BranchKind::CondDirect)
+        bimodalPred.update(pc, taken);
+    else if (kind == BranchKind::IndirectJump ||
              kind == BranchKind::IndirectCall)
         btcPred.update(pc, target);
 }
@@ -61,10 +41,8 @@ CoupledPredictors::trainCommit(Addr pc, BranchKind kind, bool taken,
 double
 CoupledPredictors::storageBytes() const
 {
-    const double cond = condKind == CoupledCondKind::Gshare
-                            ? gsharePred.storageBytes()
-                            : bimodalPred.storageBytes();
-    return cond + btcPred.storageBytes() + rasStack.storageBytes();
+    return bimodalPred.storageBytes() + btcPred.storageBytes() +
+           rasStack.storageBytes();
 }
 
 ElfCoupledPolicy::ElfCoupledPolicy(FrontendVariant variant,
@@ -83,10 +61,10 @@ ElfCoupledPolicy::predictCond(DynInst &di)
     // Filter: only speculate past conditionals whose 3-bit counter is
     // saturated, to limit wrong-path pollution (paper Section VI-B).
     // The filter can be ablated (bench_ablation_elf).
-    if (condRequireSaturation && !preds.condSaturated(di.pc()))
+    if (condRequireSaturation && !preds.bimodal().saturated(di.pc()))
         return false;
     di.hasPrediction = true;
-    di.predTaken = preds.condPredict(di.pc());
+    di.predTaken = preds.bimodal().predict(di.pc());
     di.predTarget =
         di.predTaken ? di.si->directTarget : di.si->nextPC();
     return true;

@@ -12,7 +12,6 @@
 #include "bpred/bimodal.hh"
 #include "bpred/btc.hh"
 #include "bpred/checkpoint.hh"
-#include "bpred/gshare.hh"
 #include "bpred/predictor_bank.hh"
 #include "bpred/ras.hh"
 #include "core/variant.hh"
@@ -20,20 +19,12 @@
 
 namespace elfsim {
 
-/** Which conditional predictor the coupled fetcher uses. */
-enum class CoupledCondKind : std::uint8_t {
-    Bimodal, ///< the paper's 2K-entry 3-bit bimodal
-    Gshare,  ///< extension: commit-history gshare (see bpred/gshare.hh)
-};
-
 /** Sizes of the coupled structures (paper Table II). */
 struct CoupledPredictorParams
 {
     BimodalParams bimodal{2048, 3};
     BtcParams btc{64, 12};
     unsigned rasEntries = 32;
-    CoupledCondKind condKind = CoupledCondKind::Bimodal;
-    GshareParams gshare{};
 };
 
 /** The coupled predictor storage. */
@@ -45,12 +36,6 @@ class CoupledPredictors
     Bimodal &bimodal() { return bimodalPred; }
     BranchTargetCache &btc() { return btcPred; }
     ReturnAddressStack &ras() { return rasStack; }
-
-    /** Conditional prediction through whichever predictor is
-     *  configured. */
-    bool condPredict(Addr pc) const;
-    /** Saturation state of the configured conditional predictor. */
-    bool condSaturated(Addr pc) const;
 
     /**
      * Train at commit. Per the paper, the bimodal and BTC are only
@@ -77,7 +62,6 @@ class CoupledPredictors
     saveState(Serializer &s) const
     {
         bimodalPred.saveState(s);
-        gsharePred.saveState(s);
         btcPred.saveState(s);
         rasStack.saveState(s);
     }
@@ -86,15 +70,12 @@ class CoupledPredictors
     loadState(Deserializer &d)
     {
         bimodalPred.loadState(d);
-        gsharePred.loadState(d);
         btcPred.loadState(d);
         rasStack.loadState(d);
     }
 
   private:
-    CoupledCondKind condKind;
     Bimodal bimodalPred;
-    Gshare gsharePred;
     BranchTargetCache btcPred;
     ReturnAddressStack rasStack;
 };

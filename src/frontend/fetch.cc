@@ -116,7 +116,6 @@ DecoupledFetchEngine::tick(Cycle now, Cycle faq_ready_cycle,
 
         DynInst &di = out.pushSlot();
         supply.make(di, pc, now, FetchMode::Decoupled);
-        di.fetchBlockPC = entry.startPC;
         const FaqBranch *fb = entry.branchAt(offsetInEntry);
         bindPrediction(di, fb, !entry.fromBtbMiss);
 

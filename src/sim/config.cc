@@ -187,16 +187,11 @@ configFingerprint(const SimConfig &cfg)
         .u64(cp.bimodal.counterBits)
         .u64(cp.btc.entries)
         .u64(cp.btc.tagBits)
-        .u64(cp.rasEntries)
-        .u64(std::uint64_t(cp.condKind))
-        .u64(cp.gshare.entries)
-        .u64(cp.gshare.counterBits)
-        .u64(cp.gshare.historyBits);
+        .u64(cp.rasEntries);
 
     h.u64(std::uint64_t(cfg.payloadPolicy))
         .u64(cfg.condElfRequireSaturation ? 1 : 0)
-        .u64(cfg.rngSeed)
-        .u64(cfg.decodeBtbFill ? 1 : 0);
+        .u64(cfg.rngSeed);
     return h.value();
 }
 

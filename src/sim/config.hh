@@ -47,15 +47,6 @@ struct SimConfig
      */
     std::uint64_t rngSeed = 0;
 
-    /**
-     * Extension (paper Section VI-C points at Boomerang): on a
-     * decode-time misfetch recovery, pre-fill the BTB for the
-     * resteer target from pre-decoded instruction bytes, shortening
-     * the next BTB-miss feedback loop. Off by default (not part of
-     * the paper's baseline).
-     */
-    bool decodeBtbFill = false;
-
     /** Derive the front-end controller parameters. */
     ElfControllerParams
     elfParams() const

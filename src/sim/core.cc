@@ -264,21 +264,6 @@ Core::applyRedirect(Redirect r)
         break;
       case RedirectKind::DecodeResteer:
         ++coreStats.decodeResteers;
-        // Boomerang-style extension: the bytes of the region that
-        // missed the BTB are in the I-cache; pre-decode them into a
-        // BTB entry so the next pass through this region does not
-        // sequentially guess (and misfetch) again. Also prefill the
-        // resteer target for the restarting DCF.
-        if (cfg.decodeBtbFill) {
-            if (DynInst *br = findInFlight(r.survivorSeq)) {
-                if (br->fetchBlockPC != invalidAddr &&
-                    !btbHier->present(br->fetchBlockPC))
-                    btbHier->insert(
-                        builder->buildEntry(br->fetchBlockPC));
-            }
-            if (!btbHier->present(r.targetPC))
-                btbHier->insert(builder->buildEntry(r.targetPC));
-        }
         break;
       case RedirectKind::Divergence:
         ++coreStats.divergenceFlushes;

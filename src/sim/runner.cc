@@ -353,7 +353,6 @@ runSampled(const Program &prog, const SimConfig &cfg,
         r.sampling.warmBranchEvents = wd.branchEvents;
         r.sampling.warmLinesTouched = wd.linesTouched;
         r.sampling.warmFfInsts = ffTotal;
-        recordWarmStats(wd);
         return r;
     }
     throw ParseError("sampled run failed twice; checkpoint store and "

@@ -86,7 +86,6 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
     // disabled) leave those cells on the lazy reference path.
     const TraceStats traceStart = TraceCache::instance().stats();
     const CkptStats ckptStart = CheckpointStore::instance().stats();
-    const WarmStats warmStart = processWarmStats();
     std::vector<std::shared_ptr<const CompiledTrace>> traces(grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         if (!grid[i].program)
@@ -136,16 +135,19 @@ SweepRunner::run(const std::vector<SweepJob> &grid)
 
     lastTraceStats = TraceCache::instance().stats().delta(traceStart);
     lastCkptStats = CheckpointStore::instance().stats().delta(ckptStart);
-    lastWarmStats = processWarmStats().delta(warmStart);
 
     lastTiming = SweepTiming{};
     lastTiming.jobs = static_cast<unsigned>(grid.size());
     lastTiming.threads = threads;
     lastTiming.wallSeconds = secondsSince(sweepStart);
+    lastWarmStats = WarmStats{};
     for (std::size_t i = 0; i < grid.size(); ++i) {
         lastTiming.serialSeconds += jobSeconds[i];
         lastTiming.simCycles += results[i].cycles;
         lastTiming.simInsts += results[i].insts;
+        const SamplingInfo &sm = results[i].sampling;
+        lastWarmStats.add({sm.warmKernelInsts, sm.warmScalarInsts,
+                           sm.warmBranchEvents, sm.warmLinesTouched});
     }
     lastResults = results;
     return results;

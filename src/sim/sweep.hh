@@ -21,6 +21,11 @@
  * core's no-progress panic, any recoverable invariant violation)
  * degrades to a failed cell (RunResult::status == Failed, metrics
  * zeroed, error recorded) and the rest of the grid completes.
+ *
+ * The timing summary's trace and ckpt groups are counter deltas of
+ * the process-wide TraceCache and CheckpointStore across run(); its
+ * warm group sums the grid's result rows, so no cell writes shared
+ * state to feed it.
  */
 
 #ifndef ELFSIM_SIM_SWEEP_HH
@@ -127,7 +132,8 @@ class SweepRunner
      *  (CheckpointStore counter deltas captured across run()). */
     const CkptStats &ckptStats() const { return lastCkptStats; }
 
-    /** Functional-warming work split accumulated by the last run(). */
+    /** Functional-warming work split of the most recent run(): the
+     *  sum of its rows' sampling blocks (zero for unsampled rows). */
     const WarmStats &warmStats() const { return lastWarmStats; }
 
     /** Results of the most recent run(), in submission order. */

@@ -92,11 +92,6 @@ const KnobName<PayloadPolicy> payloadPolicyNames[] = {
     {"ideal", PayloadPolicy::Ideal},
 };
 
-const KnobName<CoupledCondKind> condKindNames[] = {
-    {"bimodal", CoupledCondKind::Bimodal},
-    {"gshare", CoupledCondKind::Gshare},
-};
-
 template <typename E, std::size_t N>
 E
 knobByName(const char *key, const SpecValue &v,
@@ -148,26 +143,23 @@ setKnob(const char *key, PayloadPolicy &m, const SpecValue &v)
     m = knobByName(key, v, payloadPolicyNames);
 }
 
-void
-setKnob(const char *key, CoupledCondKind &m, const SpecValue &v)
-{
-    m = knobByName(key, v, condKindNames);
-}
-
 /**
- * The value rules of a spec's config row: every knob at least its
- * visitKnobs minimum, plus the rules no single minimum expresses. A
- * value outside them would divide by zero, trip an internal assertion
- * or wedge every cell.
+ * The value rules of a spec's config row: every knob inside its
+ * visitKnobs range, plus the rules between knobs. A value outside
+ * them would divide by zero, trip an internal assertion, wrap a Cycle
+ * stamp or wedge every cell.
  */
 void
 checkSpecConfig(const SimConfig &cfg)
 {
-    visitKnobs(cfg, [](const char *key, const auto &value, unsigned min) {
+    visitKnobs(cfg, [](const char *key, const auto &value,
+                       std::uint64_t min, std::uint64_t max) {
         using T = std::decay_t<decltype(value)>;
         if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
             if (value < min)
-                badKnob(key, errorf("must be at least %u", min));
+                badKnob(key, "must be at least " + std::to_string(min));
+            if (value > max)
+                badKnob(key, "must be at most " + std::to_string(max));
         }
     });
     const std::pair<const char *, const BtbLevelParams *> btbLevels[] = {
@@ -179,8 +171,6 @@ checkSpecConfig(const SimConfig &cfg)
             badKnob(key, "must divide the level's entries (or be 0: "
                          "fully associative)");
     }
-    if (cfg.coupledPreds.bimodal.counterBits > 16)
-        badKnob("coupled.bimodal_counter_bits", "must be at most 16");
     // Fetch waits for a whole group of free fetch-buffer slots.
     if (cfg.fetch.width > cfg.fetchBufferEntries)
         badKnob("fetch.width", "must not exceed fetch_buffer_entries");
@@ -204,7 +194,8 @@ void
 applySimKnob(SimConfig &cfg, const std::string &key, const SpecValue &v)
 {
     bool known = false;
-    visitKnobs(cfg, [&](const char *name, auto &member, unsigned) {
+    visitKnobs(cfg, [&](const char *name, auto &member, std::uint64_t,
+                        std::uint64_t) {
         if (!known && key == name) {
             setKnob(name, member, v);
             known = true;

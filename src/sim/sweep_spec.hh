@@ -73,6 +73,7 @@
 #ifndef ELFSIM_SIM_SWEEP_SPEC_HH
 #define ELFSIM_SIM_SWEEP_SPEC_HH
 
+#include <climits>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -260,64 +261,76 @@ struct ExpandedSweep
 };
 
 /**
+ * Largest value of a latency knob, in cycles: far above the 8 that
+ * Table II and the ablations reach, and far below
+ * Core::noProgressCycles, so a cell at the bound still commits and no
+ * Cycle stamp plus a latency can wrap.
+ */
+constexpr std::uint64_t maxKnobLatency = 1000;
+
+/**
  * Visit every SimConfig knob a config row may override, as ("key",
- * member, min) — the single source of truth for the override keys
- * (applySimKnob) and their lower bounds (makeSpecConfig). @a min is
- * the smallest value the model can run; flags and names take 0.
- * @a cfg is a SimConfig, const or not; @a v must accept a member of
- * type unsigned, std::uint64_t, bool, PayloadPolicy and
- * CoupledCondKind.
+ * member, min, max) — the single source of truth for the override
+ * keys (applySimKnob) and their bounds (makeSpecConfig). [min, max]
+ * is the range of values the model can run; a knob without a tighter
+ * bound has its member type's largest value as max, and flags and
+ * names take 0 for both. @a cfg is a SimConfig, const or not; @a v
+ * must accept (const char *, member &, std::uint64_t min,
+ * std::uint64_t max) for a member of type unsigned, std::uint64_t,
+ * bool and PayloadPolicy.
  */
 template <typename Self, typename V>
 void
 visitKnobs(Self &cfg, V &&v)
 {
+    constexpr std::uint64_t uintMax = UINT_MAX;
+    constexpr std::uint64_t latMax = maxKnobLatency;
     // Pipeline / decoupling geometry.
-    v("bp1_to_fe", cfg.bp1ToFe, 0u);
-    v("faq_entries", cfg.faqEntries, 1u);
-    v("checkpoint_entries", cfg.checkpointEntries, 1u);
-    v("fetch_buffer_entries", cfg.fetchBufferEntries, 1u);
-    v("max_inst_prefetch", cfg.maxInstPrefetch, 0u);
-    v("fetch.width", cfg.fetch.width, 1u);
-    v("fetch.fetch_to_decode", cfg.fetch.fetchToDecode, 0u);
+    v("bp1_to_fe", cfg.bp1ToFe, 0, latMax);
+    v("faq_entries", cfg.faqEntries, 1, uintMax);
+    v("checkpoint_entries", cfg.checkpointEntries, 1, uintMax);
+    v("fetch_buffer_entries", cfg.fetchBufferEntries, 1, uintMax);
+    v("max_inst_prefetch", cfg.maxInstPrefetch, 0, uintMax);
+    v("fetch.width", cfg.fetch.width, 1, uintMax);
+    v("fetch.fetch_to_decode", cfg.fetch.fetchToDecode, 0, latMax);
     // BTB hierarchy geometry (assoc 0 = fully associative).
-    v("btb.l0.entries", cfg.btb.l0.entries, 1u);
-    v("btb.l0.assoc", cfg.btb.l0.assoc, 0u);
-    v("btb.l0.latency", cfg.btb.l0.latency, 0u);
-    v("btb.l1.entries", cfg.btb.l1.entries, 1u);
-    v("btb.l1.assoc", cfg.btb.l1.assoc, 0u);
-    v("btb.l1.latency", cfg.btb.l1.latency, 0u);
-    v("btb.l2.entries", cfg.btb.l2.entries, 1u);
-    v("btb.l2.assoc", cfg.btb.l2.assoc, 0u);
-    v("btb.l2.latency", cfg.btb.l2.latency, 0u);
+    v("btb.l0.entries", cfg.btb.l0.entries, 1, uintMax);
+    v("btb.l0.assoc", cfg.btb.l0.assoc, 0, uintMax);
+    v("btb.l0.latency", cfg.btb.l0.latency, 0, latMax);
+    v("btb.l1.entries", cfg.btb.l1.entries, 1, uintMax);
+    v("btb.l1.assoc", cfg.btb.l1.assoc, 0, uintMax);
+    v("btb.l1.latency", cfg.btb.l1.latency, 0, latMax);
+    v("btb.l2.entries", cfg.btb.l2.entries, 1, uintMax);
+    v("btb.l2.assoc", cfg.btb.l2.assoc, 0, uintMax);
+    v("btb.l2.latency", cfg.btb.l2.latency, 0, latMax);
     // ELF machinery.
-    v("divergence.vec_entries", cfg.divergence.vecEntries, 1u);
-    v("divergence.target_entries", cfg.divergence.targetEntries, 0u);
-    v("coupled.bimodal_entries", cfg.coupledPreds.bimodal.entries, 1u);
+    v("divergence.vec_entries", cfg.divergence.vecEntries, 1, uintMax);
+    v("divergence.target_entries", cfg.divergence.targetEntries, 0,
+      uintMax);
+    v("coupled.bimodal_entries", cfg.coupledPreds.bimodal.entries, 1,
+      uintMax);
     v("coupled.bimodal_counter_bits",
-      cfg.coupledPreds.bimodal.counterBits, 1u);
-    v("coupled.ras_entries", cfg.coupledPreds.rasEntries, 0u);
-    v("coupled.cond_kind", cfg.coupledPreds.condKind, 0u);
-    v("payload_policy", cfg.payloadPolicy, 0u);
-    v("cond_elf_require_saturation", cfg.condElfRequireSaturation, 0u);
-    // Extensions and seeding.
-    v("decode_btb_fill", cfg.decodeBtbFill, 0u);
-    v("rng_seed", cfg.rngSeed, 0u);
+      cfg.coupledPreds.bimodal.counterBits, 1, 16);
+    v("coupled.ras_entries", cfg.coupledPreds.rasEntries, 0, uintMax);
+    v("payload_policy", cfg.payloadPolicy, 0, 0);
+    v("cond_elf_require_saturation", cfg.condElfRequireSaturation, 0,
+      0);
+    // Seeding.
+    v("rng_seed", cfg.rngSeed, 0, UINT64_MAX);
 }
 
 /** Build a SimConfig from a config row; throws ConfigError, naming
  *  the knob, on an unknown knob key, a type-mismatched value, or a
- *  value the model cannot run: one below its visitKnobs minimum, a
- *  BTB assoc that does not divide its entries, a bimodal counter
- *  width above 16, or a fetch width above fetch_buffer_entries. */
+ *  value the model cannot run: one outside its visitKnobs range, a
+ *  BTB assoc that does not divide its entries, or a fetch width
+ *  above fetch_buffer_entries. */
 SimConfig makeSpecConfig(const ConfigSpec &c);
 
 /**
  * Apply one named knob override to @a cfg: a whole number for a
- * numeric knob, true/false for a flag, and for payload_policy and
- * coupled.cond_kind one of their names. Throws ConfigError on an
- * unknown key or an ill-typed value; the range rules are
- * makeSpecConfig's.
+ * numeric knob, true/false for a flag, and for payload_policy one of
+ * its names. Throws ConfigError on an unknown key or an ill-typed
+ * value; the range rules are makeSpecConfig's.
  */
 void applySimKnob(SimConfig &cfg, const std::string &key,
                   const SpecValue &v);

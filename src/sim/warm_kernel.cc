@@ -30,34 +30,10 @@
  * (Core::fastForwardScalar).
  */
 
-#include <chrono>
-#include <mutex>
-
 #include "sim/core.hh"
 #include "workload/compiled_trace.hh"
 
 namespace elfsim {
-
-namespace {
-
-std::mutex warmStatsMtx;
-WarmStats processWarm;
-
-} // namespace
-
-void
-recordWarmStats(const WarmStats &d)
-{
-    std::lock_guard<std::mutex> lock(warmStatsMtx);
-    processWarm.add(d);
-}
-
-WarmStats
-processWarmStats()
-{
-    std::lock_guard<std::mutex> lock(warmStatsMtx);
-    return processWarm;
-}
 
 Addr
 Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
@@ -66,7 +42,6 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     ELFSIM_ASSERT(p0 == lastCommitOracleIdx &&
                       p0 + kn <= tr.size(),
                   "warm kernel window outside the compiled prefix");
-    const auto wallStart = std::chrono::steady_clock::now();
 
     const Addr lineBytes = Addr(cfg.mem.l0i.lineBytes);
     const Addr lineMask = ~(lineBytes - 1);
@@ -191,10 +166,6 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     warmStats_.kernelInsts += kn;
     warmStats_.branchEvents += b - bAtEntry;
     warmStats_.linesTouched += fetches;
-    warmStats_.kernelSeconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wallStart)
-            .count();
     return gapNextPC;
 }
 

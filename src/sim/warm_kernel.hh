@@ -8,8 +8,7 @@
  * (runs, branch events, memory events) instead of the scalar
  * per-instruction loop, with bit-identical training semantics (see
  * DESIGN.md, "Compiled traces and the batch warming kernel"). This
- * header carries the counters it reports and the process-wide
- * accumulator the sweep timing summary reads.
+ * header carries the counters it reports.
  */
 
 #ifndef ELFSIM_SIM_WARM_KERNEL_HH
@@ -23,13 +22,10 @@ namespace elfsim {
 
 /**
  * Functional-warming work counters. Per-core instances accumulate
- * across fastForward() calls; recordWarmStats() folds per-run deltas
- * into a process-wide instance for the sweep timing summary.
- *
- * Every field except kernelSeconds is deterministic for a given
- * (workload, schedule) — they are exported per result row.
- * kernelSeconds is wall-clock and stays process-wide only, so result
- * JSON remains byte-identical across thread counts and machines.
+ * across fastForward() calls. Every field is deterministic for a
+ * given (workload, schedule): a sampled run exports them in its
+ * result row's sampling block, and the sweep timing summary sums
+ * those rows.
  */
 struct WarmStats
 {
@@ -37,7 +33,6 @@ struct WarmStats
     std::uint64_t scalarInsts = 0;   ///< insts warmed by the scalar loop
     std::uint64_t branchEvents = 0;  ///< branch events replayed
     std::uint64_t linesTouched = 0;  ///< I-side line fetches issued
-    double kernelSeconds = 0.0;      ///< wall time inside the kernel
 
     template <typename Self, typename V>
     static void
@@ -47,25 +42,10 @@ struct WarmStats
         v("scalar_insts", self.scalarInsts);
         v("branch_events", self.branchEvents);
         v("lines_touched", self.linesTouched);
-        v("kernel_seconds", self.kernelSeconds);
     }
 
     void add(const WarmStats &o) { stats::add(*this, o); }
-
-    /** This instance minus @a since (counters are monotonic). */
-    WarmStats
-    delta(const WarmStats &since) const
-    {
-        return stats::delta(*this, since);
-    }
 };
-
-/** Fold a per-run delta into the process-wide accumulator
- *  (thread-safe — sweep jobs run concurrently). */
-void recordWarmStats(const WarmStats &d);
-
-/** Snapshot of the process-wide accumulator. */
-WarmStats processWarmStats();
 
 } // namespace elfsim
 

@@ -424,16 +424,37 @@ TEST(Sampling, SampledSweepReportsCkptStats)
     const std::vector<SweepJob> grid = {
         makeVariantJob(a, FrontendVariant::UElf,
                        sampledOpts(100000, 10000, 2500, 500)),
+        makeVariantJob(a, FrontendVariant::Dcf,
+                       sampledOpts(100000, 10000, 2500, 500)),
     };
-    SweepRunner runner(1);
+    // The runner's warm summary is the sum of its rows' sampling
+    // blocks, field for field.
+    const auto warmIsRowSum = [](const SweepRunner &r) {
+        WarmStats sum;
+        for (const RunResult &row : r.results())
+            sum.add({row.sampling.warmKernelInsts,
+                     row.sampling.warmScalarInsts,
+                     row.sampling.warmBranchEvents,
+                     row.sampling.warmLinesTouched});
+        const WarmStats &w = r.warmStats();
+        EXPECT_EQ(w.kernelInsts, sum.kernelInsts);
+        EXPECT_EQ(w.scalarInsts, sum.scalarInsts);
+        EXPECT_EQ(w.branchEvents, sum.branchEvents);
+        EXPECT_EQ(w.linesTouched, sum.linesTouched);
+        return sum.kernelInsts + sum.scalarInsts;
+    };
+    SweepRunner runner(2);
     runner.run(grid);
     EXPECT_GT(runner.ckptStats().saves, 0u);
     EXPECT_EQ(runner.ckptStats().hits, 0u);
+    EXPECT_GT(warmIsRowSum(runner), 0u);
 
-    SweepRunner again(1);
+    SweepRunner again(2);
     again.run(grid);
     EXPECT_GT(again.ckptStats().hits, 0u);
     EXPECT_EQ(again.ckptStats().saves, 0u);
+    // Every window restored from a checkpoint: nothing was warmed.
+    EXPECT_EQ(warmIsRowSum(again), 0u);
 }
 
 namespace {
@@ -472,19 +493,20 @@ warmStateBytes(const Core &core)
 // Checkpoint payloads are compared byte for byte across refactors of
 // the counter plumbing: a moved, dropped or added field changes the
 // digest. A mismatch prints the table line to paste — re-pin only
-// for an intentional layout change (which also bumps the checkpoint
-// format version).
+// for an intentional layout change, which must also change every
+// checkpoint key (a format version bump, or a configFingerprint
+// change when the layout follows the config).
 TEST(Sampling, WarmStatePayloadBytesArePinned)
 {
     constexpr FrontendVariant Dcf = FrontendVariant::Dcf;
     constexpr FrontendVariant UElf = FrontendVariant::UElf;
     const WarmStatePin pins[] = {
-        {"641.leela", Dcf, 3752639, 0x732fde8348414e07ull},
-        {"641.leela", UElf, 3752639, 0xcb2cc20b01da17a3ull},
-        {"605.mcf", Dcf, 3752615, 0x9a0117dc1fd6c722ull},
-        {"605.mcf", UElf, 3752615, 0xc1024d3ba612907aull},
-        {"srv1.subtest_1", Dcf, 3756079, 0x71eefe1e27862022ull},
-        {"srv1.subtest_1", UElf, 3756079, 0x41a3a2526ff78d24ull},
+        {"641.leela", Dcf, 3748531, 0xcbb5fe17c85cb30full},
+        {"641.leela", UElf, 3748531, 0xf93fe22e8b04773bull},
+        {"605.mcf", Dcf, 3748507, 0x7ebefb5ab7e9afdaull},
+        {"605.mcf", UElf, 3748507, 0x5bab7e7a48e5b752ull},
+        {"srv1.subtest_1", Dcf, 3751971, 0xfc4d15dbdbef03daull},
+        {"srv1.subtest_1", UElf, 3751971, 0x7f618286a640f97cull},
     };
     for (const WarmStatePin &pin : pins) {
         const Program p = buildWorkload(*findWorkload(pin.workload));

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -400,14 +401,27 @@ knobError(FrontendVariant variant,
     return "";
 }
 
+/** True when knob @a member's visitKnobs maximum @a max is below its
+ *  type's largest value (a latency, the counter width). */
+template <typename T>
+bool
+hasKnobMax(const T &, std::uint64_t max)
+{
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>)
+        return max < std::numeric_limits<T>::max();
+    return false;
+}
+
 } // namespace
 
 // Knob values the model cannot run used to kill the process with
 // SIGFPE (a zero-sized BTB level or coupled bimodal), panic with an
 // InternalError (a zero-sized queue, a BTB assoc that does not divide
-// its entries, a counter width outside 1..16) or wedge every cell for
-// 100k cycles (a fetch width of 0 or above the fetch buffer). The
-// validator rejects each one, naming the knob, before any cell runs.
+// its entries, a counter width outside 1..16), wedge every cell for
+// 100k cycles (a fetch width of 0 or above the fetch buffer, a
+// latency of 1,000,000) or wrap a Cycle stamp and run as if the
+// latency were 0 (a latency of 2^64 - 1). The validator rejects each
+// one, naming the knob, before any cell runs.
 TEST(SweepSpecValidate, UnrunnableKnobValuesRejected)
 {
     struct Bad
@@ -416,18 +430,25 @@ TEST(SweepSpecValidate, UnrunnableKnobValuesRejected)
         std::uint64_t value;
     };
     std::vector<Bad> bad;
-    // Every knob one below its visitKnobs minimum...
+    std::size_t bounded = 0;
+    // Every knob one below its visitKnobs minimum, every knob with a
+    // maximum below its type's one above it and at 2^64 - 1...
     const SimConfig any;
-    visitKnobs(any, [&](const char *key, const auto &, unsigned min) {
+    visitKnobs(any, [&](const char *key, const auto &member,
+                        std::uint64_t min, std::uint64_t max) {
         if (min > 0)
             bad.push_back({key, min - 1});
+        if (hasKnobMax(member, max)) {
+            ++bounded;
+            bad.push_back({key, max + 1});
+            bad.push_back({key, UINT64_MAX});
+        }
     });
     ASSERT_FALSE(bad.empty());
+    ASSERT_GT(bounded, 0u);
     // ...and each rule between knobs.
     for (const Bad &b : {Bad{"btb.l0.assoc", 5}, Bad{"btb.l1.assoc", 3},
-                         Bad{"btb.l2.assoc", 3},
-                         Bad{"coupled.bimodal_counter_bits", 17},
-                         Bad{"fetch.width", 32}})
+                         Bad{"btb.l2.assoc", 3}, Bad{"fetch.width", 32}})
         bad.push_back(b);
     for (FrontendVariant v : {FrontendVariant::NoDcf, FrontendVariant::Dcf,
                               FrontendVariant::LElf,
@@ -566,7 +587,8 @@ TEST(SimKnobs, RegistryAppliesOverrides)
     const SimConfig base = makeConfig(FrontendVariant::Dcf);
     SimConfig cfg = base;
     std::set<std::string> keys;
-    visitKnobs(cfg, [&](const char *key, auto &member, unsigned) {
+    visitKnobs(cfg, [&](const char *key, auto &member, std::uint64_t,
+                        std::uint64_t) {
         EXPECT_TRUE(keys.insert(key).second) << "duplicate key " << key;
         using T = std::decay_t<decltype(member)>;
         const T before = member;
@@ -578,9 +600,6 @@ TEST(SimKnobs, RegistryAppliesOverrides)
         } else if constexpr (std::is_same_v<T, PayloadPolicy>) {
             want = PayloadPolicy::Ideal;
             v = SpecValue::ofText("ideal");
-        } else if constexpr (std::is_same_v<T, CoupledCondKind>) {
-            want = CoupledCondKind::Gshare;
-            v = SpecValue::ofText("gshare");
         } else {
             want = before + 7;
             v = SpecValue::ofU64(want);
@@ -597,14 +616,28 @@ TEST(SimKnobs, RegistryAppliesOverrides)
 TEST(SimKnobs, UnknownKeyAndWrongTypeThrow)
 {
     SimConfig cfg = makeConfig(FrontendVariant::Dcf);
-    EXPECT_THROW(applySimKnob(cfg, "nope", SpecValue::ofU64(1)),
-                 ConfigError);
+    // Unknown keys, among them the retired coupled.cond_kind and
+    // decode_btb_fill, are refused by name.
+    for (const char *key : {"nope", "coupled.cond_kind", "decode_btb_fill"}) {
+        for (const SpecValue &v :
+             {SpecValue::ofU64(1), SpecValue::ofFlag(false),
+              SpecValue::ofText("bimodal")}) {
+            try {
+                applySimKnob(cfg, key, v);
+                ADD_FAILURE() << "applied " << key;
+            } catch (const ConfigError &e) {
+                EXPECT_NE(std::string(e.what()).find(key),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
     EXPECT_THROW(
         applySimKnob(cfg, "bp1_to_fe", SpecValue::ofText("deep")),
         ConfigError);
-    EXPECT_THROW(
-        applySimKnob(cfg, "decode_btb_fill", SpecValue::ofU64(1)),
-        ConfigError);
+    EXPECT_THROW(applySimKnob(cfg, "cond_elf_require_saturation",
+                              SpecValue::ofU64(1)),
+                 ConfigError);
     EXPECT_THROW(
         applySimKnob(cfg, "payload_policy",
                      SpecValue::ofText("no_such_policy")),
@@ -809,16 +842,6 @@ TEST(SpecVsLegacy, AblationElf)
         c.faqEntries = 128;
         rows.push_back(c);
     }
-    {
-        SimConfig c = base;
-        c.coupledPreds.condKind = CoupledCondKind::Gshare;
-        rows.push_back(c);
-    }
-    {
-        SimConfig c = base;
-        c.decodeBtbFill = true;
-        rows.push_back(c);
-    }
 
     static Program p = buildWorkload(*findWorkload("641.leela"));
     std::vector<SweepJob> legacy;
@@ -918,4 +941,43 @@ TEST(SweepSpecRun, ExpandedSpecProducesIdenticalResultBytes)
     writeResultsJson(ja, ra);
     writeResultsJson(jb, rb);
     EXPECT_EQ(ja.str(), jb.str());
+}
+
+// A knob at its visitKnobs maximum is a value the model can run: each
+// bounded knob (every latency, the counter width) alone and all of
+// them at once complete a short 641.leela cell on DCF and U-ELF.
+TEST(SweepSpecRun, KnobsAtTheirMaximumRun)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> atMax;
+    const SimConfig any;
+    visitKnobs(any, [&](const char *key, const auto &member,
+                        std::uint64_t, std::uint64_t max) {
+        if (hasKnobMax(member, max))
+            atMax.emplace_back(key, max);
+    });
+    ASSERT_FALSE(atMax.empty());
+
+    SweepSpec spec = bench::fig3Spec(smallWindow());
+    SweepGroup &g = spec.groups[0];
+    g.workloads = {WorkloadSelector::byName("641.leela")};
+    g.configs.clear();
+    for (FrontendVariant v : {FrontendVariant::Dcf, FrontendVariant::UElf}) {
+        ConfigSpec all(v, "all at max");
+        for (const auto &[key, max] : atMax) {
+            g.configs.push_back(ConfigSpec(v, key).setU64(key, max));
+            all.setU64(key, max);
+        }
+        g.configs.push_back(all);
+    }
+    const ExpandedSweep ex = expandSweep(spec);
+    SweepRunner runner(2);
+    const std::vector<RunResult> res = runner.run(ex.jobs);
+    ASSERT_EQ(res.size(), 2 * (atMax.size() + 1));
+    for (std::size_t i = 0; i < res.size(); ++i) {
+        EXPECT_TRUE(res[i].ok())
+            << res[i].variant << " " << ex.labels[i] << ": "
+            << res[i].error;
+        EXPECT_GE(res[i].insts, smallWindow().measureInsts)
+            << ex.labels[i];
+    }
 }
