@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serialize.hh"
 #include "common/stat_fields.hh"
 #include "common/types.hh"
 
@@ -58,30 +57,15 @@ class MemDepPredictor
 
     const MemDepStats &stats() const { return st; }
 
-    /** Serialize the violation table (warm-state checkpoints). */
-    void
-    saveState(Serializer &s) const
+    /** Checkpoint the violation table (see common/serialize.hh). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
     {
-        s.u64(table.size());
-        for (const Entry &e : table) {
-            s.u64(e.loadPC);
-            s.u64(e.storePC);
-            s.u32(e.uses);
-        }
-        stats::save(s, st);
-    }
-
-    void
-    loadState(Deserializer &d)
-    {
-        if (d.u64() != table.size())
-            throw ParseError("mem_dep: geometry mismatch");
-        for (Entry &e : table) {
-            e.loadPC = d.u64();
-            e.storePC = d.u64();
-            e.uses = d.u32();
-        }
-        stats::load(d, st);
+        ar.check(self.table.size(), "mem_dep geometry");
+        for (auto &e : self.table)
+            ar(e.loadPC, e.storePC, e.uses);
+        stats::checkpoint(ar, self.st);
     }
 
   private:

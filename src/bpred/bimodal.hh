@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "common/error.hh"
 #include "common/sat_counter.hh"
 #include "common/types.hh"
 
@@ -54,24 +53,14 @@ class Bimodal
         return params.entries * params.counterBits / 8.0;
     }
 
-    /** Serialize the counter table (warm-state checkpoints). */
-    template <class S>
-    void
-    saveState(S &s) const
+    /** Checkpoint the counter table (see common/serialize.hh). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
     {
-        s.u64(table.size());
-        for (const SatCounter &c : table)
-            s.u16(std::uint16_t(c.raw()));
-    }
-
-    template <class D>
-    void
-    loadState(D &d)
-    {
-        if (d.u64() != table.size())
-            throw ParseError("bimodal: geometry mismatch");
-        for (SatCounter &c : table)
-            c.set(d.u16());
+        ar.check(self.table.size(), "bimodal geometry");
+        for (auto &c : self.table)
+            ar(c);
     }
 
   private:

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/error.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -65,30 +64,14 @@ class BranchTargetCache
         return params.entries * (8.0 + params.tagBits / 8.0);
     }
 
-    /** Serialize the full table (warm-state checkpoints). */
-    template <class S>
-    void
-    saveState(S &s) const
+    /** Checkpoint the full table (see common/serialize.hh). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
     {
-        s.u64(table.size());
-        for (const Entry &e : table) {
-            s.boolean(e.valid);
-            s.u32(e.tag);
-            s.u64(e.target);
-        }
-    }
-
-    template <class D>
-    void
-    loadState(D &d)
-    {
-        if (d.u64() != table.size())
-            throw ParseError("btc: geometry mismatch");
-        for (Entry &e : table) {
-            e.valid = d.boolean();
-            e.tag = d.u32();
-            e.target = d.u64();
-        }
+        ar.check(self.table.size(), "btc geometry");
+        for (auto &e : self.table)
+            ar(e.valid, e.tag, e.target);
     }
 
   private:

@@ -202,82 +202,6 @@ Ittage::update(Addr pc, const IttagePrediction &pred, Addr target)
     }
 }
 
-void
-Ittage::saveHist(Serializer &s, const HistState &h) const
-{
-    h.ghr.saveState(s);
-    s.u64(h.pathHist);
-    for (unsigned t = 0; t < params.numTables; ++t) {
-        s.u32(h.indexFold[t].value());
-        s.u32(h.tagFold[t].value());
-    }
-}
-
-void
-Ittage::loadHist(Deserializer &d, HistState &h)
-{
-    h.ghr.loadState(d);
-    h.pathHist = d.u64();
-    for (unsigned t = 0; t < params.numTables; ++t) {
-        h.indexFold[t].restore(d.u32());
-        h.tagFold[t].restore(d.u32());
-    }
-}
-
-void
-Ittage::saveEntries(Serializer &s, const std::vector<Entry> &v) const
-{
-    s.u64(v.size());
-    for (const Entry &e : v) {
-        s.u16(e.tag);
-        s.u64(e.target);
-        s.u16(std::uint16_t(e.conf.raw()));
-        s.u8(e.useful);
-        s.boolean(e.valid);
-    }
-}
-
-void
-Ittage::loadEntries(Deserializer &d, std::vector<Entry> &v,
-                    const char *what)
-{
-    if (d.u64() != v.size())
-        throw ParseError(std::string("ittage: ") + what +
-                         " geometry mismatch");
-    for (Entry &e : v) {
-        e.tag = d.u16();
-        e.target = d.u64();
-        e.conf.set(d.u16());
-        e.useful = d.u8();
-        e.valid = d.boolean();
-    }
-}
-
-void
-Ittage::saveState(Serializer &s) const
-{
-    saveEntries(s, tables);
-    saveEntries(s, base);
-    saveHist(s, spec);
-    saveHist(s, arch);
-    s.u64(updateCount);
-    s.u64(allocRng.rawState());
-}
-
-void
-Ittage::loadState(Deserializer &d)
-{
-    loadEntries(d, tables, "tagged tables");
-    loadEntries(d, base, "base table");
-    loadHist(d, spec);
-    loadHist(d, arch);
-    updateCount = d.u64();
-    allocRng.seed(d.u64());
-    // The lookup memos cache stale table contents; invalidate them.
-    ++specGen;
-    ++archGen;
-}
-
 double
 Ittage::storageBytes() const
 {

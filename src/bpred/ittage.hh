@@ -18,7 +18,6 @@
 #include "common/history.hh"
 #include "common/random.hh"
 #include "common/sat_counter.hh"
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -86,12 +85,24 @@ class Ittage
 
     double storageBytes() const;
 
-    /** Serialize the full warm state (tables, histories, RNG). */
-    void saveState(Serializer &s) const;
-
-    /** Restore state written by saveState against the same geometry.
-     *  Throws ParseError on any layout mismatch. */
-    void loadState(Deserializer &d);
+    /** Checkpoint the full warm state (tables, histories, RNG; see
+     *  common/serialize.hh). A load invalidates the lookup memos. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar.check(self.tables.size(), "ittage tagged-table geometry");
+        for (auto &e : self.tables)
+            ar(e);
+        ar.check(self.base.size(), "ittage base-table geometry");
+        for (auto &e : self.base)
+            ar(e);
+        ar(self.spec, self.arch, self.updateCount, self.allocRng);
+        if constexpr (Ar::loading) {
+            ++self.specGen;
+            ++self.archGen;
+        }
+    }
 
     const IttageParams &config() const { return params; }
 
@@ -103,6 +114,13 @@ class Ittage
         SatCounter conf;    ///< 2-bit hysteresis
         std::uint8_t useful = 0;
         bool valid = false;
+
+        template <typename Self, typename Ar>
+        static void
+        visitWarmState(Self &self, Ar &ar)
+        {
+            ar(self.tag, self.target, self.conf, self.useful, self.valid);
+        }
     };
 
     struct HistState
@@ -111,6 +129,15 @@ class Ittage
         std::uint64_t pathHist = 0;
         std::vector<FoldedHistory> indexFold;
         std::vector<FoldedHistory> tagFold;
+
+        template <typename Self, typename Ar>
+        static void
+        visitWarmState(Self &self, Ar &ar)
+        {
+            ar(self.ghr, self.pathHist);
+            for (std::size_t t = 0; t < self.indexFold.size(); ++t)
+                ar(self.indexFold[t], self.tagFold[t]);
+        }
     };
 
     /** Memoized predictWith result for one (history, pc) lookup. */
@@ -123,11 +150,6 @@ class Ittage
 
     IttagePrediction predictWith(const HistState &h, Addr pc) const;
     void push(HistState &h, Addr pc, bool bit);
-    void saveHist(Serializer &s, const HistState &h) const;
-    void loadHist(Deserializer &d, HistState &h);
-    void saveEntries(Serializer &s, const std::vector<Entry> &v) const;
-    void loadEntries(Deserializer &d, std::vector<Entry> &v,
-                     const char *what);
     std::uint32_t tableIndex(const HistState &h, Addr pc,
                              unsigned t) const;
     std::uint16_t tableTag(const HistState &h, Addr pc,

@@ -106,25 +106,13 @@ class PredictorBank
     /** Total storage in bytes (Table II reporting). */
     double storageBytes() const;
 
-    /** Serialize every predictor's warm state. */
-    void
-    saveState(Serializer &s) const
+    /** Checkpoint every predictor's warm state. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
     {
-        tagePred.saveState(s);
-        ittagePred.saveState(s);
-        l0Ind.saveState(s);
-        specRasStack.saveState(s);
-        archRasStack.saveState(s);
-    }
-
-    void
-    loadState(Deserializer &d)
-    {
-        tagePred.loadState(d);
-        ittagePred.loadState(d);
-        l0Ind.loadState(d);
-        specRasStack.loadState(d);
-        archRasStack.loadState(d);
+        ar(self.tagePred, self.ittagePred, self.l0Ind, self.specRasStack,
+           self.archRasStack);
     }
 
   private:

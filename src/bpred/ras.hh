@@ -89,31 +89,22 @@ class ReturnAddressStack
     /** Storage cost in bytes (64-bit addresses). */
     double storageBytes() const { return numEntries * 8.0; }
 
-    /** Serialize the whole stack (warm-state checkpoints need every
-     *  entry, unlike the O(1) pipeline Snapshot). */
-    template <class S>
-    void
-    saveState(S &s) const
+    /** Checkpoint the whole stack (warm-state checkpoints need every
+     *  entry, unlike the O(1) pipeline Snapshot); a loaded top wraps
+     *  into the stack and a loaded depth must fit it. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
     {
-        s.u64(stack.size());
-        for (Addr a : stack)
-            s.u64(a);
-        s.u32(tos);
-        s.u32(depth);
-    }
-
-    template <class D>
-    void
-    loadState(D &d)
-    {
-        if (d.u64() != stack.size())
-            throw ParseError("ras: geometry mismatch");
-        for (Addr &a : stack)
-            a = d.u64();
-        tos = d.u32() % numEntries;
-        depth = d.u32();
-        if (depth > numEntries)
-            throw ParseError("ras: depth out of range");
+        ar.check(self.stack.size(), "ras geometry");
+        for (auto &a : self.stack)
+            ar(a);
+        ar(self.tos, self.depth);
+        if constexpr (Ar::loading) {
+            self.tos %= self.numEntries;
+            if (self.depth > self.numEntries)
+                throw ParseError("ras: depth out of range");
+        }
     }
 
   private:

@@ -232,75 +232,6 @@ Tage::update(Addr pc, const TagePrediction &pred, bool taken)
     }
 }
 
-void
-Tage::saveHist(Serializer &s, const HistState &h) const
-{
-    h.ghr.saveState(s);
-    s.u64(h.pathHist);
-    for (unsigned t = 0; t < params.numTables; ++t) {
-        s.u32(h.indexFold[t].value());
-        s.u32(h.tagFold0[t].value());
-        s.u32(h.tagFold1[t].value());
-    }
-}
-
-void
-Tage::loadHist(Deserializer &d, HistState &h)
-{
-    h.ghr.loadState(d);
-    h.pathHist = d.u64();
-    for (unsigned t = 0; t < params.numTables; ++t) {
-        h.indexFold[t].restore(d.u32());
-        h.tagFold0[t].restore(d.u32());
-        h.tagFold1[t].restore(d.u32());
-    }
-}
-
-void
-Tage::saveState(Serializer &s) const
-{
-    s.u64(tables.size());
-    for (const TaggedEntry &e : tables) {
-        s.u16(e.tag);
-        s.u16(std::uint16_t(e.ctr.raw()));
-        s.u8(e.useful);
-        s.boolean(e.valid);
-    }
-    s.u64(base.size());
-    for (const SatCounter &c : base)
-        s.u16(std::uint16_t(c.raw()));
-    saveHist(s, spec);
-    saveHist(s, arch);
-    s.u16(std::uint16_t(useAltOnNA.raw()));
-    s.u64(updateCount);
-    s.u64(allocRng.rawState());
-}
-
-void
-Tage::loadState(Deserializer &d)
-{
-    if (d.u64() != tables.size())
-        throw ParseError("tage: tagged-table geometry mismatch");
-    for (TaggedEntry &e : tables) {
-        e.tag = d.u16();
-        e.ctr.set(d.u16());
-        e.useful = d.u8();
-        e.valid = d.boolean();
-    }
-    if (d.u64() != base.size())
-        throw ParseError("tage: base-table geometry mismatch");
-    for (SatCounter &c : base)
-        c.set(d.u16());
-    loadHist(d, spec);
-    loadHist(d, arch);
-    useAltOnNA.set(d.u16());
-    updateCount = d.u64();
-    allocRng.seed(d.u64());
-    // The lookup memos cache stale table contents; invalidate them.
-    ++specGen;
-    ++archGen;
-}
-
 double
 Tage::storageBytes() const
 {

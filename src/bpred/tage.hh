@@ -24,7 +24,6 @@
 #include "common/history.hh"
 #include "common/random.hh"
 #include "common/sat_counter.hh"
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -110,12 +109,25 @@ class Tage
     /** Storage cost in bytes. */
     double storageBytes() const;
 
-    /** Serialize the full warm state (tables, histories, RNG). */
-    void saveState(Serializer &s) const;
-
-    /** Restore state written by saveState against the same geometry.
-     *  Throws ParseError on any layout mismatch. */
-    void loadState(Deserializer &d);
+    /** Checkpoint the full warm state (tables, histories, RNG; see
+     *  common/serialize.hh). A load invalidates the lookup memos. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar.check(self.tables.size(), "tage tagged-table geometry");
+        for (auto &e : self.tables)
+            ar(e.tag, e.ctr, e.useful, e.valid);
+        ar.check(self.base.size(), "tage base-table geometry");
+        for (auto &c : self.base)
+            ar(c);
+        ar(self.spec, self.arch, self.useAltOnNA, self.updateCount,
+           self.allocRng);
+        if constexpr (Ar::loading) {
+            ++self.specGen;
+            ++self.archGen;
+        }
+    }
 
     const TageParams &config() const { return params; }
 
@@ -136,6 +148,15 @@ class Tage
         std::vector<FoldedHistory> indexFold;
         std::vector<FoldedHistory> tagFold0;
         std::vector<FoldedHistory> tagFold1;
+
+        template <typename Self, typename Ar>
+        static void
+        visitWarmState(Self &self, Ar &ar)
+        {
+            ar(self.ghr, self.pathHist);
+            for (std::size_t t = 0; t < self.indexFold.size(); ++t)
+                ar(self.indexFold[t], self.tagFold0[t], self.tagFold1[t]);
+        }
     };
 
     /** Memoized predictWith result for one (history, pc) lookup. */
@@ -148,8 +169,6 @@ class Tage
 
     TagePrediction predictWith(const HistState &h, Addr pc) const;
     void push(HistState &h, Addr pc, bool bit);
-    void saveHist(Serializer &s, const HistState &h) const;
-    void loadHist(Deserializer &d, HistState &h);
     std::uint32_t tableIndex(const HistState &h, Addr pc,
                              unsigned t) const;
     std::uint16_t tableTag(const HistState &h, Addr pc,

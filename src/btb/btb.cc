@@ -1,7 +1,6 @@
 #include "btb/btb.hh"
 
 #include "common/logging.hh"
-#include "common/stat_fields.hh"
 
 namespace elfsim {
 
@@ -100,87 +99,6 @@ BtbLevel::reset()
     for (Way &w : ways)
         w = Way{};
     st = BtbLevelStats{};
-}
-
-namespace {
-
-void
-saveEntry(Serializer &s, const BtbEntry &e)
-{
-    s.boolean(e.valid);
-    s.u64(e.startPC);
-    s.u8(e.numInsts);
-    s.u8(std::uint8_t(e.termination));
-    for (const BtbSlot &slot : e.slots) {
-        s.boolean(slot.valid);
-        s.u8(slot.offset);
-        s.u8(std::uint8_t(slot.kind));
-        s.u64(slot.target);
-    }
-}
-
-void
-loadEntry(Deserializer &d, BtbEntry &e)
-{
-    e.valid = d.boolean();
-    e.startPC = d.u64();
-    e.numInsts = d.u8();
-    const std::uint8_t term = d.u8();
-    if (term > std::uint8_t(BtbTermination::MaxInsts))
-        throw ParseError("btb: bad termination byte");
-    e.termination = BtbTermination(term);
-    for (BtbSlot &slot : e.slots) {
-        slot.valid = d.boolean();
-        slot.offset = d.u8();
-        const std::uint8_t kind = d.u8();
-        if (kind > std::uint8_t(BranchKind::Return))
-            throw ParseError("btb: bad branch kind byte");
-        slot.kind = BranchKind(kind);
-        slot.target = d.u64();
-    }
-}
-
-} // namespace
-
-void
-BtbLevel::saveState(Serializer &s) const
-{
-    s.u64(ways.size());
-    for (const Way &w : ways) {
-        saveEntry(s, w.entry);
-        s.u64(w.lastUse);
-    }
-    s.u64(useTick);
-    stats::save(s, st);
-}
-
-void
-BtbLevel::loadState(Deserializer &d)
-{
-    if (d.u64() != ways.size())
-        throw ParseError("btb: level geometry mismatch");
-    for (Way &w : ways) {
-        loadEntry(d, w.entry);
-        w.lastUse = d.u64();
-    }
-    useTick = d.u64();
-    stats::load(d, st);
-}
-
-void
-MultiBtb::saveState(Serializer &s) const
-{
-    for (const BtbLevel &l : levels)
-        l.saveState(s);
-    stats::save(s, st);
-}
-
-void
-MultiBtb::loadState(Deserializer &d)
-{
-    for (BtbLevel &l : levels)
-        l.loadState(d);
-    stats::load(d, st);
 }
 
 MultiBtb::MultiBtb(const MultiBtbParams &params) : params(params)

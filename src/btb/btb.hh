@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "btb/btb_entry.hh"
-#include "common/serialize.hh"
+#include "common/stat_fields.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -75,9 +75,17 @@ class BtbLevel
     const BtbLevelParams &config() const { return params; }
     const BtbLevelStats &stats() const { return st; }
 
-    /** Serialize contents, recency state, and hit/miss counters. */
-    void saveState(Serializer &s) const;
-    void loadState(Deserializer &d);
+    /** Checkpoint contents, recency state, and hit/miss counters. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar.check(self.ways.size(), "btb level geometry");
+        for (auto &w : self.ways)
+            ar(w.entry, w.lastUse);
+        ar(self.useTick);
+        stats::checkpoint(ar, self.st);
+    }
 
   private:
     struct Way
@@ -188,9 +196,15 @@ class MultiBtb
             v(l.config().name.c_str(), l.stats());
     }
 
-    /** Serialize all levels plus the hierarchy's probe counters. */
-    void saveState(Serializer &s) const;
-    void loadState(Deserializer &d);
+    /** Checkpoint all levels plus the hierarchy's probe counters. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        for (auto &l : self.levels)
+            ar(l);
+        stats::checkpoint(ar, self.st);
+    }
 
   private:
     MultiBtbParams params;

@@ -1,41 +1,8 @@
 #include "btb/btb_builder.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "common/stat_fields.hh"
 
 namespace elfsim {
-
-void
-BtbBuilder::saveState(Serializer &s) const
-{
-    // unordered_set iteration order is not stable across processes;
-    // sort so identical builder states serialize to identical bytes.
-    std::vector<Addr> sorted(takenBefore.begin(), takenBefore.end());
-    std::sort(sorted.begin(), sorted.end());
-    s.u64(sorted.size());
-    for (Addr a : sorted)
-        s.u64(a);
-    s.u64(nextEstablishPC);
-    s.u64(currentStart);
-    s.u64(currentEnd);
-    stats::save(s, st);
-}
-
-void
-BtbBuilder::loadState(Deserializer &d)
-{
-    const std::uint64_t n = d.u64();
-    takenBefore.clear();
-    takenBefore.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        takenBefore.insert(d.u64());
-    nextEstablishPC = d.u64();
-    currentStart = d.u64();
-    currentEnd = d.u64();
-    stats::load(d, st);
-}
 
 BtbBuilder::BtbBuilder(const Program &prog, MultiBtb &btb)
     : prog(prog), btb(btb)

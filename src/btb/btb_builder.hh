@@ -16,7 +16,9 @@
 #ifndef ELFSIM_BTB_BTB_BUILDER_HH
 #define ELFSIM_BTB_BTB_BUILDER_HH
 
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 #include "btb/btb.hh"
 #include "workload/program.hh"
@@ -81,9 +83,31 @@ class BtbBuilder
 
     const BtbBuilderStats &stats() const { return st; }
 
-    /** Serialize the observed-taken set and region-tracking state. */
-    void saveState(Serializer &s) const;
-    void loadState(Deserializer &d);
+    /**
+     * Checkpoint the observed-taken set and region-tracking state. The
+     * set travels as a sorted list, since unordered_set iteration
+     * order is not stable across processes; a load checks the list's
+     * length against the bytes left before sizing the set from it.
+     */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        if constexpr (Ar::loading) {
+            const std::size_t n = ar.length();
+            self.takenBefore.clear();
+            self.takenBefore.reserve(n);
+            for (std::size_t i = 0; i < n; ++i)
+                self.takenBefore.insert(ar.u64());
+        } else {
+            std::vector<Addr> sorted(self.takenBefore.begin(),
+                                     self.takenBefore.end());
+            std::sort(sorted.begin(), sorted.end());
+            ar.u64Vec(sorted);
+        }
+        ar(self.nextEstablishPC, self.currentStart, self.currentEnd);
+        stats::checkpoint(ar, self.st);
+    }
 
   private:
     void establish(Addr start_pc);

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/error.hh"
 #include "common/types.hh"
 #include "isa/static_inst.hh"
 
@@ -85,6 +86,24 @@ struct BtbEntry
                 return &s;
         }
         return nullptr;
+    }
+
+    /** Checkpoint the entry (see common/serialize.hh); a loaded
+     *  termination or branch kind must name an enumerator. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar(self.valid, self.startPC, self.numInsts, self.termination);
+        for (auto &s : self.slots)
+            ar(s.valid, s.offset, s.kind, s.target);
+        if constexpr (Ar::loading) {
+            if (self.termination > BtbTermination::MaxInsts)
+                throw ParseError("btb: bad termination byte");
+            for (const BtbSlot &s : self.slots)
+                if (s.kind > BranchKind::Return)
+                    throw ParseError("btb: bad branch kind byte");
+        }
     }
 };
 

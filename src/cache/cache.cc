@@ -1,7 +1,6 @@
 #include "cache/cache.hh"
 
 #include "common/logging.hh"
-#include "common/stat_fields.hh"
 
 namespace elfsim {
 
@@ -144,48 +143,6 @@ Cache::invalidateAll()
     for (Line &l : lines)
         l = Line{};
     ++residency;
-}
-
-void
-FixedLatencyMemory::saveState(Serializer &s) const
-{
-    stats::save(s, st);
-}
-
-void
-FixedLatencyMemory::loadState(Deserializer &d)
-{
-    stats::load(d, st);
-}
-
-void
-Cache::saveState(Serializer &s) const
-{
-    s.u64(lines.size());
-    for (const Line &l : lines) {
-        s.u64(l.tag);
-        s.boolean(l.valid);
-        s.u64(l.readyCycle);
-        s.u64(l.lastUse);
-    }
-    s.u64(useTick);
-    stats::save(s, st);
-}
-
-void
-Cache::loadState(Deserializer &d)
-{
-    if (d.u64() != lines.size())
-        throw ParseError("cache: geometry mismatch");
-    for (Line &l : lines) {
-        l.tag = d.u64();
-        l.valid = d.boolean();
-        l.readyCycle = d.u64();
-        l.lastUse = d.u64();
-    }
-    useTick = d.u64();
-    ++residency;
-    stats::load(d, st);
 }
 
 } // namespace elfsim

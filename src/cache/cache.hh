@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "common/serialize.hh"
+#include "common/stat_fields.hh"
 #include "common/types.hh"
 
 namespace elfsim {
@@ -74,9 +74,13 @@ class FixedLatencyMemory : public MemoryLevel
     std::uint64_t accesses() const { return st.accesses; }
     Cycle fixedLatency() const { return latency; }
 
-    /** Serialize the access counter (warm-state checkpoints). */
-    void saveState(Serializer &s) const;
-    void loadState(Deserializer &d);
+    /** Checkpoint the access counter (see common/serialize.hh). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        stats::checkpoint(ar, self.st);
+    }
 
   private:
     std::string memName;
@@ -161,8 +165,8 @@ class Cache : public MemoryLevel
     /**
      * Bumped whenever the set of resident lines may change: on every
      * line allocation (demand miss or prefetch fill), invalidateAll
-     * and loadState. While it holds still, present() answers exactly
-     * as before for every address.
+     * and a checkpoint load. While it holds still, present() answers
+     * exactly as before for every address.
      */
     std::uint64_t residencyVersion() const { return residency; }
 
@@ -174,11 +178,21 @@ class Cache : public MemoryLevel
     std::uint64_t misses() const { return st.misses; }
     std::uint64_t accesses() const { return st.hits + st.misses; }
 
-    /** Serialize contents, recency state, and statistics. readyCycle
+    /** Checkpoint contents, recency state, and statistics. readyCycle
      *  values are absolute cycles, so the consumer must checkpoint the
-     *  core cycle counter alongside. */
-    void saveState(Serializer &s) const;
-    void loadState(Deserializer &d);
+     *  core cycle counter alongside. A load bumps residencyVersion(). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar.check(self.lines.size(), "cache geometry");
+        for (auto &l : self.lines)
+            ar(l.tag, l.valid, l.readyCycle, l.lastUse);
+        ar(self.useTick);
+        if constexpr (Ar::loading)
+            ++self.residency;
+        stats::checkpoint(ar, self.st);
+    }
 
   private:
     struct Line

@@ -24,33 +24,4 @@ MemHierarchy::dataAccess(Addr pc, Addr addr, bool write, Cycle now)
     return lat;
 }
 
-void
-MemHierarchy::saveState(Serializer &s) const
-{
-    l0iCache->saveState(s);
-    l1iCache->saveState(s);
-    l1dCache->saveState(s);
-    l2Cache->saveState(s);
-    l3Cache->saveState(s);
-    mem->saveState(s);
-    s.boolean(dpf != nullptr);
-    if (dpf)
-        dpf->saveState(s);
-}
-
-void
-MemHierarchy::loadState(Deserializer &d)
-{
-    l0iCache->loadState(d);
-    l1iCache->loadState(d);
-    l1dCache->loadState(d);
-    l2Cache->loadState(d);
-    l3Cache->loadState(d);
-    mem->loadState(d);
-    if (d.boolean() != (dpf != nullptr))
-        throw ParseError("hierarchy: prefetcher presence mismatch");
-    if (dpf)
-        dpf->loadState(d);
-}
-
 } // namespace elfsim

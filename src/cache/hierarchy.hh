@@ -110,9 +110,18 @@ class MemHierarchy
             v("stride_pf", dpf->stats());
     }
 
-    /** Serialize every level plus prefetcher and memory counters. */
-    void saveState(Serializer &s) const;
-    void loadState(Deserializer &d);
+    /** Checkpoint every level plus prefetcher and memory counters;
+     *  a payload must agree on whether the prefetcher exists. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar(*self.l0iCache, *self.l1iCache, *self.l1dCache, *self.l2Cache,
+           *self.l3Cache, *self.mem);
+        ar.check(self.dpf != nullptr, "stride prefetcher presence");
+        if (self.dpf)
+            ar(*self.dpf);
+    }
 
   private:
     std::unique_ptr<FixedLatencyMemory> mem;

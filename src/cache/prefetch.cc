@@ -1,7 +1,5 @@
 #include "cache/prefetch.hh"
 
-#include "common/stat_fields.hh"
-
 namespace elfsim {
 
 StridePrefetcher::StridePrefetcher(const StridePrefetcherParams &params,
@@ -52,33 +50,6 @@ StridePrefetcher::reset()
 {
     for (Entry &e : table)
         e = Entry{};
-}
-
-void
-StridePrefetcher::saveState(Serializer &s) const
-{
-    s.u64(table.size());
-    for (const Entry &e : table) {
-        s.u64(e.tag);
-        s.u64(e.lastAddr);
-        s.u64(std::uint64_t(e.stride));
-        s.u32(e.conf);
-    }
-    stats::save(s, st);
-}
-
-void
-StridePrefetcher::loadState(Deserializer &d)
-{
-    if (d.u64() != table.size())
-        throw ParseError("stride_pf: geometry mismatch");
-    for (Entry &e : table) {
-        e.tag = d.u64();
-        e.lastAddr = d.u64();
-        e.stride = std::int64_t(d.u64());
-        e.conf = d.u32();
-    }
-    stats::load(d, st);
 }
 
 } // namespace elfsim

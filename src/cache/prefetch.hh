@@ -57,9 +57,16 @@ class StridePrefetcher
     const StridePrefetcherStats &stats() const { return st; }
     std::uint64_t issued() const { return st.issued; }
 
-    /** Serialize the learned stride table and counters. */
-    void saveState(Serializer &s) const;
-    void loadState(Deserializer &d);
+    /** Checkpoint the learned stride table and counters. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar.check(self.table.size(), "stride prefetcher geometry");
+        for (auto &e : self.table)
+            ar(e.tag, e.lastAddr, e.stride, e.conf);
+        stats::checkpoint(ar, self.st);
+    }
 
   private:
     struct Entry

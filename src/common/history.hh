@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace elfsim {
@@ -70,28 +69,19 @@ class GlobalHistory
 
     unsigned length() const { return len; }
 
-    /** Serialize the full bit buffer and pointer (warm-state
-     *  checkpoints need the bits, not just the pointer). */
-    template <class S>
-    void
-    saveState(S &s) const
+    /** Checkpoint the pointer and the full bit buffer (warm-state
+     *  checkpoints need the bits, not just the pointer); a loaded
+     *  pointer wraps into the buffer. */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
     {
-        s.u32(ptr);
-        s.u64(bits.size());
-        for (std::uint8_t b : bits)
-            s.u8(b);
-    }
-
-    template <class D>
-    void
-    loadState(D &d)
-    {
-        ptr = d.u32() & mask;
-        std::uint64_t n = d.u64();
-        if (n != bits.size())
-            throw ParseError("checkpoint: history geometry mismatch");
-        for (auto &b : bits)
-            b = d.u8();
+        ar(self.ptr);
+        ar.check(self.bits.size(), "history geometry");
+        for (auto &b : self.bits)
+            ar(b);
+        if constexpr (Ar::loading)
+            self.ptr &= self.mask;
     }
 
   private:
@@ -140,6 +130,17 @@ class FoldedHistory
 
     /** Restore from a checkpoint. */
     void restore(std::uint32_t v) { comp = v & ((1u << foldedLen) - 1); }
+
+    /** Checkpoint the folded value; a loaded one is masked as by
+     *  restore(). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar(self.comp);
+        if constexpr (Ar::loading)
+            self.restore(self.comp);
+    }
 
     unsigned originalLength() const { return origLen; }
     unsigned foldedLength() const { return foldedLen; }

@@ -73,11 +73,19 @@ class Rng
         state = s ? s : 0x9e3779b97f4a7c15ull;
     }
 
-    /**
-     * Raw generator state, for warm-state checkpoints. xorshift64*
-     * state is never zero, so seed(rawState()) is an exact restore.
-     */
+    /** Raw generator state. xorshift64* state is never zero, so
+     *  seed(rawState()) is an exact restore. */
     std::uint64_t rawState() const { return state; }
+
+    /** Checkpoint the raw state; a loaded zero reseeds as seed(0). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar(self.state);
+        if constexpr (Ar::loading)
+            self.seed(self.state);
+    }
 
   private:
     std::uint64_t state;

@@ -91,6 +91,17 @@ class SatCounter
     /** Maximum representable value. */
     unsigned max() const { return maxVal; }
 
+    /** Checkpoint the raw value; a loaded value is clamped as by
+     *  set(). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        ar(self.value);
+        if constexpr (Ar::loading)
+            self.set(self.value);
+    }
+
   private:
     std::uint16_t maxVal = 3;
     std::uint16_t value = 0;

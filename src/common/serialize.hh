@@ -2,18 +2,37 @@
  * @file
  * Flat byte-buffer serialization for warm-state checkpoints.
  *
- * Components expose `saveState(Serializer &)` / `loadState(Deserializer
- * &)` pairs that write and read fixed-width little-endian scalars into
- * a growable byte vector. The encoding is deliberately dumb — no field
- * tags, no varints — because a checkpoint is only ever read back by
- * the exact binary layout that wrote it: the artifact key (see
+ * Each warmed structure lists its checkpointed state once, in a static
+ * `visitWarmState(self, ar)` (@a self const or not, as in the counter
+ * structs' `visitFields`). @a ar is a Serializer or a Deserializer:
+ * both take the same reference-taking field operations and carry a
+ * compile-time `loading` flag, so one list writes the payload and
+ * reads it back, and the two directions cannot drift apart.
+ *
+ *   ar(a, b, ...)     write or read each field in order: bool as one
+ *                     byte (0 or 1), an integer or enum as its own
+ *                     width, a double by its bit pattern, and a
+ *                     structure with a visitWarmState through it
+ *   ar.check(v, what) a value the layout depends on (a table size, a
+ *                     presence flag): written from the live structure,
+ *                     and on load read and required to equal it
+ *
+ * Effects that only a load has (a clamp, an index wrap, a cache bump)
+ * sit in one `if constexpr (Ar::loading)` block of their structure.
+ * Counter structs go through stats::checkpoint (common/stat_fields.hh).
+ *
+ * The encoding is fixed-width little-endian, with no field tags and no
+ * varints, because a checkpoint is only ever read back by the exact
+ * binary layout that wrote it: the artifact key (see
  * workload/checkpoint_store.hh) hashes the format version along with
  * the full configuration, so any layout change changes the key and a
  * stale payload is never parsed.
  *
- * Deserializer throws ParseError on underrun or on a failed bounds
- * check, which callers treat as "checkpoint unusable, fall back to
- * fast-forward" — never as a failed simulation.
+ * Deserializer throws ParseError on underrun, on a failed check, and
+ * on a length prefix the bytes left cannot hold (8 bytes per element,
+ * tested before anything is sized from it). Callers treat that as
+ * "checkpoint unusable, fall back to fast-forward", never as a failed
+ * simulation.
  */
 
 #ifndef ELFSIM_COMMON_SERIALIZE_HH
@@ -23,6 +42,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
@@ -49,6 +69,25 @@ littleEndian(T v)
 class Serializer
 {
   public:
+    /** Field operations write. */
+    static constexpr bool loading = false;
+
+    /** Write each of @a fields in order. */
+    template <typename... T>
+    void
+    operator()(const T &...fields)
+    {
+        (field(fields), ...);
+    }
+
+    /** Write @a live, which the loader checks against its own. */
+    template <typename T>
+    void
+    check(const T &live, const char *)
+    {
+        field(live);
+    }
+
     void
     u8(std::uint8_t v)
     {
@@ -107,6 +146,23 @@ class Serializer
     std::size_t size() const { return buf.size(); }
 
   private:
+    template <typename T>
+    void
+    field(const T &v)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            boolean(v);
+        } else if constexpr (std::is_enum_v<T>) {
+            field(std::underlying_type_t<T>(v));
+        } else if constexpr (std::is_same_v<T, double>) {
+            f64(v);
+        } else if constexpr (std::is_integral_v<T>) {
+            appendLe(std::make_unsigned_t<T>(v));
+        } else {
+            T::visitWarmState(v, *this);
+        }
+    }
+
     /** Append @a v as sizeof(T) little-endian bytes, in one copy. */
     template <typename T>
     void
@@ -125,6 +181,9 @@ class Serializer
 class Deserializer
 {
   public:
+    /** Field operations read. */
+    static constexpr bool loading = true;
+
     Deserializer(const std::uint8_t *data, std::size_t len)
         : ptr(data), end(data + len)
     {}
@@ -132,6 +191,39 @@ class Deserializer
     explicit Deserializer(const std::vector<std::uint8_t> &v)
         : Deserializer(v.data(), v.size())
     {}
+
+    /** Read each of @a fields in order. */
+    template <typename... T>
+    void
+    operator()(T &...fields)
+    {
+        (field(fields), ...);
+    }
+
+    /** Read the writer's value of a layout-fixing quantity; a
+     *  payload whose value differs from @a live is a ParseError. */
+    template <typename T>
+    void
+    check(const T &live, const char *what)
+    {
+        T got{};
+        field(got);
+        if (got != live)
+            throw ParseError(std::string("checkpoint: ") + what +
+                             " mismatch");
+    }
+
+    /** A u64 length prefix of 8-byte elements. A length the bytes
+     *  left cannot hold is a ParseError, so nothing is ever sized
+     *  from it. */
+    std::size_t
+    length()
+    {
+        const std::uint64_t n = u64();
+        if (n > remaining() / 8)
+            throw ParseError("checkpoint: length exceeds the payload");
+        return std::size_t(n);
+    }
 
     std::uint8_t
     u8()
@@ -184,16 +276,16 @@ class Deserializer
         ptr += len;
     }
 
-    /** Length-prefixed u64 vector; @a max_len guards absurd sizes. */
+    /** Length-prefixed u64 vector of at most @a max_len elements. */
     std::vector<std::uint64_t>
     u64Vec(std::size_t max_len = std::size_t(1) << 32)
     {
-        std::uint64_t n = u64();
+        const std::size_t n = length();
         if (n > max_len)
             throw ParseError("checkpoint: vector length out of range");
         std::vector<std::uint64_t> v;
-        v.reserve(std::size_t(n));
-        for (std::uint64_t i = 0; i < n; ++i)
+        v.reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
             v.push_back(u64());
         return v;
     }
@@ -210,6 +302,23 @@ class Deserializer
     }
 
   private:
+    template <typename T>
+    void
+    field(T &v)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            v = boolean();
+        } else if constexpr (std::is_enum_v<T>) {
+            v = T(readLe<std::underlying_type_t<T>>());
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = f64();
+        } else if constexpr (std::is_integral_v<T>) {
+            v = T(readLe<std::make_unsigned_t<T>>());
+        } else {
+            T::visitWarmState(v, *this);
+        }
+    }
+
     void
     need(std::size_t n) const
     {

@@ -24,7 +24,6 @@
 #include <type_traits>
 
 #include "common/logging.hh"
-#include "common/serialize.hh"
 
 namespace elfsim {
 namespace stats {
@@ -102,39 +101,23 @@ forEachLeaf(const std::string &prefix, const T &x, F &&f)
     });
 }
 
-/** Append every leaf of @a x to a checkpoint payload, in field
- *  order: integers as u64, doubles by their bit pattern. */
-template <typename T>
+/**
+ * Write or read, as @a ar does (a Serializer or a Deserializer, see
+ * common/serialize.hh), every leaf of @a x in field order: integers
+ * as u64, doubles by their bit pattern.
+ */
+template <typename Ar, typename T>
 void
-save(Serializer &s, const T &x)
+checkpoint(Ar &ar, T &x)
 {
-    T::visitFields(x, [&](const char *, const auto &v) {
+    std::remove_cv_t<T>::visitFields(x, [&](const char *, auto &v) {
         using V = std::remove_cv_t<std::remove_reference_t<decltype(v)>>;
-        if constexpr (std::is_floating_point_v<V>) {
-            s.f64(v);
-        } else if constexpr (std::is_integral_v<V>) {
-            static_assert(sizeof(V) == 8, "checkpointed counters are u64");
-            s.u64(v);
+        if constexpr (isLeaf<V>) {
+            static_assert(std::is_floating_point_v<V> || sizeof(V) == 8,
+                          "checkpointed counters are u64");
+            ar(v);
         } else {
-            save(s, v);
-        }
-    });
-}
-
-/** Read back what save() wrote. */
-template <typename T>
-void
-load(Deserializer &d, T &x)
-{
-    T::visitFields(x, [&](const char *, auto &v) {
-        using V = std::remove_reference_t<decltype(v)>;
-        if constexpr (std::is_floating_point_v<V>) {
-            v = d.f64();
-        } else if constexpr (std::is_integral_v<V>) {
-            static_assert(sizeof(V) == 8, "checkpointed counters are u64");
-            v = d.u64();
-        } else {
-            load(d, v);
+            checkpoint(ar, v);
         }
     });
 }

@@ -57,21 +57,12 @@ class CoupledPredictors
     /** Total storage in bytes (< 2KB; Table II reporting). */
     double storageBytes() const;
 
-    /** Serialize all coupled structures (warm-state checkpoints). */
-    void
-    saveState(Serializer &s) const
+    /** Checkpoint all coupled structures (warm-state checkpoints). */
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
     {
-        bimodalPred.saveState(s);
-        btcPred.saveState(s);
-        rasStack.saveState(s);
-    }
-
-    void
-    loadState(Deserializer &d)
-    {
-        bimodalPred.loadState(d);
-        btcPred.loadState(d);
-        rasStack.loadState(d);
+        ar(self.bimodalPred, self.btcPred, self.rasStack);
     }
 
   private:

@@ -4,28 +4,6 @@
 
 namespace elfsim {
 
-namespace {
-
-/** Derive resolution/misprediction once the prediction is bound. */
-void
-resolveBranch(DynInst &di)
-{
-    if (!di.si->isBranchInst()) {
-        di.mispredict = false;
-        return;
-    }
-    if (di.wrongPath) {
-        di.taken = di.predTaken;
-        di.actualNext = di.predTarget;
-        di.mispredict = false;
-        return;
-    }
-    di.mispredict = (di.taken != di.predTaken) ||
-                    (di.taken && di.actualNext != di.predTarget);
-}
-
-} // namespace
-
 CoupledFetchEngine::CoupledFetchEngine(const FetchParams &params,
                                        MemHierarchy &mem,
                                        InstSupply &supply,

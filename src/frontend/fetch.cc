@@ -39,23 +39,7 @@ bindPrediction(DynInst &di, const FaqBranch *fb, bool btb_covered)
         di.predTaken = false;
         di.predTarget = di.si->nextPC();
     }
-
-    if (!di.si->isBranchInst()) {
-        di.mispredict = false;
-        return;
-    }
-
-    if (di.wrongPath) {
-        // Wrong-path branches resolve to their prediction: the model
-        // does not follow nested wrong-path redirects.
-        di.taken = di.predTaken;
-        di.actualNext = di.predTarget;
-        di.mispredict = false;
-        return;
-    }
-
-    di.mispredict = (di.taken != di.predTaken) ||
-                    (di.taken && di.actualNext != di.predTarget);
+    resolveBranch(di);
 }
 
 unsigned

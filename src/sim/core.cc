@@ -130,15 +130,7 @@ Core::applyPatches(Redirect &redirect, Cycle now)
             di->fetchStalled = false;
         if (p.historyPushed)
             di->historyPushed = true;
-        if (di->wrongPath) {
-            di->taken = di->predTaken;
-            di->actualNext = di->predTarget;
-            di->mispredict = false;
-        } else {
-            di->mispredict =
-                (di->taken != di->predTaken) ||
-                (di->taken && di->actualNext != di->predTarget);
-        }
+        resolveBranch(*di);
         if (p.fromBtbMiss && !di->completed) {
             // The resynchronization covered this stalled branch with
             // a BTB-miss guess block: the baseline front-end would
@@ -512,27 +504,52 @@ Core::functionalWarm(InstCount n, bool use_kernel)
     controller->applyRedirect(coreStats.cycles, resumePC);
 }
 
+namespace {
+
+/**
+ * The counters a warm-state payload leads with, in layout order. A
+ * load fills a copy: the core applies it only once the whole payload
+ * has loaded, and the ELF counters only after the restart.
+ */
+struct WarmCounters
+{
+    CoreStats core;
+    BackendStats backend;
+    ElfStats elf;
+    /** Salts wrong-path memory addresses; resumed runs must continue
+     *  it, not restart it. */
+    SeqNum seqCount = 0;
+    std::uint64_t wrongPathInsts = 0;
+
+    template <typename Self, typename Ar>
+    static void
+    visitWarmState(Self &self, Ar &ar)
+    {
+        stats::checkpoint(ar, self.core);
+        stats::checkpoint(ar, self.backend);
+        stats::checkpoint(ar, self.elf);
+        ar(self.seqCount, self.wrongPathInsts);
+    }
+};
+
+} // namespace
+
+template <typename Self, typename Ar>
+void
+Core::visitWarmStructures(Self &self, Ar &ar)
+{
+    ar(*self.bank, *self.btbHier, *self.builder, *self.mem, *self.memDep,
+       self.controller->coupledPredictors());
+}
+
 void
 Core::saveWarmState(Serializer &s) const
 {
     // Cumulative counters first. The cycle counter must travel with
     // the caches: their readyCycle values are absolute cycles.
-    stats::save(s, coreStats);
-    stats::save(s, backendUnit->stats());
-    stats::save(s, controller->stats());
-
-    // The sequence counter salts wrong-path memory addresses; resumed
-    // runs must continue it, not restart it.
-    s.u64(instSupply->seqCount());
-    s.u64(instSupply->wrongPathInsts());
-
-    // Warm structures.
-    bank->saveState(s);
-    btbHier->saveState(s);
-    builder->saveState(s);
-    mem->saveState(s);
-    memDep->saveState(s);
-    controller->coupledPredictors().saveState(s);
+    s(WarmCounters{coreStats, backendUnit->stats(), controller->stats(),
+                   instSupply->seqCount(), instSupply->wrongPathInsts()});
+    visitWarmStructures(*this, s);
 }
 
 void
@@ -542,28 +559,15 @@ Core::loadWarmState(Deserializer &d, InstCount position,
     ELFSIM_ASSERT(backendUnit->empty() && fetchToDecode->empty(),
                   "warm-state restore with in-flight instructions");
 
-    CoreStats cs;
-    stats::load(d, cs);
-    BackendStats bs;
-    stats::load(d, bs);
-    ElfStats es;
-    stats::load(d, es);
-
-    const SeqNum seqCounter = d.u64();
-    const std::uint64_t wrongPathInsts = d.u64();
-
-    bank->loadState(d);
-    btbHier->loadState(d);
-    builder->loadState(d);
-    mem->loadState(d);
-    memDep->loadState(d);
-    controller->coupledPredictors().loadState(d);
+    WarmCounters c;
+    d(c);
+    visitWarmStructures(*this, d);
     d.expectEnd();
 
-    coreStats = cs;
-    backendUnit->restoreStats(bs);
-    instSupply->restoreCounters(seqCounter, wrongPathInsts);
-    lastCommitSeq = seqCounter;
+    coreStats = c.core;
+    backendUnit->restoreStats(c.backend);
+    instSupply->restoreCounters(c.seqCount, c.wrongPathInsts);
+    lastCommitSeq = c.seqCount;
     lastCommitOracleIdx = position;
 
     // Reposition the stream and restart the engines exactly like a
@@ -586,7 +590,7 @@ Core::loadWarmState(Deserializer &d, InstCount position,
     // counters already include that restart's bookkeeping (e.g. the
     // ELF coupled-period bump); restoring them after applyRedirect
     // cancels the double count.
-    controller->restoreStats(es);
+    controller->restoreStats(c.elf);
 }
 
 void

@@ -243,6 +243,11 @@ class Core
     /** Fetch's gate: the fetch buffer has room for a whole group. */
     bool canFetch() const;
 
+    /** Checkpoint the six warmed structures, in payload order (the
+     *  counters lead the payload; see saveWarmState()). */
+    template <typename Self, typename Ar>
+    static void visitWarmStructures(Self &self, Ar &ar);
+
     void applyRedirect(Redirect r);
     void applyPatches(Redirect &redirect, Cycle now);
     bool historyVisible(const StaticInst &si) const;

@@ -3,6 +3,7 @@
 #include "bpred/bimodal.hh"
 #include "bpred/btc.hh"
 #include "bpred/ras.hh"
+#include "common/serialize.hh"
 
 using namespace elfsim;
 
@@ -50,6 +51,26 @@ TEST(Bimodal, StorageMatchesPaper)
     // 2K entries x 3 bits = 0.75KB (Table II).
     Bimodal b;
     EXPECT_DOUBLE_EQ(b.storageBytes(), 768.0);
+}
+
+// A counter loads clamped to its width, and a table of another size
+// is a ParseError.
+TEST(Bimodal, CheckpointClampsCountersAndChecksGeometry)
+{
+    Serializer s;
+    s.u64(2048);
+    for (unsigned i = 0; i < 2048; ++i)
+        s.u16(i == 0 ? 9 : 0); // 9 does not fit a 3-bit counter
+    Bimodal b;
+    Deserializer d(s.data());
+    d(b);
+    d.expectEnd();
+    EXPECT_TRUE(b.saturated(0));
+    EXPECT_TRUE(b.predict(0));
+
+    Bimodal small(BimodalParams{1024, 3});
+    Deserializer other(s.data());
+    EXPECT_THROW(other(small), ParseError);
 }
 
 TEST(Ras, PushPopLifo)
@@ -118,6 +139,31 @@ TEST(Ras, CopyAssignGivesIndependentStacks)
     EXPECT_EQ(b.size(), 2u);
     EXPECT_EQ(b.pop(), 2u);
     EXPECT_EQ(a.top(), 1u);
+}
+
+// A loaded top of stack wraps into the stack; a depth beyond it is
+// a ParseError.
+TEST(Ras, CheckpointWrapsTopAndChecksDepth)
+{
+    ReturnAddressStack r(4);
+    r.push(0x100);
+    r.push(0x200);
+    Serializer s;
+    s(r);
+    std::vector<std::uint8_t> bytes = s.data();
+    // size (8) + 4 entries (32), then tos (4) and depth (4).
+    bytes[40] = 6; // tos 6 wraps to 2
+    ReturnAddressStack back(4);
+    Deserializer d(bytes);
+    d(back);
+    d.expectEnd();
+    EXPECT_EQ(back.size(), 2u);
+    EXPECT_EQ(back.top(), 0x200u);
+
+    bytes[44] = 5; // depth 5 > capacity 4
+    ReturnAddressStack deep(4);
+    Deserializer in(bytes);
+    EXPECT_THROW(in(deep), ParseError);
 }
 
 TEST(Btc, HitAfterUpdate)

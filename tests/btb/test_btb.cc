@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "btb/btb.hh"
+#include "common/serialize.hh"
 
 using namespace elfsim;
 
@@ -38,6 +41,41 @@ TEST(BtbEntry, TerminatingUncond)
     e.slots[0] = {true, 4, BranchKind::UncondDirect, 0x500000};
     ASSERT_NE(e.terminatingUncond(), nullptr);
     EXPECT_EQ(e.terminatingUncond()->target, 0x500000u);
+}
+
+// The checkpoint of an entry reads back field for field, and a byte
+// that names no termination, branch kind or boolean is a ParseError.
+TEST(BtbEntry, CheckpointRejectsBytesThatNameNoValue)
+{
+    BtbEntry e = makeEntry(0x1000, 5);
+    e.termination = BtbTermination::Unconditional;
+    e.slots[0] = {true, 4, BranchKind::UncondDirect, 0x2000};
+    Serializer s;
+    s(e);
+    const std::vector<std::uint8_t> good = s.data();
+
+    BtbEntry back;
+    Deserializer d(good);
+    d(back);
+    d.expectEnd();
+    EXPECT_EQ(back.startPC, e.startPC);
+    EXPECT_EQ(back.numInsts, e.numInsts);
+    EXPECT_EQ(back.termination, e.termination);
+    EXPECT_EQ(back.slots[0].kind, BranchKind::UncondDirect);
+    EXPECT_EQ(back.slots[0].target, 0x2000u);
+
+    // valid (1), startPC (8), numInsts (1), termination (1), then the
+    // first slot: valid (1), offset (1), kind (1).
+    const std::size_t validAt = 0, termAt = 10, kindAt = 13;
+    for (const auto &[at, bad] :
+         {std::pair{validAt, 2}, std::pair{termAt, 3},
+          std::pair{kindAt, 7}}) {
+        std::vector<std::uint8_t> bytes = good;
+        bytes[at] = std::uint8_t(bad);
+        BtbEntry out;
+        Deserializer in(bytes);
+        EXPECT_THROW(in(out), ParseError) << "byte " << at;
+    }
 }
 
 TEST(BtbLevel, HitMissAndOverwrite)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "btb/btb_builder.hh"
+#include "common/serialize.hh"
 #include "workload/builders.hh"
 #include "workload/oracle_stream.hh"
 #include "workload/program_builder.hh"
@@ -194,4 +195,40 @@ TEST(BtbBuilder, EstablishmentsFollowCommitStream)
             p.codeBase() + instsToBytes(blk.firstInst);
         EXPECT_TRUE(btb.lookup(start).hit) << std::hex << start;
     }
+}
+
+TEST(BtbBuilder, WarmStateRoundTripsThroughOneVisitor)
+{
+    Program p = microTakenChain(4, 4);
+    MultiBtb btb;
+    BtbBuilder b(p, btb);
+    OracleStream os(p);
+    retireN(b, os, 40);
+    Serializer s;
+    s(b);
+
+    MultiBtb btb2;
+    BtbBuilder loaded(p, btb2);
+    Deserializer d(s.data());
+    d(loaded);
+    d.expectEnd();
+    EXPECT_EQ(loaded.stats().establishments, b.stats().establishments);
+    Serializer again;
+    again(loaded);
+    EXPECT_EQ(again.data(), s.data());
+}
+
+// The taken set's length is checked against the bytes left before the
+// set reserves anything: 2^40 entries is a ParseError, not bad_alloc.
+TEST(BtbBuilder, TakenSetLengthBeyondThePayloadIsAParseError)
+{
+    Program p = microTakenChain(4, 4);
+    MultiBtb btb;
+    BtbBuilder b(p, btb);
+    Serializer s;
+    s.u64(std::uint64_t(1) << 40);
+    for (int i = 0; i < 5; ++i) // region state and counters
+        s.u64(0);
+    Deserializer d(s.data());
+    EXPECT_THROW(d(b), ParseError);
 }

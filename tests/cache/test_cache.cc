@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "common/serialize.hh"
 
 using namespace elfsim;
 
@@ -156,12 +157,12 @@ TEST(Cache, ResidencyVersionMovesOnlyWhenLinesMayChange)
     v = c.residencyVersion();
 
     Serializer s;
-    c.saveState(s);
+    s(c);
     c.invalidateAll();
     EXPECT_GT(c.residencyVersion(), v);
     v = c.residencyVersion();
     Deserializer d(s.data());
-    c.loadState(d);
+    d(c);
     EXPECT_GT(c.residencyVersion(), v);
     EXPECT_TRUE(c.present(0x1000));
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
+#include "common/serialize.hh"
 
 using namespace elfsim;
 
@@ -74,6 +75,25 @@ TEST(MemHierarchy, NoPrefetchWhenDisabled)
     p.dataPrefetch = false;
     MemHierarchy h(p);
     EXPECT_EQ(h.stridePrefetcher(), nullptr);
+}
+
+// A payload restores only into a hierarchy that agrees on whether
+// the stride prefetcher exists.
+TEST(MemHierarchy, CheckpointChecksPrefetcherPresence)
+{
+    MemHierarchyParams with, without;
+    without.dataPrefetch = false;
+    MemHierarchy a(with), b(without);
+    Serializer sa, sb;
+    sa(a);
+    sb(b);
+    MemHierarchy a2(with), b2(without);
+    Deserializer ok(sa.data());
+    ok(a2);
+    ok.expectEnd();
+    Deserializer toWithout(sa.data()), toWith(sb.data());
+    EXPECT_THROW(toWithout(b2), ParseError);
+    EXPECT_THROW(toWith(a2), ParseError);
 }
 
 TEST(StridePrefetcher, RandomStreamDoesNotTrigger)

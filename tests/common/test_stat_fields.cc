@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "common/stat_fields.hh"
 
 using namespace elfsim;
@@ -68,7 +69,7 @@ TEST(StatFields, DeltaAddAndSaveLoadRoundTrip)
     // Checkpoint bytes: every leaf in visit order, integers as u64
     // and doubles by their bit pattern.
     Serializer s;
-    stats::save(s, after);
+    stats::checkpoint(s, after);
     Deserializer raw(s.data());
     EXPECT_EQ(raw.u64(), 25u);
     EXPECT_EQ(raw.f64(), 2.0);
@@ -78,7 +79,7 @@ TEST(StatFields, DeltaAddAndSaveLoadRoundTrip)
 
     Outer loaded;
     Deserializer in(s.data());
-    stats::load(in, loaded);
+    stats::checkpoint(in, loaded);
     in.expectEnd();
     EXPECT_TRUE(same(loaded, after));
 }

@@ -5,10 +5,12 @@
  * workload catalog, checkpointed re-runs are byte-identical to cold
  * runs (and actually hit), corrupt checkpoint artifacts (a flipped
  * payload byte, garbage) fall back to fast-forward transparently, a
- * flip of any one artifact byte past the magic fails the load, bad
- * schedules are rejected up front, a sampled sweep exports
+ * flip of any one artifact byte past the magic fails the load, an
+ * artifact that passes every store check but carries a defective
+ * payload takes either fallback of runSampled without moving a
+ * result, bad schedules are rejected up front, a sampled sweep exports
  * identically at any thread count, and the warm-state checkpoint
- * payload is pinned byte for byte.
+ * payload is pinned byte for byte and read only within its bytes.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -328,6 +331,119 @@ TEST(Sampling, CorruptCheckpointsFallBackToFastForward)
     }
 }
 
+namespace {
+
+/** One checkpoint artifact as the store holds it. */
+struct Artifact
+{
+    std::uint64_t key = 0;
+    InstCount position = 0;
+    std::vector<std::uint8_t> payload;
+};
+
+/** Every artifact under @a dir, header fields and payload (see the
+ *  format in workload/checkpoint_store.hh). */
+std::vector<Artifact>
+readArtifacts(const std::string &dir)
+{
+    std::vector<Artifact> out;
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (!e.is_regular_file())
+            continue;
+        std::ifstream in(e.path(), std::ios::binary);
+        const std::vector<std::uint8_t> file(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        Deserializer d(file.data() + 16, file.size() - 16); // magic
+        Artifact a;
+        a.key = d.u64();
+        a.position = d.u64();
+        const std::uint64_t len = d.u64();
+        d.u64(); // checksum
+        EXPECT_EQ(d.remaining(), len) << e.path();
+        a.payload.assign(file.end() - std::ptrdiff_t(len), file.end());
+        out.push_back(std::move(a));
+    }
+    return out;
+}
+
+/** Occurrences of @a what in @a log. */
+unsigned
+occurrences(const std::string &log, const std::string &what)
+{
+    unsigned n = 0;
+    for (std::size_t at = log.find(what); at != std::string::npos;
+         at = log.find(what, at + 1))
+        ++n;
+    return n;
+}
+
+} // namespace
+
+// The two payload fallbacks of runSampled, on artifacts that pass the
+// store's magic, key, size and checksum checks (each is rewritten
+// through CheckpointStore::save) but carry a defective payload:
+// (a) a resume-state byte that is no boolean is rejected before the
+// core is touched, so every such window fast-forwards; (b) a payload
+// one byte short or one byte long fails inside Core::loadWarmState,
+// so the run restarts once without checkpoints. Either way the rows
+// equal the cold run's apart from the checkpoint counters.
+TEST(Sampling, DefectivePayloadsTakeEitherFallbackWithoutMovingResults)
+{
+    ScopedCkptDir dir("elfsim_sampling_payload");
+    CheckpointStore &store = CheckpointStore::instance();
+    Program p = microRandomBranchLoop(8, 0.4);
+    const RunOptions so = sampledOpts(100000, 10000, 2500, 500);
+
+    const RunResult cold = runVariant(p, FrontendVariant::UElf, so);
+    const std::vector<Artifact> good = readArtifacts(dir.path());
+    ASSERT_GT(good.size(), 0u);
+    ASSERT_EQ(good.size(), cold.sampling.ckptSaves);
+
+    const auto rowsBeyondCkpt = [](RunResult r) {
+        r.sampling.ckptHits = 0;
+        r.sampling.ckptMisses = 0;
+        r.sampling.ckptSaves = 0;
+        return toJson(r);
+    };
+    const std::string unusable = "checkpoint payload unusable";
+    const std::string restart = "restarting run without checkpoints";
+    const struct
+    {
+        const char *name;
+        void (*edit)(std::vector<std::uint8_t> &);
+        bool coreTouched;
+    } variants[] = {
+        {"(a) resume-state byte 2",
+         [](std::vector<std::uint8_t> &b) { b[0] = 2; }, false},
+        {"(b1) last byte dropped",
+         [](std::vector<std::uint8_t> &b) { b.pop_back(); }, true},
+        {"(b2) one byte appended",
+         [](std::vector<std::uint8_t> &b) { b.push_back(0); }, true},
+    };
+    for (const auto &v : variants) {
+        for (const Artifact &a : good) {
+            std::vector<std::uint8_t> bad = a.payload;
+            v.edit(bad);
+            store.save(p.name(), a.key, a.position, bad);
+        }
+        testing::internal::CaptureStderr();
+        const RunResult got = runVariant(p, FrontendVariant::UElf, so);
+        const std::string log = testing::internal::GetCapturedStderr();
+
+        EXPECT_EQ(got.sampling.ckptHits, 0u) << v.name;
+        EXPECT_EQ(rowsBeyondCkpt(got), rowsBeyondCkpt(cold)) << v.name;
+        if (v.coreTouched) {
+            EXPECT_EQ(occurrences(log, restart), 1u) << v.name;
+            EXPECT_EQ(occurrences(log, unusable), 0u) << v.name;
+        } else {
+            EXPECT_EQ(occurrences(log, restart), 0u) << v.name;
+            EXPECT_EQ(occurrences(log, unusable), good.size()) << v.name;
+        }
+    }
+}
+
 // The payload checksum streams over a partial tail word: one flipped
 // byte anywhere past the magic — key, position, length, checksum or
 // payload — must fail the load and count exactly one load failure.
@@ -529,5 +645,28 @@ TEST(Sampling, WarmStatePayloadBytesArePinned)
                                 ? &core->ffResumeState()
                                 : nullptr);
         EXPECT_EQ(warmStateBytes(fresh), bytes) << pin.workload;
+    }
+}
+
+// Core::loadWarmState reads only bytes that exist: a strict prefix of
+// a payload is a ParseError, never a read past the buffer (the asan
+// preset runs this suite).
+TEST(Sampling, EveryStrictPrefixOfAWarmStatePayloadIsAParseError)
+{
+    const Program p = buildWorkload(*findWorkload("605.mcf"));
+    const std::unique_ptr<Core> core =
+        warmedCore(p, FrontendVariant::Dcf);
+    const std::vector<std::uint8_t> bytes = warmStateBytes(*core);
+    // A failed load leaves no instruction in flight, so one core
+    // takes every prefix.
+    Core fresh(makeConfig(FrontendVariant::Dcf), p);
+    const OracleGen *gen =
+        core->ffResumeStateValid() ? &core->ffResumeState() : nullptr;
+    for (std::size_t i = 0; i < 256; ++i) {
+        const std::size_t len = bytes.size() * i / 256;
+        Deserializer d(bytes.data(), len);
+        EXPECT_THROW(fresh.loadWarmState(d, core->consumedInsts(), gen),
+                     ParseError)
+            << len << " of " << bytes.size() << " bytes";
     }
 }

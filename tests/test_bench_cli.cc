@@ -6,7 +6,8 @@
  * Removed flags (the sweep-policy --deadline, --stall, --retries,
  * --manifest and --resume; --csv, --interval, --no-trace and
  * --no-ckpt) are unknown flags: each exits 2 even when followed by
- * --help.
+ * --help. A bench writes its results document only where --json
+ * says: a run without it leaves its working directory untouched.
  *
  * The binary locations come from the ELFSIM_BENCH_DIR /
  * ELFSIM_EXAMPLES_DIR environment variables, which the ctest
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 namespace {
@@ -70,6 +72,24 @@ TEST(BenchCli, HelpExitsZeroAndUnknownFlagExitsTwo)
           "bench_ablation_elf", "bench_ablation_dcf",
           "bench_throughput"})
         expectUniformCli(benchDir, name);
+}
+
+TEST(BenchCli, ThroughputWritesNoDocumentWithoutJson)
+{
+    const std::string benchDir = requiredEnv("ELFSIM_BENCH_DIR");
+    ASSERT_FALSE(benchDir.empty());
+    namespace fs = std::filesystem;
+    const fs::path cwd = fs::path(testing::TempDir()) / "elfsim_bench_cwd";
+    fs::remove_all(cwd);
+    fs::create_directories(cwd);
+
+    EXPECT_EQ(runTool("cd '" + cwd.string() + "' && " + benchDir +
+                          "/bench_throughput",
+                      "--quick --stride 30"),
+              0);
+    for (const fs::directory_entry &e : fs::directory_iterator(cwd))
+        ADD_FAILURE() << "bench_throughput left " << e.path();
+    fs::remove_all(cwd);
 }
 
 TEST(BenchCli, ExamplesSharingTheParserFollowTheSameContract)
